@@ -13,7 +13,6 @@ from .accounting import (
     Scenario,
     SystemMetrics,
     Weights,
-    device_round_cost,
     objective,
     system_metrics,
     uplink_rates,
@@ -71,7 +70,6 @@ from .scenario import (
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
-    validate,
 )
 
 __version__ = "0.1.0"
@@ -105,7 +103,6 @@ __all__ = [
     "cycles_per_frame",
     "derive_seed",
     "detection_accuracy",
-    "device_round_cost",
     "fdma_rate",
     "generate_scenario",
     "load_scenario",
@@ -129,7 +126,6 @@ __all__ = [
     "sweep_resolutions",
     "system_metrics",
     "uplink_rates",
-    "validate",
     "write_csv",
     "write_json",
     "write_svg",

@@ -15,16 +15,15 @@ import numpy as np
 
 from .channel import (
     ChannelPairing,
-    InfeasibleLinkError,
     LinkParams,
     comm_energy,
     comm_time,
     fdma_rate,
+    gain_sorted_pairs,
     noma_channel_rates,
 )
 from .compute import (
     AccuracyModel,
-    DeviceProfile,
     comp_energy,
     comp_time,
     cycles_per_frame,
@@ -114,6 +113,74 @@ class Scenario:
         return {d.id: k for k, d in enumerate(self.devices)}
 
 
+@dataclass(frozen=True)
+class DeviceTable:
+    """A scenario's devices as parallel arrays, indexed by list position.
+
+    Built by :func:`device_table` once per public call and never cached on
+    the mutable :class:`Scenario`, which callers may edit between calls.
+    ``strong`` and ``weak`` are the positions of the gain-sorted NOMA
+    pairing (k-th strongest with k-th weakest, ties to the lower id); both
+    are None for FDMA.
+    """
+
+    ids: tuple
+    gain: np.ndarray
+    p_min: np.ndarray
+    p_max: np.ndarray
+    f_min: np.ndarray
+    f_max: np.ndarray
+    kappa: np.ndarray
+    cycles_per_pixel: np.ndarray
+    frames: np.ndarray
+    resolutions: tuple          # each device's ascending menu, a tuple of ints
+    strong: np.ndarray | None
+    weak: np.ndarray | None
+
+    @property
+    def min_resolution(self) -> np.ndarray:
+        return np.array([menu[0] for menu in self.resolutions], dtype=int)
+
+    def positions(self, ids) -> np.ndarray:
+        """Positions of the given device ids."""
+        index = {uid: k for k, uid in enumerate(self.ids)}
+        return np.array([index[uid] for uid in ids], dtype=int)
+
+    def noma_pairing(self, channel_bandwidth_hz: float) -> ChannelPairing:
+        """The gain-sorted pairing as a :class:`ChannelPairing` of device ids."""
+        return ChannelPairing(
+            channels=tuple(
+                (self.ids[s], self.ids[w]) for s, w in zip(self.strong, self.weak)
+            ),
+            channel_bandwidth_hz=channel_bandwidth_hz,
+        )
+
+
+def device_table(scenario: Scenario) -> DeviceTable:
+    """Unpack ``scenario.devices`` into a :class:`DeviceTable`.
+
+    The only place device profiles become arrays; every layer reads the
+    table instead.
+    """
+    devices = scenario.devices
+    ids = tuple(d.id for d in devices)
+    # one contiguous row per field, in DeviceTable's field order
+    columns = np.array(
+        [(d.gain, d.p_min, d.p_max, d.f_min, d.f_max, d.kappa, d.cycles_per_pixel,
+          d.dataset_frames) for d in devices],
+        dtype=float,
+    ).reshape(-1, 8).T.copy()
+    strong = weak = None
+    if scenario.scheme == "noma":
+        index = {uid: k for k, uid in enumerate(ids)}
+        pairs = gain_sorted_pairs(zip(ids, columns[0].tolist()))
+        strong = np.array([index[s] for s, _ in pairs], dtype=int)
+        weak = np.array([index[w] for _, w in pairs], dtype=int)
+    return DeviceTable(
+        ids, *columns, tuple(d.resolutions for d in devices), strong, weak
+    )
+
+
 @dataclass
 class Allocation:
     """Per-device decision variables, indexed like ``scenario.devices``.
@@ -135,8 +202,9 @@ class Allocation:
         if self.bandwidth_hz is not None:
             self.bandwidth_hz = np.asarray(self.bandwidth_hz, dtype=float)
 
-    def validate(self, scenario: Scenario, rel_tol: float = 1e-9) -> list:
+    def validate(self, scenario: Scenario) -> list:
         """Check bounds and structure against the scenario; returns violations."""
+        rel_tol = 1e-9  # slack for round-off in the bound checks
         errors = []
         n = scenario.n_devices
         for name in ("power_w", "cpu_hz", "resolution_px"):
@@ -228,7 +296,11 @@ class SystemMetrics:
 
 def uplink_rates(scenario: Scenario, allocation: Allocation) -> np.ndarray:
     """Per-device uplink rate in bit/s under the scenario's access scheme."""
-    gains = np.array([d.gain for d in scenario.devices])
+    return _uplink_rates(scenario, device_table(scenario), allocation)
+
+
+def _uplink_rates(scenario: Scenario, table: DeviceTable, allocation: Allocation):
+    gains = table.gain
     if scenario.scheme == "fdma":
         if allocation.bandwidth_hz is None:
             raise ValueError("FDMA allocation is missing bandwidth_hz")
@@ -238,53 +310,18 @@ def uplink_rates(scenario: Scenario, allocation: Allocation) -> np.ndarray:
         )
     if allocation.pairing is None:
         raise ValueError("NOMA allocation is missing a pairing")
-    idx = scenario.device_index()
-    strong = np.array([idx[s] for s, _ in allocation.pairing.channels])
-    weak = np.array([idx[w] for _, w in allocation.pairing.channels])
+    strong = table.positions(s for s, _ in allocation.pairing.channels)
+    weak = table.positions(w for _, w in allocation.pairing.channels)
     rate_s, rate_w = noma_channel_rates(
         allocation.pairing.channel_bandwidth_hz,
         (gains[strong], allocation.power_w[strong]),
         (gains[weak], allocation.power_w[weak]),
         scenario.noise_psd,
     )
-    rates = np.empty(scenario.n_devices, dtype=float)
+    rates = np.empty(len(table.ids), dtype=float)
     rates[strong] = rate_s
     rates[weak] = rate_w
     return rates
-
-
-def _per_device_costs(scenario: Scenario, allocation: Allocation):
-    devices = scenario.devices
-    cpp = np.array([d.cycles_per_pixel for d in devices])
-    frames = np.array([d.dataset_frames for d in devices], dtype=float)
-    kappa = np.array([d.kappa for d in devices])
-    cyc = cycles_per_frame(allocation.resolution_px, cpp)
-    t_cmp = comp_time(scenario.local_iterations, cyc, frames, allocation.cpu_hz)
-    e_cmp = comp_energy(kappa, scenario.local_iterations, cyc, frames, allocation.cpu_hz)
-    rates = uplink_rates(scenario, allocation)
-    t_com = comm_time(scenario.model_size_bits, rates)
-    e_com = comm_energy(allocation.power_w, t_com)
-    return (
-        np.atleast_1d(np.asarray(t_cmp, dtype=float)),
-        np.atleast_1d(np.asarray(e_cmp, dtype=float)),
-        np.atleast_1d(np.asarray(t_com, dtype=float)),
-        np.atleast_1d(np.asarray(e_com, dtype=float)),
-    )
-
-
-def device_round_cost(scenario: Scenario, allocation: Allocation, index: int):
-    """One device's per-round costs: (comp_time, comp_energy, comm_time, comm_energy).
-
-    Raises :class:`InfeasibleLinkError` when the device's uplink rate is zero
-    (for instance zero power or zero bandwidth under FDMA).
-    """
-    t_cmp, e_cmp, t_com, e_com = _per_device_costs(scenario, allocation)
-    return (
-        float(t_cmp[index]),
-        float(e_cmp[index]),
-        float(t_com[index]),
-        float(e_com[index]),
-    )
 
 
 def system_metrics(scenario: Scenario, allocation: Allocation) -> SystemMetrics:
@@ -292,13 +329,21 @@ def system_metrics(scenario: Scenario, allocation: Allocation) -> SystemMetrics:
 
     The round is synchronous, so its duration is the slowest device's
     compute-plus-upload time; totals scale with the number of global rounds.
+    Raises :class:`~flmar.channel.InfeasibleLinkError` when a device's
+    uplink rate is zero (for instance zero power or zero FDMA bandwidth).
     """
-    t_cmp, e_cmp, t_com, e_com = _per_device_costs(scenario, allocation)
-    acc = np.atleast_1d(
-        np.asarray(
-            detection_accuracy(allocation.resolution_px, scenario.accuracy_model),
-            dtype=float,
-        )
+    table = device_table(scenario)
+    cyc = cycles_per_frame(allocation.resolution_px, table.cycles_per_pixel)
+    iters = scenario.local_iterations
+    t_cmp = comp_time(iters, cyc, table.frames, allocation.cpu_hz)
+    e_cmp = comp_energy(table.kappa, iters, cyc, table.frames, allocation.cpu_hz)
+    rates = _uplink_rates(scenario, table, allocation)
+    t_com = comm_time(scenario.model_size_bits, rates)
+    e_com = comm_energy(allocation.power_w, t_com)
+    acc = detection_accuracy(allocation.resolution_px, scenario.accuracy_model)
+    t_cmp, e_cmp, t_com, e_com, acc = (
+        np.atleast_1d(np.asarray(x, dtype=float))
+        for x in (t_cmp, e_cmp, t_com, e_com, acc)
     )
     round_time = float((t_cmp + t_com).max())
     rounds = scenario.global_rounds

@@ -24,11 +24,12 @@ from .accounting import (
     Scenario,
     SystemMetrics,
     Weights,
+    device_table,
     objective,
     system_metrics,
 )
-from .channel import ChannelPairing
-from .compute import detection_accuracy
+from .channel import ChannelPairing, power_for_rate, shannon_rate
+from .compute import cmos_energy, detection_accuracy, round_cycles
 from .scenario import ScenarioValidationError
 
 _LN2 = math.log(2.0)
@@ -70,23 +71,16 @@ class SolveReport:
 
 
 class _Env:
-    """Scenario unpacked into flat arrays, indexed by device position."""
+    """Solver context: the scenario's device table, its shared knobs and
+    the NOMA pairing in use.  Raises :class:`ScenarioValidationError` for
+    an invalid scenario."""
 
     def __init__(self, scenario: Scenario):
-        self.scenario = scenario
-        dev = scenario.devices
-        self.n = len(dev)
-        self.ids = [d.id for d in dev]
-        self.g = np.array([d.gain for d in dev], dtype=float)
-        self.pmin = np.array([d.p_min for d in dev], dtype=float)
-        self.pmax = np.array([d.p_max for d in dev], dtype=float)
-        self.fmin = np.array([d.f_min for d in dev], dtype=float)
-        self.fmax = np.array([d.f_max for d in dev], dtype=float)
-        self.kappa = np.array([d.kappa for d in dev], dtype=float)
-        self.cpp = np.array([d.cycles_per_pixel for d in dev], dtype=float)
-        self.frames = np.array([d.dataset_frames for d in dev], dtype=float)
-        self.res_sets = [np.array(d.resolutions, dtype=int) for d in dev]
-        self.min_res = np.array([d.resolutions[0] for d in dev], dtype=int)
+        errors = scenario.validate()
+        if errors:
+            raise ScenarioValidationError(errors)
+        self.dev = device_table(scenario)
+        self.n = len(self.dev.ids)
         self.iters = float(scenario.local_iterations)
         self.rounds = float(scenario.global_rounds)
         self.s = float(scenario.model_size_bits)
@@ -95,29 +89,17 @@ class _Env:
         self.scheme = scenario.scheme
         self.acc_model = scenario.accuracy_model
         if self.scheme == "noma":
-            order = sorted(range(self.n), key=lambda k: (-self.g[k], self.ids[k]))
-            n_ch = scenario.n_channels
-            self.strong = np.array(order[:n_ch], dtype=int)
-            self.weak = np.array(order[n_ch:][::-1], dtype=int)
-            self.channel_bw = self.bw / n_ch
-            self.pairing = ChannelPairing(
-                channels=tuple(
-                    (self.ids[s], self.ids[w])
-                    for s, w in zip(self.strong, self.weak)
-                ),
-                channel_bandwidth_hz=self.channel_bw,
-            )
+            self.use_pairing(self.dev.noma_pairing(self.bw / scenario.n_channels))
 
     def use_pairing(self, pairing: ChannelPairing) -> None:
-        pos = {uid: k for k, uid in enumerate(self.ids)}
-        self.strong = np.array([pos[s] for s, _ in pairing.channels], dtype=int)
-        self.weak = np.array([pos[w] for _, w in pairing.channels], dtype=int)
+        self.strong = self.dev.positions(s for s, _ in pairing.channels)
+        self.weak = self.dev.positions(w for _, w in pairing.channels)
         self.channel_bw = pairing.channel_bandwidth_hz
         self.pairing = pairing
 
     def round_cycles(self, resolution_px) -> np.ndarray:
         r = np.asarray(resolution_px, dtype=float)
-        return self.iters * self.cpp * r * r * self.frames
+        return round_cycles(self.iters, self.dev.cycles_per_pixel, r, self.dev.frames)
 
     def accuracy(self, resolution_px) -> np.ndarray:
         return np.atleast_1d(
@@ -165,7 +147,7 @@ def _fdma_min_bandwidth(env: _Env, deadlines):
     meet its deadline; a split is feasible iff the floors fit into B.
     """
     rho = env.s / deadlines
-    k_max = env.g * env.pmax / (env.noise * rho)
+    k_max = env.dev.gain * env.dev.p_max / (env.noise * rho)
     if np.any(k_max <= _LN2 * (1.0 + 1e-12)):
         return None
     b_floor = rho / _u_from_k(k_max)
@@ -177,8 +159,8 @@ def _fdma_min_bandwidth(env: _Env, deadlines):
 def _floor_marginal(env: _Env, b, g, pmin):
     """-dE/db for a device pinned at its power floor p_min."""
     x = g * pmin / (env.noise * b)
-    rate = b * np.log1p(x) / _LN2
-    drate = np.log1p(x) / _LN2 - x / ((1.0 + x) * _LN2)
+    rate = shannon_rate(b, x)
+    drate = rate / b - x / ((1.0 + x) * _LN2)
     return pmin * env.s * drate / (rate * rate)
 
 
@@ -200,13 +182,14 @@ def _fdma_comm_solve(env: _Env, deadlines):
     Returns ``(power, bandwidth, comm_time, comm_energy)`` or None when the
     deadlines cannot be met.
     """
+    dev = env.dev
     d = np.asarray(deadlines, dtype=float)
     rho = env.s / d
     b_floor = _fdma_min_bandwidth(env, d)
     if b_floor is None:
         return None
 
-    k_min = env.g * env.pmin / (env.noise * rho)
+    k_min = dev.gain * dev.p_min / (env.noise * rho)
     b_kink = np.full(env.n, np.inf)
     kinked = k_min > _LN2 * (1.0 + 1e-9)
     if kinked.any():
@@ -215,7 +198,7 @@ def _fdma_comm_solve(env: _Env, deadlines):
     b_cap = np.minimum(b_kink, env.bw)
 
     def split_at(lam: float) -> np.ndarray:
-        c = lam * env.g / (d * env.noise) - 1.0
+        c = lam * dev.gain / (d * env.noise) - 1.0
         u = (np.real(lambertw(c / math.e)) + 1.0) / _LN2
         with np.errstate(divide="ignore"):
             b1 = np.where(u > 0.0, rho / u, np.inf)
@@ -226,8 +209,8 @@ def _fdma_comm_solve(env: _Env, deadlines):
         return b
 
     def _floor_split(env, lam, mask, b_kink):
-        g = env.g[mask]
-        pmin = env.pmin[mask]
+        g = dev.gain[mask]
+        pmin = dev.p_min[mask]
         lo = b_kink[mask]
         hi = np.full(lo.shape, env.bw)
         for _ in range(_FLOOR_ITERS):
@@ -239,11 +222,7 @@ def _fdma_comm_solve(env: _Env, deadlines):
 
     # Price bracket: the marginal at the bandwidth floor is the highest any
     # device will pay, so demand at lam_hi shrinks to the floors and fits.
-    u_floor = rho / b_floor
-    with np.errstate(over="ignore"):
-        v1_floor = (d * env.noise / env.g) * (
-            (u_floor * _LN2 - 1.0) * np.exp2(u_floor) + 1.0
-        )
+    v1_floor = _comm_marginal(d * env.noise / dev.gain, rho / b_floor)
     lam_hi = float(np.minimum(v1_floor, 1e300).max())
     lam_lo = lam_hi * 1e-40
     if float(split_at(lam_lo).sum()) > env.bw:
@@ -260,10 +239,9 @@ def _fdma_comm_solve(env: _Env, deadlines):
     if total < env.bw:
         b = b * (env.bw / total)
 
-    p_req = (env.noise * b / env.g) * np.expm1(rho * _LN2 / b)
-    p = np.clip(p_req, env.pmin, env.pmax)
-    rate = b * np.log1p(env.g * p / (env.noise * b)) / _LN2
-    t = env.s / rate
+    p_req = power_for_rate(b, rho, env.noise * b, dev.gain)
+    p = np.clip(p_req, dev.p_min, dev.p_max)
+    t = env.s / shannon_rate(b, dev.gain * p / (env.noise * b))
     return p, b, t, p * t
 
 
@@ -280,30 +258,27 @@ def _noma_comm_solve(env: _Env, deadlines):
     """
     d = np.asarray(deadlines, dtype=float)
     s_idx, w_idx = env.strong, env.weak
+    g, p_min, p_max = env.dev.gain, env.dev.p_min, env.dev.p_max
     bc = env.channel_bw
     noise = env.noise * bc
     with np.errstate(over="ignore"):
-        need_w = np.expm1(env.s / d[w_idx] * _LN2 / bc)
-        p_w = np.maximum(noise * need_w / env.g[w_idx], env.pmin[w_idx])
-        if np.any(p_w > env.pmax[w_idx] * (1.0 + 1e-12)):
-            return None
-        need_s = np.expm1(env.s / d[s_idx] * _LN2 / bc)
-        p_s = np.maximum(
-            (env.g[w_idx] * p_w + noise) * need_s / env.g[s_idx],
-            env.pmin[s_idx],
+        p_w = np.maximum(
+            power_for_rate(bc, env.s / d[w_idx], noise, g[w_idx]), p_min[w_idx]
         )
-    if np.any(p_s > env.pmax[s_idx] * (1.0 + 1e-12)):
+        if np.any(p_w > p_max[w_idx] * (1.0 + 1e-12)):
+            return None
+        interference = g[w_idx] * p_w + noise
+        p_s = np.maximum(
+            power_for_rate(bc, env.s / d[s_idx], interference, g[s_idx]), p_min[s_idx]
+        )
+    if np.any(p_s > p_max[s_idx] * (1.0 + 1e-12)):
         return None
     p = np.empty(env.n, dtype=float)
-    p[w_idx] = np.clip(p_w, env.pmin[w_idx], env.pmax[w_idx])
-    p[s_idx] = np.clip(p_s, env.pmin[s_idx], env.pmax[s_idx])
+    p[w_idx] = np.clip(p_w, p_min[w_idx], p_max[w_idx])
+    p[s_idx] = np.clip(p_s, p_min[s_idx], p_max[s_idx])
     rate = np.empty(env.n, dtype=float)
-    rate[w_idx] = bc * np.log1p(env.g[w_idx] * p[w_idx] / noise) / _LN2
-    rate[s_idx] = (
-        bc
-        * np.log1p(env.g[s_idx] * p[s_idx] / (env.g[w_idx] * p[w_idx] + noise))
-        / _LN2
-    )
+    rate[w_idx] = shannon_rate(bc, g[w_idx] * p[w_idx] / noise)
+    rate[s_idx] = shannon_rate(bc, g[s_idx] * p[s_idx] / (g[w_idx] * p[w_idx] + noise))
     t = env.s / rate
     return p, None, t, p * t
 
@@ -351,20 +326,19 @@ def _split_bisect(tau, two_k_cyc3, comm_marginal_at, d_lo, d_hi):
 
 def _fdma_resplit(env: _Env, tau: float, cyc, b):
     """Per-device upload deadlines balancing CPU and transmit energy at fixed b."""
-    c = env.noise * b / env.g
+    dev = env.dev
+    c = env.noise * b / dev.gain
     a = env.s / b
-    snr_max = env.g * env.pmax / (env.noise * b)
-    d_feas = env.s / (b * np.log1p(snr_max) / _LN2)
-    d_hi = tau - cyc / env.fmax
-    d_lo = np.maximum(tau - cyc / env.fmin, d_feas)
-    pinned = env.pmin > 0.0
+    d_feas = env.s / shannon_rate(b, dev.gain * dev.p_max / (env.noise * b))
+    d_hi = tau - cyc / dev.f_max
+    d_lo = np.maximum(tau - cyc / dev.f_min, d_feas)
+    pinned = dev.p_min > 0.0
     if pinned.any():
-        snr_min = env.g * env.pmin / (env.noise * b)
-        d_pin = env.s / (b * np.log1p(snr_min) / _LN2)
+        d_pin = env.s / shannon_rate(b, dev.gain * dev.p_min / (env.noise * b))
         d_hi = np.where(pinned, np.minimum(d_hi, np.maximum(d_pin, d_lo)), d_hi)
     return _split_bisect(
         tau,
-        2.0 * env.kappa * cyc**3,
+        2.0 * dev.kappa * cyc**3,
         lambda d: _comm_marginal(c, a / d),
         d_lo,
         d_hi,
@@ -378,28 +352,28 @@ def _noma_resplit(env: _Env, tau: float, cyc, deadlines):
     overcome, so the weak split also prices d_s A_s g_w / g_s extra joules
     per watt of weak power; both half-steps stay 1-D convex.
     """
+    dev = env.dev
+    g = dev.gain
     s_idx, w_idx = env.strong, env.weak
     bc = env.channel_bw
     noise = env.noise * bc
     d = deadlines.copy()
 
     def bounds(idx, denom):
-        rate_max = bc * np.log1p(env.g[idx] * env.pmax[idx] / denom) / _LN2
-        d_feas = env.s / rate_max
-        d_hi = tau - cyc[idx] / env.fmax[idx]
-        d_lo = np.maximum(tau - cyc[idx] / env.fmin[idx], d_feas)
-        pinned = env.pmin[idx] > 0.0
+        d_feas = env.s / shannon_rate(bc, g[idx] * dev.p_max[idx] / denom)
+        d_hi = tau - cyc[idx] / dev.f_max[idx]
+        d_lo = np.maximum(tau - cyc[idx] / dev.f_min[idx], d_feas)
+        pinned = dev.p_min[idx] > 0.0
         if pinned.any():
-            rate_min = bc * np.log1p(env.g[idx] * env.pmin[idx] / denom) / _LN2
-            d_pin = env.s / rate_min
+            d_pin = env.s / shannon_rate(bc, g[idx] * dev.p_min[idx] / denom)
             d_hi = np.where(pinned, np.minimum(d_hi, np.maximum(d_pin, d_lo)), d_hi)
         return d_lo, d_hi
 
-    # weak half-step: account for the interference cost on the strong user
-    c_w = noise / env.g[w_idx]
+    # weak half-step: account for the interference cost on the strong user;
+    # k_cross is d_s times the strong power bought per watt of weak power
+    c_w = noise / g[w_idx]
     with np.errstate(over="ignore"):
-        a_s = np.expm1(env.s * _LN2 / (bc * d[s_idx]))
-    k_cross = d[s_idx] * a_s * env.g[w_idx] / env.g[s_idx]
+        k_cross = d[s_idx] * power_for_rate(bc, env.s / d[s_idx], g[w_idx], g[s_idx])
     x_of = lambda dd: env.s / (bc * dd)  # noqa: E731
 
     def weak_marginal(dd):
@@ -410,20 +384,20 @@ def _noma_resplit(env: _Env, tau: float, cyc, deadlines):
 
     d_lo, d_hi = bounds(w_idx, noise)
     d[w_idx] = _split_bisect(
-        tau, 2.0 * env.kappa[w_idx] * cyc[w_idx] ** 3, weak_marginal, d_lo, d_hi
+        tau, 2.0 * dev.kappa[w_idx] * cyc[w_idx] ** 3, weak_marginal, d_lo, d_hi
     )
 
     # strong half-step against the updated weak interference
     with np.errstate(over="ignore"):
         p_w = np.maximum(
-            c_w * np.expm1(env.s * _LN2 / (bc * d[w_idx])), env.pmin[w_idx]
+            power_for_rate(bc, env.s / d[w_idx], noise, g[w_idx]), dev.p_min[w_idx]
         )
-    denom_s = env.g[w_idx] * p_w + noise
-    c_s = denom_s / env.g[s_idx]
+    denom_s = g[w_idx] * p_w + noise
+    c_s = denom_s / g[s_idx]
     d_lo, d_hi = bounds(s_idx, denom_s)
     d[s_idx] = _split_bisect(
         tau,
-        2.0 * env.kappa[s_idx] * cyc[s_idx] ** 3,
+        2.0 * dev.kappa[s_idx] * cyc[s_idx] ** 3,
         lambda dd: _comm_marginal(c_s, x_of(dd)),
         d_lo,
         d_hi,
@@ -460,14 +434,14 @@ def _budget_config(env: _Env, weights: Weights, tau: float, cyc, t_floor, loss_t
         d = d_new
         p, b, t_com, e_com = sol_new
         model = float(
-            (env.kappa * cyc**3 / (tau - d) ** 2 + e_com).sum()
+            (env.dev.kappa * cyc**3 / (tau - d) ** 2 + e_com).sum()
         )
         if energy - model <= _INNER_REL_TOL * abs(energy):
             energy = model
             break
         energy = model
-    f = np.clip(cyc / (tau - t_com), env.fmin, env.fmax)
-    e_cmp = env.kappa * cyc * f * f
+    f = np.clip(cyc / (tau - t_com), env.dev.f_min, env.dev.f_max)
+    e_cmp = cmos_energy(env.dev.kappa, cyc, f)
     value = (
         weights.w1 * env.rounds * float((e_cmp + e_com).sum())
         + weights.w2 * env.rounds * tau
@@ -479,7 +453,7 @@ def _budget_config(env: _Env, weights: Weights, tau: float, cyc, t_floor, loss_t
 def _continuous_solve(env: _Env, weights: Weights, resolution_px) -> _Budget:
     """Best continuous variables for fixed resolutions via a search over tau."""
     cyc = env.round_cycles(resolution_px)
-    t_floor = cyc / env.fmax
+    t_floor = cyc / env.dev.f_max
     base = float(t_floor.max())
     loss_term = weights.w3 * float((1.0 - env.accuracy(resolution_px)).sum())
 
@@ -563,27 +537,28 @@ def _sweep_core(env: _Env, weights: Weights, resolution_px, cpu_hz, t_com, e_com
     candidate objective is the true objective of the resulting state, so
     every applied move is non-increasing.
     """
+    dev = env.dev
     w1g = weights.w1 * env.rounds
     w2g = weights.w2 * env.rounds
     r_out = np.asarray(resolution_px, dtype=int).copy()
     f_out = np.asarray(cpu_hz, dtype=float).copy()
     cyc = env.round_cycles(r_out)
     t_cmp = cyc / f_out
-    e_cmp = env.kappa * cyc * f_out * f_out
+    e_cmp = cmos_energy(dev.kappa, cyc, f_out)
     t_tot = t_cmp + t_com
     e_sum = float((e_cmp + e_com).sum())
     loss = 1.0 - env.accuracy(r_out)
     loss_sum = float(loss.sum())
     tau = float(t_tot.max())
     for n in range(env.n):
-        cand = env.res_sets[n]
-        cyc_c = env.iters * env.cpp[n] * cand.astype(float) ** 2 * env.frames[n]
+        cand = np.array(dev.resolutions[n], dtype=float)
+        cyc_c = round_cycles(env.iters, dev.cycles_per_pixel[n], cand, dev.frames[n])
         slack = tau - t_com[n]
         if slack <= 0.0:
             continue
-        f_c = np.clip(cyc_c / slack, env.fmin[n], env.fmax[n])
+        f_c = np.clip(cyc_c / slack, dev.f_min[n], dev.f_max[n])
         t_c = cyc_c / f_c
-        e_c = env.kappa[n] * cyc_c * f_c * f_c
+        e_c = cmos_energy(dev.kappa[n], cyc_c, f_c)
         hold = t_tot[n]
         t_tot[n] = -math.inf
         others = float(t_tot.max())
@@ -609,41 +584,28 @@ def _sweep_core(env: _Env, weights: Weights, resolution_px, cpu_hz, t_com, e_com
 
 def _assemble(env: _Env, power, bandwidth, cpu_hz, resolution_px) -> Allocation:
     return Allocation(
-        power_w=np.clip(power, env.pmin, env.pmax),
-        cpu_hz=np.clip(cpu_hz, env.fmin, env.fmax),
+        power_w=np.clip(power, env.dev.p_min, env.dev.p_max),
+        cpu_hz=np.clip(cpu_hz, env.dev.f_min, env.dev.f_max),
         resolution_px=np.asarray(resolution_px, dtype=int),
         bandwidth_hz=None if bandwidth is None else np.asarray(bandwidth, dtype=float),
         pairing=env.pairing if env.scheme == "noma" else None,
     )
 
 
-def _check_scenario(scenario: Scenario) -> None:
-    errors = scenario.validate()
-    if errors:
-        raise ScenarioValidationError(errors)
-
-
-def optimize(
-    scenario: Scenario,
-    weights: Weights,
-    *,
-    max_outer_iterations: int = MAX_OUTER_ITERATIONS,
-    rel_tol: float = OUTER_REL_TOL,
-) -> SolveReport:
+def optimize(scenario: Scenario, weights: Weights) -> SolveReport:
     """Jointly allocate power, bandwidth, CPU frequency and resolution.
 
     Deterministic: equal inputs give identical reports.  Raises
     :class:`InfeasibleScenarioError` when no round-time budget works at all.
     """
-    _check_scenario(scenario)
     env = _Env(scenario)
-    r = env.min_res.copy()
+    r = env.dev.min_resolution
     best = None
     trace: list = []
     prev = math.inf
     converged = False
     iterations = 0
-    for _ in range(max_outer_iterations):
+    for _ in range(MAX_OUTER_ITERATIONS):
         iterations += 1
         cfg = _continuous_solve(env, weights, r)
         r_new, f_new = _sweep_core(
@@ -655,7 +617,7 @@ def optimize(
         if best is None or value < best[0]:
             best = (value, alloc, metrics)
         trace.append(best[0])
-        if math.isfinite(prev) and prev - value <= rel_tol * max(abs(prev), 1e-30):
+        if math.isfinite(prev) and prev - value <= OUTER_REL_TOL * max(abs(prev), 1e-30):
             converged = True
             break
         prev = value
@@ -681,23 +643,12 @@ def random_baseline(scenario: Scenario, weights: Weights, seed: int) -> SolveRep
     same allocation, and the identical draws land on both schemes when the
     device populations match.
     """
-    _check_scenario(scenario)
     env = _Env(scenario)
     rng = np.random.default_rng(seed)
-    p = rng.uniform(env.pmin, env.pmax)
-    f = rng.uniform(env.fmin, env.fmax)
-    r = env.min_res.copy()
-    if scenario.scheme == "fdma":
-        alloc = Allocation(
-            power_w=p,
-            cpu_hz=f,
-            resolution_px=r,
-            bandwidth_hz=np.full(env.n, env.bw / env.n),
-        )
-    else:
-        alloc = Allocation(
-            power_w=p, cpu_hz=f, resolution_px=r, pairing=env.pairing
-        )
+    p = rng.uniform(env.dev.p_min, env.dev.p_max)
+    f = rng.uniform(env.dev.f_min, env.dev.f_max)
+    bandwidth = np.full(env.n, env.bw / env.n) if env.scheme == "fdma" else None
+    alloc = _assemble(env, p, bandwidth, f, env.dev.min_resolution)
     metrics = system_metrics(scenario, alloc)
     value = objective(weights, metrics)
     return SolveReport(
@@ -725,10 +676,9 @@ def solve_comm_subproblem_fdma(
     :class:`InfeasibleBudgetError` when the budget cannot be met even at
     p_max with all bandwidth.
     """
-    _check_scenario(scenario)
+    env = _Env(scenario)
     if scenario.scheme != "fdma":
         raise ValueError("scenario scheme must be 'fdma'")
-    env = _Env(scenario)
     deadlines = _comm_deadlines(env, cpu_hz, resolution_px, round_time_budget)
     sol = _fdma_comm_solve(env, deadlines)
     if sol is None:
@@ -736,7 +686,7 @@ def solve_comm_subproblem_fdma(
             f"deadlines unreachable within p_max and {env.bw} Hz total bandwidth"
         )
     p, b, _, _ = sol
-    return np.clip(p, env.pmin, env.pmax), b
+    return np.clip(p, env.dev.p_min, env.dev.p_max), b
 
 
 def solve_comm_subproblem_noma(
@@ -748,17 +698,16 @@ def solve_comm_subproblem_noma(
     round_time_budget: float,
 ):
     """Minimum-energy per-channel powers for fixed pairing, f, r and budget."""
-    _check_scenario(scenario)
+    env = _Env(scenario)
     if scenario.scheme != "noma":
         raise ValueError("scenario scheme must be 'noma'")
-    env = _Env(scenario)
     env.use_pairing(pairing)
     deadlines = _comm_deadlines(env, cpu_hz, resolution_px, round_time_budget)
     sol = _noma_comm_solve(env, deadlines)
     if sol is None:
         raise InfeasibleBudgetError("deadlines unreachable within the power limits")
     p = sol[0]
-    return np.clip(p, env.pmin, env.pmax)
+    return np.clip(p, env.dev.p_min, env.dev.p_max)
 
 
 def _comm_deadlines(env: _Env, cpu_hz, resolution_px, round_time_budget: float):
@@ -766,7 +715,7 @@ def _comm_deadlines(env: _Env, cpu_hz, resolution_px, round_time_budget: float):
     t_cmp = cyc / np.asarray(cpu_hz, dtype=float)
     deadlines = round_time_budget - t_cmp
     if np.any(deadlines <= 0.0):
-        stuck = [env.ids[k] for k in np.nonzero(deadlines <= 0.0)[0]]
+        stuck = [env.dev.ids[k] for k in np.nonzero(deadlines <= 0.0)[0]]
         raise InfeasibleBudgetError(
             f"compute alone exceeds the budget for devices {stuck}"
         )
@@ -787,7 +736,6 @@ def solve_cpu_frequencies(
     into [f_min, f_max].  Raises :class:`InfeasibleBudgetError`, naming the
     devices, when even f_max cannot meet the budget.
     """
-    _check_scenario(scenario)
     env = _Env(scenario)
     t_com = np.asarray(comm_time_s, dtype=float)
     slack = round_time_budget - t_com
@@ -795,13 +743,13 @@ def solve_cpu_frequencies(
     bad = slack <= 0.0
     needed = np.full(env.n, math.inf)
     np.divide(cyc, slack, out=needed, where=~bad)
-    bad |= needed > env.fmax * (1.0 + 1e-9)
+    bad |= needed > env.dev.f_max * (1.0 + 1e-9)
     if np.any(bad):
-        stuck = [env.ids[k] for k in np.nonzero(bad)[0]]
+        stuck = [env.dev.ids[k] for k in np.nonzero(bad)[0]]
         raise InfeasibleBudgetError(
             f"budget {round_time_budget} unreachable even at f_max for devices {stuck}"
         )
-    return np.clip(needed, env.fmin, env.fmax)
+    return np.clip(needed, env.dev.f_min, env.dev.f_max)
 
 
 def sweep_resolutions(
@@ -814,7 +762,6 @@ def sweep_resolutions(
     full objective, ties going to the smaller resolution.  The returned
     resolutions never increase the objective.
     """
-    _check_scenario(scenario)
     env = _Env(scenario)
     if allocation.pairing is not None:
         env.use_pairing(allocation.pairing)

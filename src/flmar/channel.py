@@ -45,6 +45,27 @@ class LinkParams:
             raise ValueError("noise_psd must be positive")
 
 
+def shannon_rate(bandwidth_hz, snr):
+    """Unchecked rate kernel: b * log2(1 + snr) in bit/s.
+
+    The one place the Shannon rate is written.  No validation and no
+    scalar conversion, so solver inner loops call it directly; the checked
+    functions below validate first and then call it.
+    """
+    return bandwidth_hz * np.log1p(snr) / _LN2
+
+
+def power_for_rate(bandwidth_hz, rate_bps, noise_w, gain):
+    """Unchecked inverse kernel: the power that reaches ``rate_bps`` on
+    ``bandwidth_hz`` against ``noise_w`` watts of noise plus interference,
+
+        p = noise_w / gain * (2**(rate / b) - 1).
+
+    Large rates overflow to inf; callers that expect them silence numpy.
+    """
+    return noise_w / gain * np.expm1(rate_bps / bandwidth_hz * _LN2)
+
+
 def fdma_rate(bandwidth_hz, power_w, link: LinkParams):
     """Achievable uplink rate on an interference-free channel, in bit/s.
 
@@ -61,8 +82,7 @@ def fdma_rate(bandwidth_hz, power_w, link: LinkParams):
     if np.any(p < 0.0):
         raise ValueError("power_w must be non-negative")
     with np.errstate(divide="ignore", invalid="ignore"):
-        snr = link.gain * p / (np.asarray(link.noise_psd) * b)
-        rate = b * np.log1p(snr) / _LN2
+        rate = shannon_rate(b, link.gain * p / (np.asarray(link.noise_psd) * b))
     rate = np.where((b > 0.0) & (p > 0.0), rate, 0.0)
     return _maybe_scalar(rate)
 
@@ -94,9 +114,9 @@ def noma_channel_rates(channel_bandwidth_hz, strong, weak, noise_psd):
     if np.any(g_s < g_w):
         raise ValueError("strong user must have the larger gain")
     noise = np.asarray(noise_psd, dtype=float) * bc
-    rate_s = bc * np.log1p(g_s * p_s / (g_w * p_w + noise)) / _LN2
+    rate_s = shannon_rate(bc, g_s * p_s / (g_w * p_w + noise))
     rate_s = np.where(p_s > 0.0, rate_s, 0.0)
-    rate_w = bc * np.log1p(g_w * p_w / noise) / _LN2
+    rate_w = shannon_rate(bc, g_w * p_w / noise)
     return _maybe_scalar(rate_s), _maybe_scalar(rate_w)
 
 
@@ -111,6 +131,17 @@ def sic_decode_order(users) -> list:
         if gain <= 0.0:
             raise ValueError(f"gain of user {uid} must be positive")
     return [uid for uid, gain in sorted(users, key=lambda ug: (-ug[1], ug[0]))]
+
+
+def gain_sorted_pairs(users) -> list:
+    """The NOMA pairing rule: the k-th strongest user with the k-th weakest.
+
+    ``users`` is an iterable of ``(id, gain)`` with an even count.  Returns
+    ``(strong_id, weak_id)`` tuples, strongest pair first; equal gains go
+    to the lower id first, as in :func:`sic_decode_order`.
+    """
+    order = sic_decode_order(users)
+    return [(order[k], order[-1 - k]) for k in range(len(order) // 2)]
 
 
 @dataclass(frozen=True)
@@ -161,12 +192,9 @@ def pair_users(gains, n_channels: int, total_bandwidth_hz: float) -> ChannelPair
         raise ValueError("gains must be positive")
     if total_bandwidth_hz <= 0.0:
         raise ValueError("total_bandwidth_hz must be positive")
-    order = sic_decode_order(enumerate(gains))
-    channels = tuple(
-        (order[k], order[2 * n_channels - 1 - k]) for k in range(n_channels)
-    )
     return ChannelPairing(
-        channels=channels, channel_bandwidth_hz=total_bandwidth_hz / n_channels
+        channels=tuple(gain_sorted_pairs(enumerate(gains))),
+        channel_bandwidth_hz=total_bandwidth_hz / n_channels,
     )
 
 

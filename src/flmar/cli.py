@@ -15,23 +15,24 @@ import argparse
 import sys
 
 from .accounting import Weights
-from .allocator import optimize, random_baseline
+from .allocator import optimize
 from .experiments import (
     ExperimentGrid,
     PMAX_SWEEP_DEFAULT,
-    ResultRow,
     W3_DEFAULT,
     WEIGHT_PAIRS_DEFAULT,
     derive_seed,
     read_csv,
     rows_to_csv,
     run_grid,
+    scenario_for_cell,
+    solve_row,
     write_csv,
     write_json,
 )
 from .figures import VALUE_FIELDS, render_bar_chart, write_svg
 from .oracle import GridSpec, brute_force_oracle
-from .scenario import ScenarioSpec, generate_scenario, load_scenario
+from .scenario import ScenarioSpec, load_scenario
 
 
 class _CliError(Exception):
@@ -75,6 +76,16 @@ def _write_rows(rows, out: str | None) -> None:
         write_json(rows, out)
     else:
         write_csv(rows, out)
+
+
+def _generated_scenario(args):
+    """The scenario the generation flags describe: seed index 0 of a grid."""
+    try:
+        return scenario_for_cell(
+            ScenarioSpec(), args.scheme, args.pmax, 0, args.master_seed, args.n_devices
+        )
+    except ValueError as exc:
+        raise _CliError(str(exc)) from exc
 
 
 def _build_parser() -> _Parser:
@@ -133,8 +144,6 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_run(args) -> int:
-    import time
-
     weights = _parse_weights(args.weights)
     if args.config:
         try:
@@ -142,46 +151,18 @@ def _cmd_run(args) -> int:
         except (OSError, ValueError) as exc:
             raise _CliError(str(exc)) from exc
         p_max = max(d.p_max for d in scenario.devices)
-        scheme = scenario.scheme
     else:
-        spec = ScenarioSpec(
-            n_devices=args.n_devices,
-            scheme=args.scheme,
-            p_max_range=(args.pmax, args.pmax),
-        )
-        try:
-            scenario = generate_scenario(spec, seed=derive_seed(args.master_seed, 0))
-        except ValueError as exc:
-            raise _CliError(str(exc)) from exc
+        scenario = _generated_scenario(args)
         p_max = args.pmax
-        scheme = args.scheme
     solvers = ("joint", "random") if args.solver == "both" else (args.solver,)
     rows, failures = [], []
     for solver in solvers:
         try:
-            started = time.perf_counter()
-            if solver == "joint":
-                report = optimize(scenario, weights)
-            else:
-                report = random_baseline(
-                    scenario, weights, seed=derive_seed(args.master_seed, 0, 1)
-                )
-            wall = (time.perf_counter() - started) * 1e3 if args.timing else 0.0
             rows.append(
-                ResultRow(
-                    scheme=scheme,
-                    solver=solver,
-                    w1=weights.w1,
-                    w2=weights.w2,
-                    w3=weights.w3,
-                    p_max=p_max,
-                    seed=args.master_seed,
-                    total_energy_j=report.metrics.total_energy_j,
-                    total_time_s=report.metrics.total_time_s,
-                    mean_accuracy=report.metrics.mean_accuracy,
-                    objective=report.objective,
-                    outer_iterations=report.outer_iterations,
-                    wall_ms=wall,
+                solve_row(
+                    scenario, weights, solver, p_max=p_max, seed=args.master_seed,
+                    random_seed=derive_seed(args.master_seed, 0, 1),
+                    measure=args.timing,
                 )
             )
         except Exception as exc:
@@ -241,15 +222,7 @@ def _cmd_oracle(args) -> int:
     weights = _parse_weights(args.weights)
     if args.n_devices > 3:
         raise _CliError("oracle supports at most 3 devices")
-    spec = ScenarioSpec(
-        n_devices=args.n_devices,
-        scheme=args.scheme,
-        p_max_range=(args.pmax, args.pmax),
-    )
-    try:
-        scenario = generate_scenario(spec, seed=derive_seed(args.master_seed, 0))
-    except ValueError as exc:
-        raise _CliError(str(exc)) from exc
+    scenario = _generated_scenario(args)
     points = args.grid_points
     reference = brute_force_oracle(
         scenario,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_DEFAULT_RESOLUTIONS = tuple(range(100, 1001, 100))
+DEFAULT_RESOLUTIONS = tuple(range(100, 1001, 100))
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ class DeviceProfile:
     f_max: float = 2e9          # Hz
     p_min: float = 0.0          # W
     p_max: float = 0.2          # W
-    resolutions: tuple = _DEFAULT_RESOLUTIONS
+    resolutions: tuple = DEFAULT_RESOLUTIONS
 
     def __post_init__(self):
         object.__setattr__(self, "resolutions", tuple(int(r) for r in self.resolutions))
@@ -97,6 +97,28 @@ class DeviceProfile:
         return errors
 
 
+def round_cycles(local_iterations, cycles_per_pixel, resolution_px, frames):
+    """Unchecked cycles kernel: one round of local training, I * c * r**2 * D.
+
+    The one place the cycle count is written.  The checked functions below
+    pass 1 for the factors their arguments already include.
+    """
+    return local_iterations * (cycles_per_pixel * resolution_px * resolution_px) * frames
+
+
+def cmos_energy(kappa, cycles, cpu_hz):
+    """Unchecked energy kernel: kappa * cycles * f**2 joules.
+
+    The classic CMOS dynamic-power model: energy per cycle grows with the
+    square of the clock.
+    """
+    return kappa * cycles * cpu_hz * cpu_hz
+
+
+def _maybe_scalar(x: np.ndarray):
+    return float(x) if x.ndim == 0 else x
+
+
 def cycles_per_frame(resolution_px, cycles_per_pixel):
     """CPU cycles to process one r-by-r frame: cycles_per_pixel * r**2."""
     r = np.asarray(resolution_px, dtype=float)
@@ -105,10 +127,7 @@ def cycles_per_frame(resolution_px, cycles_per_pixel):
         raise ValueError("resolution_px must be positive")
     if np.any(c <= 0.0):
         raise ValueError("cycles_per_pixel must be positive")
-    out = c * r * r
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _maybe_scalar(round_cycles(1.0, c, r, 1.0))
 
 
 def comp_time(local_iterations, cycles_per_frame, frames, cpu_hz):
@@ -119,28 +138,18 @@ def comp_time(local_iterations, cycles_per_frame, frames, cpu_hz):
         raise ValueError("iterations, cycles and frames must be non-negative")
     if np.any(f <= 0.0):
         raise ValueError("cpu_hz must be positive")
-    out = i * c * d / f
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _maybe_scalar(round_cycles(i, c, 1.0, d) / f)
 
 
 def comp_energy(kappa, local_iterations, cycles_per_frame, frames, cpu_hz):
-    """Joules of local training per round: kappa * I * C * D * f**2.
-
-    The classic CMOS dynamic-power model: energy per cycle grows with the
-    square of the clock, so the per-round energy is kappa * cycles * f^2.
-    """
+    """Joules of local training per round: kappa * I * C * D * f**2."""
     k, i, c, d, f = (np.asarray(v, dtype=float) for v in
                      (kappa, local_iterations, cycles_per_frame, frames, cpu_hz))
     if np.any(k < 0.0) or np.any(i < 0.0) or np.any(c < 0.0) or np.any(d < 0.0):
         raise ValueError("kappa, iterations, cycles and frames must be non-negative")
     if np.any(f <= 0.0):
         raise ValueError("cpu_hz must be positive")
-    out = k * i * c * d * f * f
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _maybe_scalar(cmos_energy(k, round_cycles(i, c, 1.0, d), f))
 
 
 def detection_accuracy(resolution_px, model: AccuracyModel = AccuracyModel()):
@@ -148,7 +157,4 @@ def detection_accuracy(resolution_px, model: AccuracyModel = AccuracyModel()):
     r = np.asarray(resolution_px, dtype=float)
     if np.any(r <= 0.0):
         raise ValueError("resolution_px must be positive")
-    out = np.clip(1.0 - model.scale * np.exp(-model.decay * r), 0.0, 1.0)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _maybe_scalar(np.clip(1.0 - model.scale * np.exp(-model.decay * r), 0.0, 1.0))

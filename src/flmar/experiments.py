@@ -136,6 +136,39 @@ def scenario_for_cell(
     return generate_scenario(spec, seed=derive_seed(master_seed, seed_index))
 
 
+def solve_row(
+    scenario, weights: Weights, solver: str, *, p_max: float, seed: int,
+    random_seed: int, measure: bool,
+) -> ResultRow:
+    """Run one solver ("joint" or "random") and return its result row.
+
+    ``p_max`` and ``seed`` only label the row; ``random_seed`` seeds the
+    random baseline.  ``measure`` fills wall_ms with the solve time,
+    otherwise it stays 0.0.
+    """
+    started = time.perf_counter()
+    if solver == "joint":
+        report = optimize(scenario, weights)
+    else:
+        report = random_baseline(scenario, weights, seed=random_seed)
+    wall_ms = (time.perf_counter() - started) * 1e3 if measure else 0.0
+    return ResultRow(
+        scheme=scenario.scheme,
+        solver=solver,
+        w1=weights.w1,
+        w2=weights.w2,
+        w3=weights.w3,
+        p_max=p_max,
+        seed=seed,
+        total_energy_j=report.metrics.total_energy_j,
+        total_time_s=report.metrics.total_time_s,
+        mean_accuracy=report.metrics.mean_accuracy,
+        objective=report.objective,
+        outer_iterations=report.outer_iterations,
+        wall_ms=wall_ms,
+    )
+
+
 def _solve_cell(task):
     (scheme, (w1, w2), p_max, seed_index, grid, base_spec, measure) = task
     rows, failures = [], []
@@ -145,31 +178,11 @@ def _solve_cell(task):
     weights = Weights(w1, w2, grid.w3)
     for solver in grid.solvers:
         try:
-            started = time.perf_counter()
-            if solver == "joint":
-                report = optimize(scenario, weights)
-            else:
-                report = random_baseline(
-                    scenario,
-                    weights,
-                    seed=derive_seed(grid.master_seed, seed_index, 1),
-                )
-            wall_ms = (time.perf_counter() - started) * 1e3 if measure else 0.0
             rows.append(
-                ResultRow(
-                    scheme=scheme,
-                    solver=solver,
-                    w1=w1,
-                    w2=w2,
-                    w3=grid.w3,
-                    p_max=p_max,
-                    seed=seed_index,
-                    total_energy_j=report.metrics.total_energy_j,
-                    total_time_s=report.metrics.total_time_s,
-                    mean_accuracy=report.metrics.mean_accuracy,
-                    objective=report.objective,
-                    outer_iterations=report.outer_iterations,
-                    wall_ms=wall_ms,
+                solve_row(
+                    scenario, weights, solver, p_max=p_max, seed=seed_index,
+                    random_seed=derive_seed(grid.master_seed, seed_index, 1),
+                    measure=measure,
                 )
             )
         except Exception as exc:  # cell failures must not sink the batch

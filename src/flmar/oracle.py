@@ -25,14 +25,16 @@ import numpy as np
 
 from .accounting import (
     Allocation,
+    DeviceTable,
     Scenario,
     Weights,
+    device_table,
     objective,
     system_metrics,
 )
 from .allocator import SolveReport
-from .channel import ChannelPairing
-from .compute import cycles_per_frame, detection_accuracy
+from .channel import shannon_rate
+from .compute import cmos_energy, detection_accuracy, round_cycles
 from .scenario import ScenarioValidationError
 
 MAX_ORACLE_DEVICES = 3
@@ -99,19 +101,20 @@ def _min_over_grid(times: list, costs: list, w2_rounds: float):
 class _DeviceGrid:
     """Per-device candidate tables shared across bandwidth/power loops."""
 
-    def __init__(self, scenario: Scenario, device, weights: Weights, grid: GridSpec):
-        self.device = device
-        self.f_grid = np.linspace(device.f_min, device.f_max, grid.freq_points)
-        self.r_grid = np.array(device.resolutions, dtype=int)
-        cyc = (
-            scenario.local_iterations
-            * cycles_per_frame(self.r_grid, device.cycles_per_pixel)
-            * device.dataset_frames
+    def __init__(
+        self, scenario: Scenario, table: DeviceTable, k: int, weights: Weights,
+        grid: GridSpec,
+    ):
+        self.f_grid = np.linspace(table.f_min[k], table.f_max[k], grid.freq_points)
+        self.r_grid = np.array(table.resolutions[k], dtype=int)
+        cyc = round_cycles(
+            scenario.local_iterations,
+            table.cycles_per_pixel[k],
+            self.r_grid.astype(float),
+            table.frames[k],
         )
         self.t_cmp = (cyc[None, :] / self.f_grid[:, None]).ravel()
-        e_cmp = (
-            device.kappa * cyc[None, :] * self.f_grid[:, None] ** 2
-        ).ravel()
+        e_cmp = cmos_energy(table.kappa[k], cyc[None, :], self.f_grid[:, None]).ravel()
         loss = (
             1.0 - detection_accuracy(self.r_grid, scenario.accuracy_model)
         )
@@ -132,8 +135,8 @@ class _DeviceGrid:
         return float(self.f_grid[pick // self.n_res]), int(self.r_grid[pick % self.n_res])
 
 
-def _power_grid(device, grid: GridSpec) -> np.ndarray:
-    pts = np.linspace(device.p_min, device.p_max, grid.power_points)
+def _power_grid(table: DeviceTable, k: int, grid: GridSpec) -> np.ndarray:
+    pts = np.linspace(table.p_min[k], table.p_max[k], grid.power_points)
     return pts[pts > 0.0]
 
 
@@ -172,12 +175,13 @@ def brute_force_oracle(
         raise ValueError(
             f"oracle supports at most {MAX_ORACLE_DEVICES} devices, got {n}"
         )
-    dgrids = [_DeviceGrid(scenario, d, weights, grid) for d in scenario.devices]
+    table = device_table(scenario)
+    dgrids = [_DeviceGrid(scenario, table, k, weights, grid) for k in range(n)]
     w2_rounds = weights.w2 * scenario.global_rounds
     if scenario.scheme == "fdma":
-        alloc = _fdma_search(scenario, weights, grid, dgrids, w2_rounds)
+        alloc = _fdma_search(scenario, table, grid, dgrids, w2_rounds)
     else:
-        alloc = _noma_search(scenario, weights, grid, dgrids, w2_rounds)
+        alloc = _noma_search(scenario, table, grid, dgrids, w2_rounds)
     if alloc is None:
         raise ValueError("no feasible grid point: every candidate violates a limit")
     metrics = system_metrics(scenario, alloc)
@@ -192,19 +196,17 @@ def brute_force_oracle(
     )
 
 
-def _comm_tables(scenario, device, powers, bandwidth):
-    gain = device.gain
+def _comm_tables(scenario, gain, powers, bandwidth):
     noise = scenario.noise_psd * bandwidth
-    rates = bandwidth * np.log1p(gain * powers / noise) / np.log(2.0)
-    t_com = scenario.model_size_bits / rates
+    t_com = scenario.model_size_bits / shannon_rate(bandwidth, gain * powers / noise)
     return t_com, powers * t_com
 
 
-def _fdma_search(scenario, weights, grid, dgrids, w2_rounds):
+def _fdma_search(scenario, table, grid, dgrids, w2_rounds):
     n = scenario.n_devices
     best_val = np.inf
     best = None
-    p_grids = [_power_grid(d, grid) for d in scenario.devices]
+    p_grids = [_power_grid(table, k, grid) for k in range(n)]
     for split in _fdma_splits(n, scenario.total_bandwidth_hz, grid.bandwidth_points):
         times, costs, decode = [], [], []
         usable = True
@@ -212,9 +214,7 @@ def _fdma_search(scenario, weights, grid, dgrids, w2_rounds):
             if p_grids[k].size == 0:
                 usable = False
                 break
-            t_com, e_com = _comm_tables(
-                scenario, scenario.devices[k], p_grids[k], split[k]
-            )
+            t_com, e_com = _comm_tables(scenario, table.gain[k], p_grids[k], split[k])
             times.append((t_com[:, None] + dgrids[k].t_cmp[None, :]).ravel())
             costs.append(
                 (
@@ -245,25 +245,22 @@ def _fdma_search(scenario, weights, grid, dgrids, w2_rounds):
     return best
 
 
-def _noma_search(scenario, weights, grid, dgrids, w2_rounds):
-    # one channel, two users: strongest first, ties by ascending id
-    devices = scenario.devices
-    order = sorted(range(2), key=lambda k: (-devices[k].gain, devices[k].id))
-    s_pos, w_pos = order[0], order[1]
+def _noma_search(scenario, table, grid, dgrids, w2_rounds):
+    # one channel, two users, in the table's gain-sorted pairing
+    s_pos, w_pos = int(table.strong[0]), int(table.weak[0])
     bc = scenario.total_bandwidth_hz / scenario.n_channels
     noise = scenario.noise_psd * bc
-    g_s, g_w = devices[s_pos].gain, devices[w_pos].gain
-    p_s_grid = _power_grid(devices[s_pos], grid)
-    p_w_grid = _power_grid(devices[w_pos], grid)
+    g_s, g_w = table.gain[s_pos], table.gain[w_pos]
+    p_s_grid = _power_grid(table, s_pos, grid)
+    p_w_grid = _power_grid(table, w_pos, grid)
     size = scenario.model_size_bits
-    rate_w = bc * np.log1p(g_w * p_w_grid / noise) / np.log(2.0)
+    rate_w = shannon_rate(bc, g_w * p_w_grid / noise)
     best_val = np.inf
     best = None
     for j, p_w in enumerate(p_w_grid):
         t_com_w = size / rate_w[j]
         e_com_w = p_w * t_com_w
-        rate_s = bc * np.log1p(g_s * p_s_grid / (g_w * p_w + noise)) / np.log(2.0)
-        t_com_s = size / rate_s
+        t_com_s = size / shannon_rate(bc, g_s * p_s_grid / (g_w * p_w + noise))
         e_com_s = p_s_grid * t_com_s
         for i, p_s in enumerate(p_s_grid):
             t_s, c_s = dgrids[s_pos].with_comm(t_com_s[i], e_com_s[i])
@@ -282,9 +279,6 @@ def _noma_search(scenario, weights, grid, dgrids, w2_rounds):
                 power_w=power,
                 cpu_hz=cpu,
                 resolution_px=res,
-                pairing=ChannelPairing(
-                    channels=((devices[s_pos].id, devices[w_pos].id),),
-                    channel_bandwidth_hz=bc,
-                ),
+                pairing=table.noma_pairing(bc),
             )
     return best

@@ -14,11 +14,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .accounting import Scenario
-from .compute import AccuracyModel, DeviceProfile
+from .compute import DEFAULT_RESOLUTIONS, AccuracyModel, DeviceProfile
 
 SCHEMA_VERSION = 1
-
-_DEFAULT_RESOLUTIONS = tuple(range(100, 1001, 100))
 
 
 class ScenarioFormatError(ValueError):
@@ -50,7 +48,7 @@ class ScenarioSpec:
     frames_range: tuple = (50, 200)
     cycles_per_pixel: float = 737.0
     kappa: float = 1e-28
-    resolutions: tuple = _DEFAULT_RESOLUTIONS
+    resolutions: tuple = DEFAULT_RESOLUTIONS
     total_bandwidth_hz: float = 20e6
     noise_psd: float = 3.98e-21
     model_size_bits: float = 1e6
@@ -142,15 +140,10 @@ def generate_scenario(spec: ScenarioSpec, seed: int | None = None) -> Scenario:
         n_channels=spec.n_devices // 2 if spec.scheme == "noma" else None,
         accuracy_model=spec.accuracy_model,
     )
-    remaining = validate(scenario)
+    remaining = scenario.validate()
     if remaining:
         raise ScenarioValidationError(remaining)
     return scenario
-
-
-def validate(scenario: Scenario) -> list:
-    """All constraint violations in the scenario; empty when it is usable."""
-    return scenario.validate()
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
@@ -203,7 +196,7 @@ def scenario_from_dict(data: dict) -> Scenario:
                 f_max=float(d.get("f_max", 2e9)),
                 p_min=float(d.get("p_min", 0.0)),
                 p_max=float(d.get("p_max", 0.2)),
-                resolutions=tuple(d.get("resolutions", _DEFAULT_RESOLUTIONS)),
+                resolutions=tuple(d.get("resolutions", DEFAULT_RESOLUTIONS)),
             )
             for d in data.get("devices", [])
         ]
@@ -248,7 +241,7 @@ def load_scenario(path) -> Scenario:
                 f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
             ) from exc
     scenario = scenario_from_dict(data)
-    errors = validate(scenario)
+    errors = scenario.validate()
     if errors:
         raise ScenarioValidationError(errors)
     return scenario

@@ -7,7 +7,6 @@ from flmar import (
     Allocation,
     InfeasibleLinkError,
     Weights,
-    device_round_cost,
     noma_channel_rates,
     objective,
     pair_users,
@@ -46,10 +45,15 @@ def two_device_fdma():
 
 
 class TestDeviceRoundCost:
+    """Each device's per-round costs, read off system_metrics' arrays."""
+
     def test_reference_values(self):
         scn, alloc = two_device_fdma()
-        t_cmp0, e_cmp0, t_com0, e_com0 = device_round_cost(scn, alloc, 0)
-        t_cmp1, e_cmp1, t_com1, e_com1 = device_round_cost(scn, alloc, 1)
+        m = system_metrics(scn, alloc)
+        t_cmp0, t_cmp1 = m.comp_time_s
+        e_cmp0, e_cmp1 = m.comp_energy_j
+        t_com0, t_com1 = m.comm_time_s
+        e_com0, e_com1 = m.comm_energy_j
         assert t_cmp0 + t_com0 == pytest.approx(T_ROUND_0, rel=1e-12)
         assert e_cmp0 + e_com0 == pytest.approx(E_ROUND_0, rel=1e-12)
         assert t_cmp1 + t_com1 == pytest.approx(T_ROUND_1, rel=1e-12)
@@ -62,7 +66,7 @@ class TestDeviceRoundCost:
         scn, alloc = two_device_fdma()
         alloc.power_w[0] = 0.0
         with pytest.raises(InfeasibleLinkError):
-            device_round_cost(scn, alloc, 0)
+            system_metrics(scn, alloc)
 
 
 class TestSystemMetrics:
@@ -76,8 +80,7 @@ class TestSystemMetrics:
     def test_round_time_is_slowest_device(self):
         scn, alloc = two_device_fdma()
         m = system_metrics(scn, alloc)
-        t0 = sum(device_round_cost(scn, alloc, 0)[::2])
-        t1 = sum(device_round_cost(scn, alloc, 1)[::2])
+        t0, t1 = m.comp_time_s + m.comm_time_s
         assert m.round_time_s == max(t0, t1)
 
     def test_accuracy_fields(self):
