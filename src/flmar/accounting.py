@@ -119,9 +119,6 @@ class DeviceTable:
 
     Built by :func:`device_table` once per public call and never cached on
     the mutable :class:`Scenario`, which callers may edit between calls.
-    ``strong`` and ``weak`` are the positions of the gain-sorted NOMA
-    pairing (k-th strongest with k-th weakest, ties to the lower id); both
-    are None for FDMA.
     """
 
     ids: tuple
@@ -134,8 +131,6 @@ class DeviceTable:
     cycles_per_pixel: np.ndarray
     frames: np.ndarray
     resolutions: tuple          # each device's ascending menu, a tuple of ints
-    strong: np.ndarray | None
-    weak: np.ndarray | None
 
     @property
     def min_resolution(self) -> np.ndarray:
@@ -147,11 +142,10 @@ class DeviceTable:
         return np.array([index[uid] for uid in ids], dtype=int)
 
     def noma_pairing(self, channel_bandwidth_hz: float) -> ChannelPairing:
-        """The gain-sorted pairing as a :class:`ChannelPairing` of device ids."""
+        """The gain-sorted NOMA pairing of device ids: k-th strongest with
+        k-th weakest, ties to the lower id."""
         return ChannelPairing(
-            channels=tuple(
-                (self.ids[s], self.ids[w]) for s, w in zip(self.strong, self.weak)
-            ),
+            channels=tuple(gain_sorted_pairs(zip(self.ids, self.gain.tolist()))),
             channel_bandwidth_hz=channel_bandwidth_hz,
         )
 
@@ -170,15 +164,7 @@ def device_table(scenario: Scenario) -> DeviceTable:
           d.dataset_frames) for d in devices],
         dtype=float,
     ).reshape(-1, 8).T.copy()
-    strong = weak = None
-    if scenario.scheme == "noma":
-        index = {uid: k for k, uid in enumerate(ids)}
-        pairs = gain_sorted_pairs(zip(ids, columns[0].tolist()))
-        strong = np.array([index[s] for s, _ in pairs], dtype=int)
-        weak = np.array([index[w] for _, w in pairs], dtype=int)
-    return DeviceTable(
-        ids, *columns, tuple(d.resolutions for d in devices), strong, weak
-    )
+    return DeviceTable(ids, *columns, tuple(d.resolutions for d in devices))
 
 
 @dataclass

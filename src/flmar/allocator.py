@@ -7,8 +7,8 @@ closed form (FDMA: minimum-energy bandwidth split via one multiplier
 bisection with a Lambert-W inversion; NOMA: per-channel power fixed point),
 CPU frequencies follow by deadline inversion, and tau itself is located by
 golden-section search.  Frame resolutions then improve through exact
-per-device coordinate moves, and the outer loop repeats until the objective
-stops improving.
+per-device coordinate moves, and the outer loop repeats until the sweep
+returns resolutions it has already solved.
 """
 
 from __future__ import annotations
@@ -36,12 +36,7 @@ _LN2 = math.log(2.0)
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 MAX_OUTER_ITERATIONS = 50
-OUTER_REL_TOL = 1e-6
 GOLDEN_TOL_FRACTION = 1e-4
-_ROOT_ITERS = 80          # per-device scalar root bisections
-_MULTIPLIER_ITERS = 48    # log-space bisection on the bandwidth price
-_FLOOR_ITERS = 54         # bandwidth inversion when power sits at p_min
-_RESPLIT_ITERS = 54       # compute/upload time split bisection
 _INNER_ALTERNATIONS = 8   # comm solve <-> time resplit rounds per budget
 _INNER_REL_TOL = 1e-7
 
@@ -117,26 +112,39 @@ class _Env:
         return _noma_comm_solve(self, deadlines) is not None
 
 
+def _bisect(low_side, lo, hi):
+    """Bisect every lane of the bracket [lo, hi] down to float precision.
+
+    ``low_side(mid)`` is True in the lanes whose sought point lies above
+    ``mid``.  The step count is fixed once per call: enough halvings that
+    every lane ends no wider than one float spacing at its starting top end
+    max(|lo|, |hi|), so the loop needs no convergence test.  Lanes with
+    hi <= lo take no part in the count.  Returns the final ``(lo, hi)``.
+    """
+    width = np.max((hi - lo) / np.spacing(np.maximum(np.abs(lo), np.abs(hi))))
+    for _ in range(math.ceil(math.log2(width)) if width > 1.0 else 0):
+        mid = 0.5 * (lo + hi)
+        side = low_side(mid)
+        lo = np.where(side, mid, lo)
+        hi = np.where(side, hi, mid)
+    return lo, hi
+
+
 def _u_from_k(k: np.ndarray) -> np.ndarray:
     """Solve (2**u - 1) / u = k for u > 0; k must exceed ln 2.
 
     The left side rises from ln 2 (u -> 0) to infinity, so the spectral
-    efficiency u is unique.  Bisection with bracket doubling; 80 rounds pin
-    the root to float precision.
+    efficiency u is unique.  The bracket top doubles until it covers the
+    root, which takes at most five doublings: past u = 1024 the left side
+    overflows to inf.
     """
-    lo = np.full_like(k, 1e-12)
     hi = np.full_like(k, 64.0)
     with np.errstate(over="ignore"):
-        for _ in range(13):
-            grow = np.expm1(hi * _LN2) / hi < k
-            if not grow.any():
-                break
+        while (grow := np.expm1(hi * _LN2) / hi < k).any():
             hi = np.where(grow, hi * 2.0, hi)
-        for _ in range(_ROOT_ITERS):
-            mid = 0.5 * (lo + hi)
-            low_side = np.expm1(mid * _LN2) / mid < k
-            lo = np.where(low_side, mid, lo)
-            hi = np.where(low_side, hi, mid)
+        lo, hi = _bisect(
+            lambda u: np.expm1(u * _LN2) / u < k, np.full_like(k, 1e-12), hi
+        )
     return 0.5 * (lo + hi)
 
 
@@ -211,13 +219,9 @@ def _fdma_comm_solve(env: _Env, deadlines):
     def _floor_split(env, lam, mask, b_kink):
         g = dev.gain[mask]
         pmin = dev.p_min[mask]
-        lo = b_kink[mask]
-        hi = np.full(lo.shape, env.bw)
-        for _ in range(_FLOOR_ITERS):
-            mid = 0.5 * (lo + hi)
-            keep = _floor_marginal(env, mid, g, pmin) >= lam
-            lo = np.where(keep, mid, lo)
-            hi = np.where(keep, hi, mid)
+        lo, _ = _bisect(
+            lambda b: _floor_marginal(env, b, g, pmin) >= lam, b_kink[mask], env.bw
+        )
         return lo
 
     # Price bracket: the marginal at the bandwidth floor is the highest any
@@ -226,13 +230,13 @@ def _fdma_comm_solve(env: _Env, deadlines):
     lam_hi = float(np.minimum(v1_floor, 1e300).max())
     lam_lo = lam_hi * 1e-40
     if float(split_at(lam_lo).sum()) > env.bw:
-        for _ in range(_MULTIPLIER_ITERS):
-            lam_mid = math.sqrt(lam_lo * lam_hi)
-            if float(split_at(lam_mid).sum()) > env.bw:
-                lam_lo = lam_mid
-            else:
-                lam_hi = lam_mid
-        b = split_at(lam_hi)
+        # bisect log(lam): the price spans forty decades
+        _, log_hi = _bisect(
+            lambda x: float(split_at(math.exp(x)).sum()) > env.bw,
+            math.log(lam_lo),
+            math.log(lam_hi),
+        )
+        b = split_at(math.exp(log_hi))
     else:
         b = split_at(lam_lo)
     total = float(b.sum())
@@ -314,13 +318,11 @@ def _split_bisect(tau, two_k_cyc3, comm_marginal_at, d_lo, d_hi):
     (both energies are convex), so sign bisection lands on the minimiser and
     collapses to the binding bound when the sign never flips.
     """
-    lo = np.minimum(d_lo, d_hi)
-    hi = d_hi
-    for _ in range(_RESPLIT_ITERS):
-        mid = 0.5 * (lo + hi)
-        rising = two_k_cyc3 / (tau - mid) ** 3 >= comm_marginal_at(mid)
-        hi = np.where(rising, mid, hi)
-        lo = np.where(rising, lo, mid)
+    lo, hi = _bisect(
+        lambda d: ~(two_k_cyc3 / (tau - d) ** 3 >= comm_marginal_at(d)),
+        np.minimum(d_lo, d_hi),
+        d_hi,
+    )
     return 0.5 * (lo + hi)
 
 
@@ -469,14 +471,8 @@ def _continuous_solve(env: _Env, weights: Weights, resolution_px) -> _Budget:
         raise InfeasibleScenarioError(
             "no round-time budget satisfies the power and bandwidth limits"
         )
-    lo, hi = base, base + step
-    for _ in range(48):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    tau_lo = hi
+    _, tau_lo = _bisect(lambda tau: not feasible(float(tau)), base, base + step)
+    tau_lo = float(tau_lo)
 
     best: list = [math.inf, None]
 
@@ -496,9 +492,8 @@ def _continuous_solve(env: _Env, weights: Weights, resolution_px) -> _Budget:
     # higher power cap that never binds) probe identical budgets and return
     # bit-identical solutions.
     h = max(step, 0.05 * max(base, 1e-12))
-    k0 = 0
-    while base + h * (2.0**k0) <= tau_lo and k0 < 200:
-        k0 += 1
+    # first march point above tau_lo: tau_lo <= base + step <= base + h
+    k0 = int(base + h <= tau_lo)
     points = [(tau_lo, evaluate(tau_lo))]
     for k in range(k0, k0 + 48):
         x = base + h * (2.0**k)
@@ -595,18 +590,21 @@ def _assemble(env: _Env, power, bandwidth, cpu_hz, resolution_px) -> Allocation:
 def optimize(scenario: Scenario, weights: Weights) -> SolveReport:
     """Jointly allocate power, bandwidth, CPU frequency and resolution.
 
+    Each outer pass fits the continuous variables to the current resolutions
+    and sweeps the resolutions once; the solve stops, converged, when the
+    sweep returns resolutions an earlier pass already solved, and reports
+    ``converged=False`` only when ``MAX_OUTER_ITERATIONS`` passes run out.
     Deterministic: equal inputs give identical reports.  Raises
     :class:`InfeasibleScenarioError` when no round-time budget works at all.
     """
     env = _Env(scenario)
     r = env.dev.min_resolution
+    solved = set()
     best = None
     trace: list = []
-    prev = math.inf
     converged = False
-    iterations = 0
-    for _ in range(MAX_OUTER_ITERATIONS):
-        iterations += 1
+    for iterations in range(1, MAX_OUTER_ITERATIONS + 1):
+        solved.add(tuple(r.tolist()))
         cfg = _continuous_solve(env, weights, r)
         r_new, f_new = _sweep_core(
             env, weights, r, cfg.cpu, cfg.comm_time, cfg.comm_energy
@@ -617,10 +615,11 @@ def optimize(scenario: Scenario, weights: Weights) -> SolveReport:
         if best is None or value < best[0]:
             best = (value, alloc, metrics)
         trace.append(best[0])
-        if math.isfinite(prev) and prev - value <= OUTER_REL_TOL * max(abs(prev), 1e-30):
+        # a pass depends only on r, so from an r already solved every later
+        # pass would repeat an earlier one
+        if tuple(r_new.tolist()) in solved:
             converged = True
             break
-        prev = value
         r = r_new
     value, alloc, metrics = best
     return SolveReport(

@@ -35,7 +35,7 @@ class AccuracyModel:
             raise ValueError("decay must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeviceProfile:
     """Static description of one participating device.
 
@@ -55,7 +55,11 @@ class DeviceProfile:
     resolutions: tuple = DEFAULT_RESOLUTIONS
 
     def __post_init__(self):
-        object.__setattr__(self, "resolutions", tuple(int(r) for r in self.resolutions))
+        # a menu that is already a tuple of ints is kept, so devices drawn
+        # from one spec share its menu instead of each holding a copy
+        menu = self.resolutions
+        if type(menu) is not tuple or any(type(r) is not int for r in menu):
+            object.__setattr__(self, "resolutions", tuple(int(r) for r in menu))
 
     def validate(self) -> list:
         """Return a list of human-readable constraint violations (empty if ok)."""

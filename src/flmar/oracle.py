@@ -246,9 +246,10 @@ def _fdma_search(scenario, table, grid, dgrids, w2_rounds):
 
 
 def _noma_search(scenario, table, grid, dgrids, w2_rounds):
-    # one channel, two users, in the table's gain-sorted pairing
-    s_pos, w_pos = int(table.strong[0]), int(table.weak[0])
+    # one channel, two users, in the gain-sorted pairing
     bc = scenario.total_bandwidth_hz / scenario.n_channels
+    pairing = table.noma_pairing(bc)
+    s_pos, w_pos = table.positions(pairing.channels[0]).tolist()
     noise = scenario.noise_psd * bc
     g_s, g_w = table.gain[s_pos], table.gain[w_pos]
     p_s_grid = _power_grid(table, s_pos, grid)
@@ -279,6 +280,6 @@ def _noma_search(scenario, table, grid, dgrids, w2_rounds):
                 power_w=power,
                 cpu_hz=cpu,
                 resolution_px=res,
-                pairing=table.noma_pairing(bc),
+                pairing=pairing,
             )
     return best

@@ -175,6 +175,19 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     }
 
 
+# Device keys a file may omit, with their casts; an omitted key takes the
+# DeviceProfile field default, as an omitted accuracy key takes AccuracyModel's.
+_OPTIONAL_DEVICE_KEYS = {
+    "cycles_per_pixel": float,
+    "kappa": float,
+    "f_min": float,
+    "f_max": float,
+    "p_min": float,
+    "p_max": float,
+    "resolutions": tuple,
+}
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioFormatError("scenario JSON must be an object")
@@ -190,13 +203,8 @@ def scenario_from_dict(data: dict) -> Scenario:
                 id=int(d["id"]),
                 gain=float(d["gain"]),
                 dataset_frames=int(d["dataset_frames"]),
-                cycles_per_pixel=float(d.get("cycles_per_pixel", 737.0)),
-                kappa=float(d.get("kappa", 1e-28)),
-                f_min=float(d.get("f_min", 1e8)),
-                f_max=float(d.get("f_max", 2e9)),
-                p_min=float(d.get("p_min", 0.0)),
-                p_max=float(d.get("p_max", 0.2)),
-                resolutions=tuple(d.get("resolutions", DEFAULT_RESOLUTIONS)),
+                **{key: cast(d[key]) for key, cast in _OPTIONAL_DEVICE_KEYS.items()
+                   if key in d},
             )
             for d in data.get("devices", [])
         ]
@@ -210,8 +218,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             scheme=str(data["scheme"]),
             n_channels=None if data.get("n_channels") is None else int(data["n_channels"]),
             accuracy_model=AccuracyModel(
-                scale=float(acc.get("scale", 1.578)),
-                decay=float(acc.get("decay", 6.5e-3)),
+                **{key: float(acc[key]) for key in ("scale", "decay") if key in acc}
             ),
         )
     except (KeyError, TypeError, ValueError) as exc:

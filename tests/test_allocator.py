@@ -20,7 +20,15 @@ from flmar import (
     sweep_resolutions,
     system_metrics,
 )
-from flmar import pair_users
+from flmar import ScenarioSpec, generate_scenario, pair_users
+from flmar.allocator import (
+    _assemble,
+    _bisect,
+    _continuous_solve,
+    _Env,
+    _sweep_core,
+    _u_from_k,
+)
 
 from conftest import make_scenario, equal_split_alloc
 
@@ -38,6 +46,41 @@ def comp_seconds(scn, index, resolution, cpu):
     dev = scn.devices[index]
     cyc = cycles_per_frame(resolution, dev.cycles_per_pixel)
     return comp_time(scn.local_iterations, cyc, dev.dataset_frames, cpu)
+
+
+class TestBisect:
+    def test_lanes_end_within_one_spacing_of_their_root(self):
+        roots = np.array([-3.7, -1e-3, 1e-9, 0.5, 123.456, 7e5])
+        lo = np.array([-10.0, -2.0, 0.0, 0.25, 100.0, -1e6])
+        hi = np.array([0.0, 1.0, 1.0, 0.75, 1e4, 1e6])
+        low_side = lambda x: x < roots  # noqa: E731
+        lo_end, hi_end = _bisect(low_side, lo, hi)
+        spacing = np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
+        assert np.all(hi_end - lo_end <= spacing)
+        assert np.all(low_side(lo_end)) and not np.any(low_side(hi_end))
+
+    def test_reversed_and_zero_width_lanes_are_unchanged(self):
+        lo, hi = np.array([2.0, 5.0]), np.array([1.0, 5.0])
+        lo_end, hi_end = _bisect(lambda x: x < 1.5, lo, hi)
+        np.testing.assert_array_equal(lo_end, lo)
+        np.testing.assert_array_equal(hi_end, hi)
+        # a zero-width lane also stays put beside a lane that is bisected
+        lo_end, hi_end = _bisect(lambda x: x < 3.0, np.array([5.0, 0.0]),
+                                 np.array([5.0, 4.0]))
+        assert lo_end[0] == hi_end[0] == 5.0
+
+    def test_scalar_bounds(self):
+        lo, hi = _bisect(lambda x: x * x < 2.0, 1.0, 2.0)
+        assert 0.0 < float(hi) - float(lo) <= np.spacing(2.0)
+        assert float(lo) ** 2 < 2.0 <= float(hi) ** 2
+
+
+def test_u_from_k_residual():
+    # k just above its ln 2 floor up to a million times it
+    k = math.log(2.0) * (1.0 + np.logspace(-8, 6, 141))
+    u = _u_from_k(k)
+    residual = np.abs(np.expm1(u * math.log(2.0)) / u - k) / k
+    assert residual.max() <= 1e-12
 
 
 class TestFdmaCommSubproblem:
@@ -256,6 +299,34 @@ class TestOptimize:
         m_slow = system_metrics(scn, slow.allocation)
         assert m_fast.total_time_s < m_slow.total_time_s
         assert m_fast.total_energy_j > m_slow.total_energy_j
+
+    @pytest.mark.parametrize("scheme", ["fdma", "noma"])
+    def test_one_pass_when_resolutions_stay_at_minimum(self, scheme):
+        scn = generate_scenario(ScenarioSpec(n_devices=8, scheme=scheme))
+        report = optimize(scn, W)
+        assert np.all(report.allocation.resolution_px == 100)
+        assert report.outer_iterations == 1
+        assert report.converged
+        assert report.objective_trace == [report.objective]
+
+    @pytest.mark.parametrize("scheme", ["fdma", "noma"])
+    def test_stops_at_a_repeated_pass(self, scheme):
+        # with w3 = 1000 the resolutions leave their minimum, so the solve
+        # takes several passes; one more pass from the returned resolutions
+        # repeats the last one exactly
+        scn = generate_scenario(ScenarioSpec(n_devices=8, scheme=scheme))
+        w = Weights(0.5, 0.5, 1000.0)
+        report = optimize(scn, w)
+        r = report.allocation.resolution_px
+        assert np.any(r > 100) and report.outer_iterations > 1
+        env = _Env(scn)
+        cfg = _continuous_solve(env, w, r)
+        r_again, f_again = _sweep_core(
+            env, w, r, cfg.cpu, cfg.comm_time, cfg.comm_energy
+        )
+        alloc = _assemble(env, cfg.power, cfg.bandwidth, f_again, r_again)
+        np.testing.assert_array_equal(r_again, r)
+        assert objective(w, system_metrics(scn, alloc)) == report.objective
 
     def test_noma_pairs_strongest_with_weakest(self):
         gains = [5e-9, 1e-9, 4e-9, 2e-9]

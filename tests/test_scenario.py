@@ -5,6 +5,8 @@ import json
 import pytest
 
 from flmar import (
+    AccuracyModel,
+    DeviceProfile,
     ScenarioFormatError,
     ScenarioSpec,
     ScenarioValidationError,
@@ -127,6 +129,22 @@ class TestSerialization:
         path.write_text(json.dumps(data))
         with pytest.raises(ScenarioFormatError, match="gain"):
             load_scenario(path)
+
+    def test_omitted_fields_take_dataclass_defaults(self, tmp_path):
+        data = scenario_to_dict(generate_scenario(small_spec()))
+        data["devices"] = [
+            {key: d[key] for key in ("id", "gain", "dataset_frames")}
+            for d in data["devices"]
+        ]
+        del data["accuracy_model"]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data))
+        scn = load_scenario(path)
+        assert scn.devices == [
+            DeviceProfile(id=d["id"], gain=d["gain"], dataset_frames=d["dataset_frames"])
+            for d in data["devices"]
+        ]
+        assert scn.accuracy_model == AccuracyModel()
 
     def test_syntax_error_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"
