@@ -3,11 +3,11 @@ resolution for synchronous federated rounds.
 
 The solver runs a block-coordinate descent around an epigraph variable: for
 a candidate round-time budget tau the communication subproblem is solved in
-closed form (FDMA: minimum-energy bandwidth split via one multiplier
-bisection with a Lambert-W inversion; NOMA: per-channel power fixed point),
-CPU frequencies follow by deadline inversion, and tau itself is located by
-golden-section search.  Frame resolutions then improve through exact
-per-device coordinate moves, and the outer loop repeats until the sweep
+closed form (FDMA: minimum-energy bandwidth split via one bracketed root
+search on the multiplier with a Lambert-W inversion; NOMA: per-channel power
+fixed point), CPU frequencies follow by deadline inversion, and tau itself is
+located by golden-section search.  Frame resolutions then improve through
+exact per-device coordinate moves, and the outer loop repeats until the sweep
 returns resolutions it has already solved.
 """
 
@@ -130,6 +130,65 @@ def _bisect(low_side, lo, hi):
     return lo, hi
 
 
+def _root(f, lo, hi):
+    """Bracketed root search on every lane of [lo, hi] (Chandrupatla 1997).
+
+    ``f`` is positive below each lane's root and negative above it.  Each
+    step probes the first of: the inverse quadratic through the last three
+    points, where it is monotone on the bracket; the secant through the two
+    points on the newest point's side, which lands on a root that sits at a
+    corner of f; the midpoint.  It takes the midpoint whenever the last two
+    steps did not halve the bracket, so the bracket halves at least every
+    three steps.  A lane whose ends share a sign has its root outside the
+    bracket and settles at the nearer end without a probe.  A lane stops
+    when f is exactly zero at a probe or when its bracket is no wider than
+    one float spacing at its larger end; every probe keeps that spacing from
+    both ends, so each step shrinks the bracket.  Returns the final
+    ``(lo, hi)``: f(lo) > 0 > f(hi), or lo == hi at a zero or a settled end.
+    """
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    f_lo, f_hi = np.asarray(f(lo), dtype=float), np.asarray(f(hi), dtype=float)
+    at_lo = f_lo <= 0.0
+    at_hi = ~at_lo & (f_hi >= 0.0)
+    # a is the newest point, b the bracket's other end, c the point dropped
+    # last, which lies on a's side; a settled lane starts with a == b
+    a, fa = np.where(at_lo, lo, hi), np.where(at_lo, f_lo, f_hi)
+    b, fb = np.where(at_hi, hi, lo), np.where(at_hi, f_hi, f_lo)
+    c, fc = a, fa
+    t = np.full_like(a, 0.5)
+    width_1 = width_2 = np.full_like(a, np.inf)   # widths one and two steps back
+    active = np.full(a.shape, True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            width = np.abs(b - a)
+            spacing = np.spacing(np.maximum(np.abs(a), np.abs(b)))
+            active &= (fa != 0.0) & (width > spacing)
+            if not active.any():
+                break
+            t = np.where(width > 0.5 * width_2, 0.5, t)
+            width_2, width_1 = width_1, width
+            tl = np.minimum(0.5, spacing / width)
+            x = np.where(active, a + np.clip(t, tl, 1.0 - tl) * (b - a), a)
+            fx = np.asarray(f(x), dtype=float)
+            same = (fx > 0.0) == (fa > 0.0)
+            c, fc = np.where(same, a, b), np.where(same, fa, fb)
+            b, fb = np.where(same, b, a), np.where(same, fb, fa)
+            a, fa = x, fx
+            xi = (a - b) / (c - b)
+            phi = (fa - fb) / (fc - fb)
+            t_iqi = (
+                fa / (fb - fa) * fc / (fb - fc)
+                + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb)
+            )
+            t_sec = fa / (fc - fa) * (a - c) / (b - a)
+            t = np.where(
+                (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi),
+                t_iqi,
+                np.where((t_sec > 0.0) & (t_sec < 1.0), t_sec, 0.5),
+            )
+    return np.where(fa < 0.0, b, a), np.where(fa > 0.0, b, a)
+
+
 def _u_from_k(k: np.ndarray) -> np.ndarray:
     """Solve (2**u - 1) / u = k for u > 0; k must exceed ln 2.
 
@@ -182,10 +241,11 @@ def _fdma_comm_solve(env: _Env, deadlines):
 
     which a Lambert-W evaluation inverts in closed form.  Once p_req drops
     to p_min the power pins there and the marginal switches to the flatter
-    v2 curve handled by `_floor_marginal`.  Equalising marginals across
-    devices via one bisection on the bandwidth price lambda yields the
-    optimal split; leftover bandwidth is then spread proportionally, which
-    can only reduce energy further.
+    v2 curve of `_floor_marginal`, which `_root` inverts numerically.
+    Equalising marginals across devices via an outer `_root` search on the
+    log of the bandwidth price lambda yields the optimal split; leftover
+    bandwidth is then spread proportionally, which can only reduce energy
+    further.
 
     Returns ``(power, bandwidth, comm_time, comm_energy)`` or None when the
     deadlines cannot be met.
@@ -213,35 +273,43 @@ def _fdma_comm_solve(env: _Env, deadlines):
         b = np.clip(b1, b_floor, b_cap)
         floored = (b1 > b_kink) & (b_kink < env.bw)
         if floored.any():
-            b[floored] = _floor_split(env, lam, floored, b_kink)
+            # devices pinned at p_min: v2(b) = lam on [b_kink, B]
+            g, pmin = dev.gain[floored], dev.p_min[floored]
+            b[floored], _ = _root(
+                lambda x: _floor_marginal(env, x, g, pmin) - lam, b_kink[floored], env.bw
+            )
         return b
 
-    def _floor_split(env, lam, mask, b_kink):
-        g = dev.gain[mask]
-        pmin = dev.p_min[mask]
-        lo, _ = _bisect(
-            lambda b: _floor_marginal(env, b, g, pmin) >= lam, b_kink[mask], env.bw
-        )
-        return lo
+    # Price bracket.  At lam_hi, the highest marginal at the bandwidth
+    # floors, every device shrinks to its floor, and the floors fit.  At
+    # lam_lo, the highest marginal at b = B (v2 where the device is pinned
+    # there, v1 elsewhere), the device that sets it demands the whole band
+    # by itself, so demand is at least B.
+    c_dev = d * env.noise / dev.gain
+    lam_hi = float(np.minimum(_comm_marginal(c_dev, rho / b_floor), 1e300).max())
+    top = _comm_marginal(c_dev, rho / env.bw)
+    pin_top = b_kink < env.bw
+    top[pin_top] = _floor_marginal(env, env.bw, dev.gain[pin_top], dev.p_min[pin_top])
+    lam_lo = float(top.max())
 
-    # Price bracket: the marginal at the bandwidth floor is the highest any
-    # device will pay, so demand at lam_hi shrinks to the floors and fits.
-    v1_floor = _comm_marginal(d * env.noise / dev.gain, rho / b_floor)
-    lam_hi = float(np.minimum(v1_floor, 1e300).max())
-    lam_lo = lam_hi * 1e-40
-    if float(split_at(lam_lo).sum()) > env.bw:
-        # bisect log(lam): the price spans forty decades
-        _, log_hi = _bisect(
-            lambda x: float(split_at(math.exp(x)).sum()) > env.bw,
-            math.log(lam_lo),
-            math.log(lam_hi),
-        )
-        b = split_at(math.exp(log_hi))
-    else:
-        b = split_at(lam_lo)
-    total = float(b.sum())
-    if total < env.bw:
-        b = b * (env.bw / total)
+    # Demand within 16 float spacings of B counts as the root.  When every
+    # device sits at its kink, demand is flat in the price at the sum of the
+    # kinks.  The time resplit puts the kinks at the previous split, so that
+    # sum misses B only by the rounding of the searches behind it (up to 12
+    # spacings on the wide parameter box), and a bracket search could only
+    # creep along the plateau.
+    tol = 16.0 * np.spacing(env.bw)
+
+    def excess(log_lam):
+        e = float(split_at(math.exp(log_lam)).sum()) - env.bw
+        return 0.0 if abs(e) <= tol else e
+
+    # search log(lam), since the bracket can span many decades, and take its
+    # feasible end; the fill then spreads any leftover (or trims the excess
+    # the guard allows) so that the split sums to B
+    _, log_lam = _root(excess, math.log(lam_lo), math.log(lam_hi))
+    b = split_at(math.exp(log_lam))
+    b = b * (env.bw / float(b.sum()))
 
     p_req = power_for_rate(b, rho, env.noise * b, dev.gain)
     p = np.clip(p_req, dev.p_min, dev.p_max)

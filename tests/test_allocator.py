@@ -1,6 +1,11 @@
 """Joint resource allocation: subproblems, the outer loop, the baseline."""
 
 import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,11 +26,13 @@ from flmar import (
     system_metrics,
 )
 from flmar import ScenarioSpec, generate_scenario, pair_users
+import flmar.allocator
 from flmar.allocator import (
     _assemble,
     _bisect,
     _continuous_solve,
     _Env,
+    _root,
     _sweep_core,
     _u_from_k,
 )
@@ -75,12 +82,187 @@ class TestBisect:
         assert float(lo) ** 2 < 2.0 <= float(hi) ** 2
 
 
+class TestRoot:
+    roots = np.array([-3.7, -1e-3, 1e-9, 0.5, 123.456, 7e5])
+    lo = np.array([-10.0, -2.0, 0.0, 0.25, 100.0, -1e6])
+    hi = np.array([0.0, 1.0, 1.0, 0.75, 1e4, 1e6])
+    slope = np.array([1.0, 5.0, 1e-3, 0.01, 30.0, 1e-3])
+
+    @staticmethod
+    def counted(f):
+        def g(x):
+            g.calls += 1
+            return f(x)
+        g.calls = 0
+        return g
+
+    @pytest.mark.parametrize("shape", ["smooth", "corner"])
+    def test_lanes_end_at_their_root(self, shape):
+        r, k = self.roots, self.slope
+        if shape == "smooth":
+            f = self.counted(lambda x: np.arctan(r - x) + 0.3 * np.tanh(k * (r - x)))
+        else:   # the slope changes at the root
+            f = self.counted(lambda x: np.where(x < r, r - x, k * (r - x)))
+        lo_end, hi_end = _root(f, self.lo, self.hi)
+        spacing = np.spacing(np.maximum(np.abs(lo_end), np.abs(hi_end)))
+        straddle = (f(lo_end) > 0.0) & (f(hi_end) < 0.0) & (hi_end - lo_end <= spacing)
+        hit = (lo_end == hi_end) & (f(lo_end) == 0.0)
+        assert np.all(straddle | hit)
+        assert np.all(np.abs(lo_end - r) <= np.spacing(np.abs(r)))
+        # the widest lane needs 54 halvings to reach one float spacing
+        assert f.calls - 2 <= 30
+
+    def test_bracket_halves_at_least_every_three_probes(self):
+        # powers below 1 on both sides of the root defeat interpolation;
+        # without forced midpoints this lane takes thousands of probes
+        f = self.counted(lambda x: np.where(x < 0.14, np.abs(0.14 - x) ** 0.85,
+                                            -1e-4 * np.abs(x - 0.14) ** 0.3))
+        lo, hi = _root(f, 0.0, 1.0)
+        assert float(hi) - float(lo) <= np.spacing(0.14)
+        # 53 halvings take [0, 1] to one float spacing at 1
+        assert f.calls - 2 <= 3 * 53
+
+    def test_roots_at_or_beyond_an_end_settle_without_a_probe(self):
+        lo, hi = np.array([1.0, 1.0, 1.0, 1.0]), np.array([2.0, 2.0, 2.0, 2.0])
+        r = np.array([0.5, 1.0, 2.0, 3.0])
+        f = self.counted(lambda x: r - x)
+        lo_end, hi_end = _root(f, lo, hi)
+        np.testing.assert_array_equal(lo_end, [1.0, 1.0, 2.0, 2.0])
+        np.testing.assert_array_equal(hi_end, lo_end)
+        assert f.calls == 2
+
+    def test_scalar_bounds(self):
+        lo, hi = _root(lambda x: 2.0 - x * x, 1.0, 2.0)
+        assert 0.0 < float(hi) - float(lo) <= np.spacing(2.0)
+        assert float(lo) ** 2 < 2.0 < float(hi) ** 2
+
+
 def test_u_from_k_residual():
     # k just above its ln 2 floor up to a million times it
     k = math.log(2.0) * (1.0 + np.logspace(-8, 6, 141))
     u = _u_from_k(k)
     residual = np.abs(np.expm1(u * math.log(2.0)) / u - k) / k
     assert residual.max() <= 1e-12
+
+
+def _bisect_to_float(low_side, lo, hi):
+    """Halve each lane until no float lies strictly between its ends."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        open_ = (lo < mid) & (mid < hi)
+        if not np.any(open_):
+            return lo, hi
+        side = low_side(mid)
+        lo = np.where(open_ & side, mid, lo)
+        hi = np.where(open_ & ~side, mid, hi)
+
+
+def reference_fdma_split(scn, deadlines):
+    """Minimum-energy FDMA powers and bandwidths, by bisection alone.
+
+    Written apart from the library: each device's energy marginal -dE/db
+    on its deadline branch and on its p_min branch, its demand at a price
+    as a float-precision bisection on b, and the price as a float-precision
+    bisection on its log.  The feasible end of the price bracket is kept
+    and the split is scaled up to fill the band.
+    """
+    g = np.array([dv.gain for dv in scn.devices])
+    p_min = np.array([dv.p_min for dv in scn.devices])
+    p_max = np.array([dv.p_max for dv in scn.devices])
+    s, band, n0 = scn.model_size_bits, scn.total_bandwidth_hz, scn.noise_psd
+    d = np.asarray(deadlines, dtype=float)
+    ln2 = math.log(2.0)
+
+    def p_req(b):
+        with np.errstate(over="ignore"):
+            return n0 * b / g * np.expm1(s / (d * b) * ln2)
+
+    def marginal(b):
+        u = s / (d * b)
+        with np.errstate(over="ignore", invalid="ignore"):
+            v1 = d * n0 / g * ((u * ln2 - 1.0) * np.exp2(u) + 1.0)
+        x = g * p_min / (n0 * b)
+        rate = b * np.log2(1.0 + x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v2 = p_min * s * (np.log2(1.0 + x) - x / ((1.0 + x) * ln2)) / rate**2
+        return np.where(p_req(b) >= p_min, v1, v2)
+
+    _, floor = _bisect_to_float(
+        lambda b: p_req(b) > p_max, np.full(len(g), band * 1e-12), np.full(len(g), band)
+    )
+
+    def demand(lam):
+        lo, _ = _bisect_to_float(lambda b: marginal(b) >= lam, floor, np.full(len(g), band))
+        return lo
+
+    # every device demands the whole band at the lowest of the marginals at
+    # B, and shrinks to its floor at the highest of those at the floors
+    log_lo = math.log(marginal(np.full(len(g), band)).min())
+    log_hi = math.log(marginal(floor).max())
+    _, log_lam = _bisect_to_float(
+        lambda x: demand(math.exp(x)).sum() > band, log_lo, log_hi
+    )
+    b = demand(math.exp(log_lam))
+    b = b * (band / b.sum())
+    return np.clip(p_req(b), p_min, p_max), b, floor
+
+
+def wide_box_draw(k):
+    """Instance k of the benchmark's wide parameter box with p_min raised to
+    5-50 % of p_max, rebuilt here from its draws."""
+    n, scheme = ((2, "fdma"), (2, "noma"), (3, "fdma"))[k % 3]
+    rng = np.random.default_rng((8324, k))
+    log_uniform = lambda lo, hi: math.exp(rng.uniform(math.log(lo), math.log(hi)))  # noqa: E731
+    bandwidth = log_uniform(0.3e6, 30e6)
+    model_bits = log_uniform(1e5, 1e7)
+    rng.uniform(0.1, 0.9)           # w1
+    log_uniform(0.1, 1000.0)        # w3
+    share = rng.uniform(0.05, 0.5, size=n)
+    spec = ScenarioSpec(n_devices=n, scheme=scheme, p_max_range=(0.1, 0.5),
+                        f_max_range=(0.5e9, 3e9), total_bandwidth_hz=bandwidth,
+                        model_size_bits=model_bits)
+    scn = generate_scenario(spec, seed=int(rng.integers(2**62)))
+    return replace(scn, devices=[replace(dv, p_min=float(x) * dv.p_max)
+                                 for dv, x in zip(scn.devices, share)])
+
+
+def comm_inputs(scn, deadlines):
+    """CPU speeds, resolutions and a round-time budget that leave
+    ``deadlines`` for upload, and those deadlines as the solver sees them.
+
+    The budget is twice the longest deadline, so that computing the
+    deadlines back from it loses only a few float spacings.
+    """
+    budget = 2.0 * float(np.max(deadlines))
+    res = np.array([min(dv.resolutions) for dv in scn.devices])
+    cyc = np.array([scn.local_iterations * cycles_per_frame(r, dv.cycles_per_pixel)
+                    * dv.dataset_frames for dv, r in zip(scn.devices, res)])
+    cpu = cyc / (budget - np.asarray(deadlines))
+    return cpu, res, budget, budget - np.array(
+        [comp_seconds(scn, i, r, f) for i, (r, f) in enumerate(zip(res, cpu))]
+    )
+
+
+def kink_deadlines(scn, bandwidth):
+    """Deadlines at which p_min exactly delivers the model over ``bandwidth``,
+    so that every device's p_min kink sits at its share of the band."""
+    g = np.array([dv.gain for dv in scn.devices])
+    p_min = np.array([dv.p_min for dv in scn.devices])
+    rate = bandwidth * np.log2(1.0 + g * p_min / (scn.noise_psd * bandwidth))
+    return scn.model_size_bits / rate
+
+
+def flat_demand_case(k):
+    """Wide-box draw k at deadlines where every device sits at its p_min kink.
+
+    A first solve at loose deadlines pins every device at p_min, where all
+    share one marginal on the p_min branch.  Deadlines that put each kink at
+    that split then make demand flat in the price across the root.
+    """
+    scn = wide_box_draw(k)
+    p, b = solve_comm_subproblem_fdma(scn, W, *comm_inputs(scn, np.full(scn.n_devices, 1e3))[:3])
+    assert np.all(p == [dv.p_min for dv in scn.devices])
+    return (scn, *comm_inputs(scn, kink_deadlines(scn, b)), b)
 
 
 class TestFdmaCommSubproblem:
@@ -155,6 +337,68 @@ class TestFdmaCommSubproblem:
         budget = comp_seconds(scn, 0, 400, 1e9) + 50.0
         p, _ = solve_comm_subproblem_fdma(scn, W, cpu, res, budget)
         assert np.all(p >= 0.05 - 1e-12)
+
+
+class TestFdmaMatchesBisectionReference:
+    """The root searches land where float-precision bisections do."""
+
+    @staticmethod
+    def solve_and_compare(scn, cpu, res, budget, deadlines):
+        p, b = solve_comm_subproblem_fdma(scn, W, cpu, res, budget)
+        p_ref, b_ref, floor = reference_fdma_split(scn, deadlines)
+        np.testing.assert_allclose(b, b_ref, rtol=1e-9)
+        np.testing.assert_allclose(p, p_ref, rtol=1e-9)
+        assert np.all(b >= floor * (1.0 - 1e-12))
+        assert b.sum() == pytest.approx(scn.total_bandwidth_hz, rel=1e-12)
+        return p, b
+
+    def test_default_scenario(self):
+        scn = generate_scenario(ScenarioSpec(n_devices=40, scheme="fdma"))
+        self.solve_and_compare(scn, *comm_inputs(scn, np.linspace(0.2, 0.8, 40)))
+
+    def test_partly_pinned(self):
+        base = generate_scenario(ScenarioSpec(n_devices=40, scheme="fdma"))
+        scn = replace(base, devices=[replace(dv, p_min=2e-3 if i % 3 == 0 else 0.0)
+                                     for i, dv in enumerate(base.devices)])
+        p, _ = self.solve_and_compare(scn, *comm_inputs(scn, np.linspace(0.3, 1.2, 40)))
+        floored = p[::3] == 2e-3
+        assert floored.any() and not floored.all()
+
+    def test_flat_demand_every_device_at_its_kink(self):
+        scn, cpu, res, budget, d, b_kink = flat_demand_case(5)
+        p, b = self.solve_and_compare(scn, cpu, res, budget, d)
+        np.testing.assert_allclose(b, b_kink, rtol=1e-12)
+        np.testing.assert_allclose(p, [dv.p_min for dv in scn.devices], rtol=1e-12)
+
+    def test_pinned_single_device_takes_the_whole_band(self):
+        # its p_min marginal at B exceeds the price: the floor split's root
+        # lies at the top of its bracket
+        scn = make_scenario([1e-8], p_min=0.05)
+        p, b = self.solve_and_compare(scn, *comm_inputs(scn, np.array([1.0])))
+        assert b[0] == scn.total_bandwidth_hz and p[0] == 0.05
+
+    def test_flat_demand_price_search_stays_short(self, monkeypatch):
+        scn, cpu, res, budget, _, _ = flat_demand_case(0)
+        assert scn.n_devices == 2
+        calls = []
+        real = flmar.allocator.lambertw
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(flmar.allocator, "lambertw", counting)
+        solve_comm_subproblem_fdma(scn, W, cpu, res, budget)
+        # a float-precision bisection on the price takes about 55
+        assert len(calls) <= 30
+
+
+def test_import_leaves_scipy_optimize_out():
+    code = "import sys, flmar; print('scipy.optimize' in sys.modules)"
+    src = str(Path(flmar.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 class TestNomaCommSubproblem:

@@ -74,6 +74,13 @@ class TestGeneration:
             assert 1e9 <= dev.f_max <= 2e9
             assert 50 <= dev.dataset_frames <= 60
 
+    def test_fixed_ranges_give_every_device_one_shared_value(self):
+        scn = generate_scenario(small_spec(n_devices=5, p_max_range=(0.25, 0.25)))
+        first = scn.devices[0]
+        for dev in scn.devices:
+            assert dev.p_max == 0.25 and dev.p_max is first.p_max
+            assert dev.f_max == 2e9 and dev.f_max is first.f_max
+
     def test_noma_gets_half_as_many_channels(self):
         scn = generate_scenario(small_spec(n_devices=40, scheme="noma"))
         assert scn.n_channels == 20
