@@ -37,8 +37,6 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 MAX_OUTER_ITERATIONS = 50
 GOLDEN_TOL_FRACTION = 1e-4
-_INNER_ALTERNATIONS = 8   # comm solve <-> time resplit rounds per budget
-_INNER_REL_TOL = 1e-7
 
 
 class InfeasibleBudgetError(ValueError):
@@ -394,18 +392,33 @@ def _split_bisect(tau, two_k_cyc3, comm_marginal_at, d_lo, d_hi):
     return 0.5 * (lo + hi)
 
 
+def _deadline_bounds(env: _Env, tau: float, cyc, idx, bw, denom):
+    """Upload-deadline range ``(d_lo, d_hi)`` of the devices at ``idx``.
+
+    The devices upload on ``bw`` hertz against ``denom`` watts of noise plus
+    interference.  d_lo is the later of the upload time at p_max and the
+    deadline that leaves f_min the rest of tau; d_hi leaves f_max the rest
+    of tau and, where p_min > 0, is capped at the upload time at p_min (no
+    slower upload exists), but not below d_lo.
+    """
+    dev = env.dev
+    g = dev.gain[idx]
+    d_feas = env.s / shannon_rate(bw, g * dev.p_max[idx] / denom)
+    d_hi = tau - cyc[idx] / dev.f_max[idx]
+    d_lo = np.maximum(tau - cyc[idx] / dev.f_min[idx], d_feas)
+    pinned = dev.p_min[idx] > 0.0
+    if pinned.any():
+        d_pin = env.s / shannon_rate(bw, g * dev.p_min[idx] / denom)
+        d_hi = np.where(pinned, np.minimum(d_hi, np.maximum(d_pin, d_lo)), d_hi)
+    return d_lo, d_hi
+
+
 def _fdma_resplit(env: _Env, tau: float, cyc, b):
     """Per-device upload deadlines balancing CPU and transmit energy at fixed b."""
     dev = env.dev
     c = env.noise * b / dev.gain
     a = env.s / b
-    d_feas = env.s / shannon_rate(b, dev.gain * dev.p_max / (env.noise * b))
-    d_hi = tau - cyc / dev.f_max
-    d_lo = np.maximum(tau - cyc / dev.f_min, d_feas)
-    pinned = dev.p_min > 0.0
-    if pinned.any():
-        d_pin = env.s / shannon_rate(b, dev.gain * dev.p_min / (env.noise * b))
-        d_hi = np.where(pinned, np.minimum(d_hi, np.maximum(d_pin, d_lo)), d_hi)
+    d_lo, d_hi = _deadline_bounds(env, tau, cyc, slice(None), b, env.noise * b)
     return _split_bisect(
         tau,
         2.0 * dev.kappa * cyc**3,
@@ -429,16 +442,6 @@ def _noma_resplit(env: _Env, tau: float, cyc, deadlines):
     noise = env.noise * bc
     d = deadlines.copy()
 
-    def bounds(idx, denom):
-        d_feas = env.s / shannon_rate(bc, g[idx] * dev.p_max[idx] / denom)
-        d_hi = tau - cyc[idx] / dev.f_max[idx]
-        d_lo = np.maximum(tau - cyc[idx] / dev.f_min[idx], d_feas)
-        pinned = dev.p_min[idx] > 0.0
-        if pinned.any():
-            d_pin = env.s / shannon_rate(bc, g[idx] * dev.p_min[idx] / denom)
-            d_hi = np.where(pinned, np.minimum(d_hi, np.maximum(d_pin, d_lo)), d_hi)
-        return d_lo, d_hi
-
     # weak half-step: account for the interference cost on the strong user;
     # k_cross is d_s times the strong power bought per watt of weak power
     c_w = noise / g[w_idx]
@@ -452,7 +455,7 @@ def _noma_resplit(env: _Env, tau: float, cyc, deadlines):
             dpw = c_w * np.exp2(x) * _LN2 * x / dd
         return _comm_marginal(c_w, x) + k_cross * dpw
 
-    d_lo, d_hi = bounds(w_idx, noise)
+    d_lo, d_hi = _deadline_bounds(env, tau, cyc, w_idx, bc, noise)
     d[w_idx] = _split_bisect(
         tau, 2.0 * dev.kappa[w_idx] * cyc[w_idx] ** 3, weak_marginal, d_lo, d_hi
     )
@@ -464,7 +467,7 @@ def _noma_resplit(env: _Env, tau: float, cyc, deadlines):
         )
     denom_s = g[w_idx] * p_w + noise
     c_s = denom_s / g[s_idx]
-    d_lo, d_hi = bounds(s_idx, denom_s)
+    d_lo, d_hi = _deadline_bounds(env, tau, cyc, s_idx, bc, denom_s)
     d[s_idx] = _split_bisect(
         tau,
         2.0 * dev.kappa[s_idx] * cyc[s_idx] ** 3,
@@ -478,12 +481,12 @@ def _noma_resplit(env: _Env, tau: float, cyc, deadlines):
 def _budget_config(env: _Env, weights: Weights, tau: float, cyc, t_floor, loss_term):
     """Fit powers, bandwidths and frequencies to budget tau; None if impossible.
 
-    Starts from full-speed compute (largest upload deadlines), then
-    alternates two exact blocks until the modelled energy stalls: re-split
-    the shared bandwidth / channel powers for the current deadlines, and
-    re-split each device's time between compute and upload for the current
-    bandwidth (1-D convex, handled by `_split_bisect`).  Finally the CPUs
-    slow to exactly fill tau minus the achieved upload time.
+    One pass of three exact steps: solve the shared bandwidth / channel
+    powers at the full-speed upload deadlines, re-split each device's time
+    between compute and upload for that solution (1-D convex, handled by
+    `_split_bisect`), and solve the communication again at the new
+    deadlines, keeping the first solution when they cannot be met.  The
+    CPUs then slow to exactly fill tau minus the achieved upload time.
     """
     d = tau - t_floor
     if np.any(d <= 0.0):
@@ -491,25 +494,12 @@ def _budget_config(env: _Env, weights: Weights, tau: float, cyc, t_floor, loss_t
     sol = env.comm_solve(d)
     if sol is None:
         return None
-    p, b, t_com, e_com = sol
-    energy = math.inf
-    for _ in range(_INNER_ALTERNATIONS):
-        if env.scheme == "fdma":
-            d_new = _fdma_resplit(env, tau, cyc, b)
-        else:
-            d_new = _noma_resplit(env, tau, cyc, d)
-        sol_new = env.comm_solve(d_new)
-        if sol_new is None:
-            break
-        d = d_new
-        p, b, t_com, e_com = sol_new
-        model = float(
-            (env.dev.kappa * cyc**3 / (tau - d) ** 2 + e_com).sum()
-        )
-        if energy - model <= _INNER_REL_TOL * abs(energy):
-            energy = model
-            break
-        energy = model
+    if env.scheme == "fdma":
+        d = _fdma_resplit(env, tau, cyc, sol[1])
+    else:
+        d = _noma_resplit(env, tau, cyc, d)
+    resplit = env.comm_solve(d)
+    p, b, t_com, e_com = sol if resplit is None else resplit
     f = np.clip(cyc / (tau - t_com), env.dev.f_min, env.dev.f_max)
     e_cmp = cmos_energy(env.dev.kappa, cyc, f)
     value = (
@@ -753,7 +743,7 @@ def solve_comm_subproblem_fdma(
             f"deadlines unreachable within p_max and {env.bw} Hz total bandwidth"
         )
     p, b, _, _ = sol
-    return np.clip(p, env.dev.p_min, env.dev.p_max), b
+    return p, b
 
 
 def solve_comm_subproblem_noma(
@@ -773,8 +763,7 @@ def solve_comm_subproblem_noma(
     sol = _noma_comm_solve(env, deadlines)
     if sol is None:
         raise InfeasibleBudgetError("deadlines unreachable within the power limits")
-    p = sol[0]
-    return np.clip(p, env.dev.p_min, env.dev.p_max)
+    return sol[0]
 
 
 def _comm_deadlines(env: _Env, cpu_hz, resolution_px, round_time_budget: float):

@@ -161,21 +161,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         "local_iterations": scenario.local_iterations,
         "n_channels": scenario.n_channels,
         "accuracy_model": asdict(scenario.accuracy_model),
-        "devices": [
-            {
-                "id": d.id,
-                "gain": d.gain,
-                "dataset_frames": d.dataset_frames,
-                "cycles_per_pixel": d.cycles_per_pixel,
-                "kappa": d.kappa,
-                "f_min": d.f_min,
-                "f_max": d.f_max,
-                "p_min": d.p_min,
-                "p_max": d.p_max,
-                "resolutions": list(d.resolutions),
-            }
-            for d in scenario.devices
-        ],
+        "devices": [asdict(d) for d in scenario.devices],
     }
 
 

@@ -32,6 +32,8 @@ from flmar.allocator import (
     _bisect,
     _continuous_solve,
     _Env,
+    _fdma_resplit,
+    _noma_resplit,
     _root,
     _sweep_core,
     _u_from_k,
@@ -391,6 +393,100 @@ class TestFdmaMatchesBisectionReference:
         solve_comm_subproblem_fdma(scn, W, cpu, res, budget)
         # a float-precision bisection on the price takes about 55
         assert len(calls) <= 30
+
+
+def upload_seconds(bits, bandwidth, noise_w, gain, power):
+    return bits / (bandwidth * math.log2(1.0 + gain * power / noise_w))
+
+
+def split_energy(kappa, cyc, tau, d, noise_w, gain, bits, bandwidth):
+    """Compute plus deadline-binding upload energy of a device whose upload
+    takes d of the round time tau, written independently of the library."""
+    upload = (noise_w / gain) * (2.0 ** (bits / (bandwidth * d)) - 1.0) * d
+    return kappa * cyc**3 / (tau - d) ** 2 + upload
+
+
+def deadline_range(dev, tau, cyc, bits, bandwidth, noise_w):
+    """The upload deadlines a device can meet: at most p_max, at least p_min,
+    with its CPU within [f_min, f_max] on the rest of tau."""
+    lo = max(tau - cyc / dev.f_min, upload_seconds(bits, bandwidth, noise_w, dev.gain, dev.p_max))
+    hi = tau - cyc / dev.f_max
+    if dev.p_min > 0.0:
+        hi = min(hi, max(upload_seconds(bits, bandwidth, noise_w, dev.gain, dev.p_min), lo))
+    return lo, hi
+
+
+def assert_minimises(energy, d, lo, hi):
+    assert lo * (1.0 - 1e-12) <= d <= hi * (1.0 + 1e-12)
+    assert energy(d) <= energy(np.linspace(lo, hi, 20001)).min() * (1.0 + 1e-12)
+
+
+class TestTimeSplit:
+    """Each device's compute/upload split at a fixed round time minimises its
+    energy within the deadlines it can meet, checked against a grid scan."""
+
+    TAU = 3.0
+    FRAMES = [100, 60, 150, 40]
+
+    def cycles(self, scn):
+        return np.array([scn.local_iterations * dv.cycles_per_pixel * 100.0**2
+                         * dv.dataset_frames for dv in scn.devices])
+
+    def test_fdma(self):
+        base = make_scenario([1e-9, 2e-11, 5e-12, 3e-12], frames=self.FRAMES)
+        scn = replace(base, devices=base.devices[:3] + [replace(base.devices[3], p_min=0.15)])
+        cyc = self.cycles(scn)
+        b = np.array([2e6, 4e6, 6e6, 8e6])
+        d = _fdma_resplit(_Env(scn), self.TAU, cyc, b)
+        bits = scn.model_size_bits
+        for n, dv in enumerate(scn.devices):
+            noise_w = N0 * b[n]
+            lo, hi = deadline_range(dv, self.TAU, cyc[n], bits, b[n], noise_w)
+            if dv.p_min > 0.0:
+                assert hi == upload_seconds(bits, b[n], noise_w, dv.gain, dv.p_min)
+            assert_minimises(
+                lambda x: split_energy(dv.kappa, cyc[n], self.TAU, x, noise_w, dv.gain,
+                                       bits, b[n]),
+                d[n], lo, hi,
+            )
+
+    def test_noma(self):
+        base = make_scenario([1e-10, 2e-11, 5e-12, 3e-12], scheme="noma", frames=self.FRAMES)
+        scn = replace(base, devices=[replace(dv, p_min=p)
+                                     for dv, p in zip(base.devices, (0.15, 0.0, 0.1, 0.0))])
+        env = _Env(scn)
+        cyc = self.cycles(scn)
+        d_in = self.TAU - cyc / np.array([dv.f_max for dv in scn.devices])
+        d = _noma_resplit(env, self.TAU, cyc, d_in)
+        bits, bc = scn.model_size_bits, env.channel_bw
+        noise_w = N0 * bc
+        for s, w in zip(env.strong, env.weak):
+            strong, weak = scn.devices[s], scn.devices[w]
+
+            # weak half-step, with the strong deadline still at its input value:
+            # each watt of weak power costs the strong user (2**x_s - 1) g_w / g_s
+            # watts for d_s seconds
+            cross = d_in[s] * (2.0 ** (bits / (bc * d_in[s])) - 1.0) * weak.gain / strong.gain
+
+            def weak_energy(x):
+                p_w = (noise_w / weak.gain) * (2.0 ** (bits / (bc * x)) - 1.0)
+                return split_energy(weak.kappa, cyc[w], self.TAU, x, noise_w, weak.gain,
+                                    bits, bc) + cross * p_w
+
+            lo, hi = deadline_range(weak, self.TAU, cyc[w], bits, bc, noise_w)
+            assert_minimises(weak_energy, d[w], lo, hi)
+
+            # strong half-step at the weak power the weak deadline leaves
+            p_w = max((noise_w / weak.gain) * (2.0 ** (bits / (bc * d[w])) - 1.0), weak.p_min)
+            interference = weak.gain * p_w + noise_w
+            lo, hi = deadline_range(strong, self.TAU, cyc[s], bits, bc, interference)
+            if strong.p_min > 0.0:
+                assert hi == upload_seconds(bits, bc, interference, strong.gain, strong.p_min)
+            assert_minimises(
+                lambda x: split_energy(strong.kappa, cyc[s], self.TAU, x, interference,
+                                       strong.gain, bits, bc),
+                d[s], lo, hi,
+            )
 
 
 def test_import_leaves_scipy_optimize_out():
