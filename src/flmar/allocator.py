@@ -34,6 +34,7 @@ from .scenario import ScenarioValidationError
 
 _LN2 = math.log(2.0)
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_U_SERIES = (38698 / 42525, -524 / 567, 386 / 405, -136 / 135, 10 / 9, -4 / 3, 2.0, 0.0)
 
 MAX_OUTER_ITERATIONS = 50
 GOLDEN_TOL_FRACTION = 1e-4
@@ -190,19 +191,16 @@ def _root(f, lo, hi):
 def _u_from_k(k: np.ndarray) -> np.ndarray:
     """Solve (2**u - 1) / u = k for u > 0; k must exceed ln 2.
 
-    The left side rises from ln 2 (u -> 0) to infinity, so the spectral
-    efficiency u is unique.  The bracket top doubles until it covers the
-    root, which takes at most five doublings: past u = 1024 the left side
-    overflows to inf.
+    With a = k / ln2 and v = u ln2 this is e**v = 1 + a v, whose positive
+    root is v = -W_{-1}(-e**(-1/a) / a) - 1/a (Corless et al. 1996).  That
+    argument nears the branch point as eps = a - 1 falls (scipy's W_{-1} is
+    exactly -1 below eps = 1e-4), so below eps = 1e-2 v comes from
+    `_U_SERIES`, the series inverse of (e**v - 1)/v = 1 + eps through eps**7.
     """
-    hi = np.full_like(k, 64.0)
-    with np.errstate(over="ignore"):
-        while (grow := np.expm1(hi * _LN2) / hi < k).any():
-            hi = np.where(grow, hi * 2.0, hi)
-        lo, hi = _bisect(
-            lambda u: np.expm1(u * _LN2) / u < k, np.full_like(k, 1e-12), hi
-        )
-    return 0.5 * (lo + hi)
+    a = k / _LN2
+    eps = np.minimum(a - 1.0, 1e-2)     # past the switch the series could overflow
+    v = -np.real(lambertw(-np.exp(-1.0 / a) / a, -1)) - 1.0 / a
+    return np.where(eps < 1e-2, np.polyval(_U_SERIES, eps), v) / _LN2
 
 
 def _fdma_min_bandwidth(env: _Env, deadlines):
@@ -408,8 +406,10 @@ def _deadline_bounds(env: _Env, tau: float, cyc, idx, bw, denom):
     d_lo = np.maximum(tau - cyc[idx] / dev.f_min[idx], d_feas)
     pinned = dev.p_min[idx] > 0.0
     if pinned.any():
-        d_pin = env.s / shannon_rate(bw, g * dev.p_min[idx] / denom)
-        d_hi = np.where(pinned, np.minimum(d_hi, np.maximum(d_pin, d_lo)), d_hi)
+        # the p_min upload time; inf where p_min = 0 leaves d_hi as it is
+        rate = shannon_rate(bw, g * dev.p_min[idx] / denom)
+        d_pin = np.divide(env.s, rate, out=np.full(pinned.shape, np.inf), where=pinned)
+        d_hi = np.minimum(d_hi, np.maximum(d_pin, d_lo))
     return d_lo, d_hi
 
 

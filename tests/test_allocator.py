@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -140,11 +141,25 @@ class TestRoot:
 
 
 def test_u_from_k_residual():
-    # k just above its ln 2 floor up to a million times it
-    k = math.log(2.0) * (1.0 + np.logspace(-8, 6, 141))
+    # k/ln2 - 1 from just above the ln 2 floor to 1e7, and densely across the
+    # switch from the series to the Lambert W form at 1e-2
+    eps = np.concatenate([np.logspace(-10, 7, 1701), np.linspace(5e-3, 2e-2, 1501)])
+    k = np.unique(math.log(2.0) * (1.0 + eps))
     u = _u_from_k(k)
+    assert not np.isnan(u).any()
+    # the budget-floor search needs feasibility monotone in the deadline
+    assert np.all(np.diff(u) > 0.0)
     residual = np.abs(np.expm1(u * math.log(2.0)) / u - k) / k
-    assert residual.max() <= 1e-12
+    assert residual.max() <= 1e-13
+
+
+def test_u_from_k_stays_finite_to_the_top_of_the_float_range():
+    # u is about 1006 at k/ln2 = 1e300; no step on the way may overflow
+    k = math.log(2.0) * np.logspace(7, 300, 294)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        u = _u_from_k(k)
+    assert np.all(np.isfinite(u)) and np.all(np.diff(u) > 0.0)
 
 
 def _bisect_to_float(low_side, lo, hi):
@@ -427,16 +442,28 @@ class TestTimeSplit:
 
     TAU = 3.0
     FRAMES = [100, 60, 150, 40]
+    FDMA_BANDWIDTH = np.array([2e6, 4e6, 6e6, 8e6])
 
     def cycles(self, scn):
         return np.array([scn.local_iterations * dv.cycles_per_pixel * 100.0**2
                          * dv.dataset_frames for dv in scn.devices])
 
-    def test_fdma(self):
+    def fdma_scenario(self):
         base = make_scenario([1e-9, 2e-11, 5e-12, 3e-12], frames=self.FRAMES)
-        scn = replace(base, devices=base.devices[:3] + [replace(base.devices[3], p_min=0.15)])
+        return replace(base, devices=base.devices[:3] + [replace(base.devices[3], p_min=0.15)])
+
+    def noma_scenario(self):
+        base = make_scenario([1e-10, 2e-11, 5e-12, 3e-12], scheme="noma", frames=self.FRAMES)
+        return replace(base, devices=[replace(dv, p_min=p)
+                                     for dv, p in zip(base.devices, (0.15, 0.0, 0.1, 0.0))])
+
+    def noma_deadlines(self, scn, cyc):
+        return self.TAU - cyc / np.array([dv.f_max for dv in scn.devices])
+
+    def test_fdma(self):
+        scn = self.fdma_scenario()
         cyc = self.cycles(scn)
-        b = np.array([2e6, 4e6, 6e6, 8e6])
+        b = self.FDMA_BANDWIDTH
         d = _fdma_resplit(_Env(scn), self.TAU, cyc, b)
         bits = scn.model_size_bits
         for n, dv in enumerate(scn.devices):
@@ -451,12 +478,10 @@ class TestTimeSplit:
             )
 
     def test_noma(self):
-        base = make_scenario([1e-10, 2e-11, 5e-12, 3e-12], scheme="noma", frames=self.FRAMES)
-        scn = replace(base, devices=[replace(dv, p_min=p)
-                                     for dv, p in zip(base.devices, (0.15, 0.0, 0.1, 0.0))])
+        scn = self.noma_scenario()
         env = _Env(scn)
         cyc = self.cycles(scn)
-        d_in = self.TAU - cyc / np.array([dv.f_max for dv in scn.devices])
+        d_in = self.noma_deadlines(scn, cyc)
         d = _noma_resplit(env, self.TAU, cyc, d_in)
         bits, bc = scn.model_size_bits, env.channel_bw
         noise_w = N0 * bc
@@ -487,6 +512,15 @@ class TestTimeSplit:
                                        strong.gain, bits, bc),
                 d[s], lo, hi,
             )
+
+    def test_mixed_p_min_splits_emit_no_warning(self):
+        # a device with p_min = 0 has no p_min upload time to compute
+        fdma, noma = self.fdma_scenario(), self.noma_scenario()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            _fdma_resplit(_Env(fdma), self.TAU, self.cycles(fdma), self.FDMA_BANDWIDTH)
+            cyc = self.cycles(noma)
+            _noma_resplit(_Env(noma), self.TAU, cyc, self.noma_deadlines(noma, cyc))
 
 
 def test_import_leaves_scipy_optimize_out():
