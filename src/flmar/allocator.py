@@ -6,9 +6,9 @@ a candidate round-time budget tau the communication subproblem is solved in
 closed form (FDMA: minimum-energy bandwidth split via one bracketed root
 search on the multiplier with a Lambert-W inversion; NOMA: per-channel power
 fixed point), CPU frequencies follow by deadline inversion, and tau itself is
-located by golden-section search.  Frame resolutions then improve through
-exact per-device coordinate moves, and the outer loop repeats until the sweep
-returns resolutions it has already solved.
+located by a doubling march and Brent's minimisation.  Frame resolutions
+then improve through exact per-device coordinate moves, and the outer loop
+repeats until the sweep returns resolutions it has already solved.
 """
 
 from __future__ import annotations
@@ -33,11 +33,11 @@ from .compute import cmos_energy, detection_accuracy, round_cycles
 from .scenario import ScenarioValidationError
 
 _LN2 = math.log(2.0)
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)
 _U_SERIES = (38698 / 42525, -524 / 567, 386 / 405, -136 / 135, 10 / 9, -4 / 3, 2.0, 0.0)
 
 MAX_OUTER_ITERATIONS = 50
-GOLDEN_TOL_FRACTION = 1e-4
 
 
 class InfeasibleBudgetError(ValueError):
@@ -188,6 +188,53 @@ def _root(f, lo, hi):
     return np.where(fa < 0.0, b, a), np.where(fa > 0.0, b, a)
 
 
+def _brent_min(f, a, b, x=None, fx=None):
+    """Minimise f on a bracket 0 < a < b by Brent's method (Brent 1973, ch. 5).
+
+    Each step probes the vertex of the parabola through the three best
+    points, where it falls inside the bracket and moves less than half the
+    step before last; else the golden-section point of the larger side of
+    the best point x.  Every probe lies at least tol = sqrt(eps) |x| from
+    x, the spacing to which float arithmetic can place a minimum.
+    The search starts from ``(x, fx)`` when given, else from the golden
+    point, and stops once the bracket lies within 2 tol of x.  Values may
+    be inf.  Returns the best point and its value.
+    """
+    if x is None:
+        x = a + _CGOLD * (b - a)
+        fx = f(x)
+    w = v = x
+    fw = fv = fx
+    d = e = 0.0             # the last step and the one before it
+    while True:
+        m, tol = 0.5 * (a + b), _SQRT_EPS * abs(x)
+        if max(x - a, b - x) <= 2.0 * tol:
+            return x, fx
+        p = q = r = 0.0
+        if abs(e) > tol:
+            r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
+            p, q = (x - v) * q - (x - w) * r, 2.0 * (q - r)
+            p, q, r, e = (-p if q > 0.0 else p), abs(q), e, d
+        if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+            d = p / q
+            if min(x + d - a, b - x - d) < 2.0 * tol:
+                d = tol if x <= m else -tol
+        else:
+            e = (a if x >= m else b) - x
+            d = _CGOLD * e
+        u = x + (d if abs(d) >= tol else tol if d >= 0.0 else -tol)
+        fu = f(u)
+        if fu <= fx:
+            a, b = (x, b) if u >= x else (a, x)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+
+
 def _u_from_k(k: np.ndarray) -> np.ndarray:
     """Solve (2**u - 1) / u = k for u > 0; k must exceed ln 2.
 
@@ -280,13 +327,15 @@ def _fdma_comm_solve(env: _Env, deadlines):
     # floors, every device shrinks to its floor, and the floors fit.  At
     # lam_lo, the highest marginal at b = B (v2 where the device is pinned
     # there, v1 elsewhere), the device that sets it demands the whole band
-    # by itself, so demand is at least B.
+    # by itself, so demand is at least B.  On a budget so long that this
+    # marginal cancels to 0, the floor at the smallest normal float still
+    # has every device demand its cap.
     c_dev = d * env.noise / dev.gain
     lam_hi = float(np.minimum(_comm_marginal(c_dev, rho / b_floor), 1e300).max())
     top = _comm_marginal(c_dev, rho / env.bw)
     pin_top = b_kink < env.bw
     top[pin_top] = _floor_marginal(env, env.bw, dev.gain[pin_top], dev.p_min[pin_top])
-    lam_lo = float(top.max())
+    lam_lo = max(float(top.max()), np.finfo(float).tiny)
 
     # Demand within 16 float spacings of B counts as the root.  When every
     # device sits at its kink, demand is flat in the price at the sum of the
@@ -560,21 +609,11 @@ def _continuous_solve(env: _Env, weights: Weights, resolution_px) -> _Budget:
         points.append((x, v))
         if not v < prev_v - max(1e-12, 1e-9 * abs(prev_v)):
             break
-    a = points[-3][0] if len(points) >= 3 else points[0][0]
-    b = points[-1][0]
-    tol = GOLDEN_TOL_FRACTION * (b - a)
-    c = b - _INVPHI * (b - a)
-    d_pt = a + _INVPHI * (b - a)
-    fc, fd = evaluate(c), evaluate(d_pt)
-    while (b - a) > tol:
-        if fc <= fd:
-            b, d_pt, fd = d_pt, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = evaluate(c)
-        else:
-            a, c, fc = c, d_pt, fd
-            d_pt = a + _INVPHI * (b - a)
-            fd = evaluate(d_pt)
+    # Brent's method on that bracket, from its middle probe when there is one
+    if len(points) >= 3:
+        _brent_min(evaluate, points[-3][0], points[-1][0], *points[-2])
+    else:
+        _brent_min(evaluate, points[0][0], points[-1][0])
     if best[1] is None:
         raise InfeasibleScenarioError(
             "no round-time budget satisfies the power and bandwidth limits"

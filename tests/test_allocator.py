@@ -29,8 +29,11 @@ from flmar import (
 from flmar import ScenarioSpec, generate_scenario, pair_users
 import flmar.allocator
 from flmar.allocator import (
+    _SQRT_EPS,
     _assemble,
     _bisect,
+    _brent_min,
+    _budget_config,
     _continuous_solve,
     _Env,
     _fdma_resplit,
@@ -138,6 +141,75 @@ class TestRoot:
         lo, hi = _root(lambda x: 2.0 - x * x, 1.0, 2.0)
         assert 0.0 < float(hi) - float(lo) <= np.spacing(2.0)
         assert float(lo) ** 2 < 2.0 < float(hi) ** 2
+
+
+class TestBrentMin:
+    """Each case ends within a few sqrt(eps)|x| of its minimiser, the
+    resolution the search stops at, within a stated number of evaluations."""
+
+    @staticmethod
+    def minimise(f, a, b, *start):
+        calls = []
+
+        def g(x):
+            calls.append(x)
+            return f(x)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, fx = _brent_min(g, a, b, *start)
+        assert fx == f(x) and a <= x <= b
+        return x, len(calls)
+
+    @staticmethod
+    def assert_near(x, x_star):
+        assert abs(x - x_star) <= 3.0 * _SQRT_EPS * x_star
+
+    @pytest.mark.parametrize("f, a, b, x_star", [
+        (lambda x: math.exp(x) - 2.0 * x, 0.1, 3.0, math.log(2.0)),
+        (lambda x: x + 1.0 / x, 0.2, 10.0, 1.0),
+        (lambda x: x - math.log(x), 0.1, 5.0, 1.0),
+    ])
+    def test_smooth_minimum(self, f, a, b, x_star):
+        x, calls = self.minimise(f, a, b)
+        self.assert_near(x, x_star)
+        # 12-16 here; golden section alone needs 37-40
+        assert calls <= 20
+
+    def test_starts_from_a_given_point(self):
+        f = lambda x: x + 1.0 / x  # noqa: E731
+        x, calls = self.minimise(f, 0.2, 10.0, 3.4, f(3.4))
+        self.assert_near(x, 1.0)
+        assert calls <= 20
+
+    @pytest.mark.parametrize("slope", [0.2, 3.0])
+    def test_kink_at_the_minimum(self, slope):
+        # parabolas fit a kink badly, so this takes mostly golden steps
+        f = lambda x: max(math.pi - x, slope * (x - math.pi))  # noqa: E731
+        x, calls = self.minimise(f, 0.5, 7.0)
+        self.assert_near(x, math.pi)
+        # 38-39 here; golden section alone needs 37
+        assert calls <= 50
+
+    @pytest.mark.parametrize("f, x_end", [
+        (lambda x: math.exp(x), 1.0),
+        (lambda x: -x * x, 4.0),
+    ])
+    def test_minimum_at_a_bracket_end(self, f, x_end):
+        x, calls = self.minimise(f, 1.0, 4.0)
+        self.assert_near(x, x_end)
+        assert calls <= 50      # 36-38 here
+
+    @pytest.mark.parametrize("infeasible", [
+        lambda x: x < 2.5,
+        lambda x: x > 3.5,
+    ])
+    def test_infinite_values_on_part_of_the_bracket(self, infeasible):
+        # infeasible budgets evaluate to inf, with no warning and no exception
+        f = lambda x: math.inf if infeasible(x) else x + 9.0 / x  # noqa: E731
+        x, calls = self.minimise(f, 1.0, 5.0)
+        self.assert_near(x, 3.0)
+        assert calls <= 20      # 12-13 here
 
 
 def test_u_from_k_residual():
@@ -665,6 +737,20 @@ class TestOptimize:
         f_min = scn.devices[0].f_min
         assert np.all(report.allocation.cpu_hz <= f_min * 1.5)
 
+    @pytest.mark.parametrize("scheme", ["fdma", "noma"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_energy_only_weights_on_default_scenarios(self, scheme, seed):
+        # with w2 = 0 the march reaches budgets so long (about 7e7 s on
+        # seed 2) that the FDMA bandwidth price's low end cancels to 0
+        scn = generate_scenario(ScenarioSpec(scheme=scheme), seed=seed)
+        w = Weights(1.0, 0.0, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = optimize(scn, w)
+        assert report.allocation.validate(scn) == []
+        recomputed = objective(w, system_metrics(scn, report.allocation))
+        assert report.objective == pytest.approx(recomputed, rel=1e-12)
+
     def test_time_weight_speeds_cpus(self):
         scn = make_scenario([1e-8, 1e-8])
         fast = optimize(scn, Weights(0.01, 0.99, 0.5))
@@ -707,6 +793,63 @@ class TestOptimize:
         scn = make_scenario(gains, scheme="noma")
         report = optimize(scn, W)
         assert report.allocation.pairing.channels == ((0, 1), (2, 3))
+
+
+class TestRoundTimeSearch:
+    """The tau search of `_continuous_solve` in default 40-device solves,
+    seeds 0-3 times the grid's three weight pairs, on both schemes."""
+
+    @pytest.fixture(scope="class")
+    def searches(self):
+        """One ``(fit_args, bracket, value, fits)`` per `_continuous_solve` call:
+        the last `_budget_config` arguments, the march bracket Brent's method
+        searched, the value returned and the fits made."""
+        real_fit, real_brent, real_solve = (
+            _budget_config, _brent_min, _continuous_solve)
+        found, fit_args, brackets = [], [], []
+
+        def fit(*args):
+            fit_args.append(args)
+            return real_fit(*args)
+
+        def brent(f, a, b, *start):
+            brackets.append((a, b))
+            return real_brent(f, a, b, *start)
+
+        def solve(*args):
+            fit_args.clear()
+            cfg = real_solve(*args)
+            found.append((fit_args[-1], brackets[-1], cfg.value, len(fit_args)))
+            return cfg
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(flmar.allocator, "_budget_config", fit)
+            mp.setattr(flmar.allocator, "_brent_min", brent)
+            mp.setattr(flmar.allocator, "_continuous_solve", solve)
+            for scheme in ("fdma", "noma"):
+                for seed in range(4):
+                    scn = generate_scenario(ScenarioSpec(n_devices=40, scheme=scheme),
+                                            seed=seed)
+                    for w1, w2 in ((0.9, 0.1), (0.5, 0.5), (0.1, 0.9)):
+                        optimize(scn, Weights(w1, w2, 0.5))
+        return found
+
+    def test_no_budget_on_a_grid_beats_the_search(self, searches):
+        # a 101-point grid over the bracket would find a second basin the
+        # search missed, or a search stopped short (2,001 points pass too,
+        # in about two minutes)
+        for (env, w, _, cyc, t_floor, loss), (a, b), value, _ in searches:
+            grid = [_budget_config(env, w, float(tau), cyc, t_floor, loss)
+                    for tau in np.linspace(a, b, 101)]
+            best = min(cfg.value for cfg in grid if cfg is not None)
+            assert value <= best * (1.0 + 1e-12)
+
+    def test_fit_count(self, searches):
+        # golden section to 1e-4 of the bracket took 25-29 fits per search
+        # here (median 28)
+        fits = [count for *_, count in searches]
+        assert len(fits) == 24
+        assert np.median(fits) <= 20
 
 
 class TestRandomBaseline:
