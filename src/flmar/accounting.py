@@ -9,6 +9,7 @@ across global rounds, and the scalarised objective
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,15 +36,16 @@ SCHEMES = ("fdma", "noma")
 
 @dataclass(frozen=True)
 class Weights:
-    """Non-negative objective weights for energy, time and accuracy loss."""
+    """Finite, non-negative objective weights for energy, time and accuracy
+    loss."""
 
     w1: float
     w2: float
     w3: float = 0.5
 
     def __post_init__(self):
-        if self.w1 < 0.0 or self.w2 < 0.0 or self.w3 < 0.0:
-            raise ValueError("weights must be non-negative")
+        if not all(math.isfinite(w) and w >= 0.0 for w in (self.w1, self.w2, self.w3)):
+            raise ValueError("weights must be finite and non-negative")
 
 
 @dataclass

@@ -105,10 +105,17 @@ class _Env:
             return _fdma_comm_solve(self, deadlines)
         return _noma_comm_solve(self, deadlines)
 
-    def comm_feasible(self, deadlines) -> bool:
+    def comm_margin(self, deadlines) -> float:
+        """Signed infeasibility margin of the upload deadlines: they can be
+        met iff it is <= 0, and it is +inf where one is <= 0."""
+        if np.any(deadlines <= 0.0):
+            return math.inf
         if self.scheme == "fdma":
-            return _fdma_min_bandwidth(self, deadlines) is not None
-        return _noma_comm_solve(self, deadlines) is not None
+            return _fdma_floors(self, deadlines)[0]
+        return _noma_powers(self, deadlines)[0]
+
+    def comm_feasible(self, deadlines) -> bool:
+        return self.comm_margin(deadlines) <= 0.0
 
 
 def _bisect(low_side, lo, hi):
@@ -129,63 +136,63 @@ def _bisect(low_side, lo, hi):
     return lo, hi
 
 
-def _root(f, lo, hi):
-    """Bracketed root search on every lane of [lo, hi] (Chandrupatla 1997).
+def _root(f, lo: float, hi: float):
+    """Bracketed root search on [lo, hi] (Chandrupatla 1997).
 
-    ``f`` is positive below each lane's root and negative above it.  Each
-    step probes the first of: the inverse quadratic through the last three
-    points, where it is monotone on the bracket; the secant through the two
-    points on the newest point's side, which lands on a root that sits at a
-    corner of f; the midpoint.  It takes the midpoint whenever the last two
-    steps did not halve the bracket, so the bracket halves at least every
-    three steps.  A lane whose ends share a sign has its root outside the
-    bracket and settles at the nearer end without a probe.  A lane stops
-    when f is exactly zero at a probe or when its bracket is no wider than
-    one float spacing at its larger end; every probe keeps that spacing from
-    both ends, so each step shrinks the bracket.  Returns the final
-    ``(lo, hi)``: f(lo) > 0 > f(hi), or lo == hi at a zero or a settled end.
+    ``f`` takes and returns floats; it is positive below the root and
+    negative above it.  Each step probes the first of: the inverse
+    quadratic through the last three points, where it is monotone on the
+    bracket; the secant through the two points on the newest point's side,
+    which lands on a root that sits at a corner of f; the midpoint.  It
+    takes the midpoint whenever the last two steps did not halve the
+    bracket, so the bracket halves at least every three steps.  Where the
+    ends share a sign the root lies outside the bracket, and the search
+    settles at the nearer end without a probe.  It stops when f is exactly
+    zero at a probe or when the bracket is no wider than one float spacing
+    at its larger end; every probe keeps that spacing from both ends, so
+    each step shrinks the bracket.  Returns the final ``(lo, hi)``:
+    f(lo) > 0 > f(hi), or lo == hi at a zero or a settled end.
     """
-    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
-    f_lo, f_hi = np.asarray(f(lo), dtype=float), np.asarray(f(hi), dtype=float)
-    at_lo = f_lo <= 0.0
-    at_hi = ~at_lo & (f_hi >= 0.0)
+    lo, hi = float(lo), float(hi)
+    f_lo, f_hi = float(f(lo)), float(f(hi))
+    if f_lo <= 0.0:
+        return lo, lo
+    if f_hi >= 0.0:
+        return hi, hi
     # a is the newest point, b the bracket's other end, c the point dropped
-    # last, which lies on a's side; a settled lane starts with a == b
-    a, fa = np.where(at_lo, lo, hi), np.where(at_lo, f_lo, f_hi)
-    b, fb = np.where(at_hi, hi, lo), np.where(at_hi, f_hi, f_lo)
+    # last, which lies on a's side
+    a, fa, b, fb = hi, f_hi, lo, f_lo
     c, fc = a, fa
-    t = np.full_like(a, 0.5)
-    width_1 = width_2 = np.full_like(a, np.inf)   # widths one and two steps back
-    active = np.full(a.shape, True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        while True:
-            width = np.abs(b - a)
-            spacing = np.spacing(np.maximum(np.abs(a), np.abs(b)))
-            active &= (fa != 0.0) & (width > spacing)
-            if not active.any():
-                break
-            t = np.where(width > 0.5 * width_2, 0.5, t)
-            width_2, width_1 = width_1, width
-            tl = np.minimum(0.5, spacing / width)
-            x = np.where(active, a + np.clip(t, tl, 1.0 - tl) * (b - a), a)
-            fx = np.asarray(f(x), dtype=float)
-            same = (fx > 0.0) == (fa > 0.0)
-            c, fc = np.where(same, a, b), np.where(same, fa, fb)
-            b, fb = np.where(same, b, a), np.where(same, fb, fa)
-            a, fa = x, fx
-            xi = (a - b) / (c - b)
-            phi = (fa - fb) / (fc - fb)
-            t_iqi = (
+    t = 0.5
+    width_2 = width_1 = math.inf   # widths two and one steps back
+    while True:
+        width = abs(b - a)
+        spacing = math.ulp(max(abs(a), abs(b)))
+        if fa == 0.0 or not width > spacing:
+            return (b if fa < 0.0 else a), (b if fa > 0.0 else a)
+        if width > 0.5 * width_2:
+            t = 0.5
+        width_2, width_1 = width_1, width
+        tl = min(0.5, spacing / width)
+        x = a + min(max(t, tl), 1.0 - tl) * (b - a)
+        fx = float(f(x))
+        if (fx > 0.0) == (fa > 0.0):
+            c, fc = a, fa
+        else:
+            c, fc, b, fb = b, fb, a, fa
+        a, fa = x, fx
+        # c and b lie on opposite sides of the root and b != a, so only
+        # fc - fa can be zero; then phi == 1 and the secant is undefined
+        xi = (a - b) / (c - b)
+        phi = (fa - fb) / (fc - fb)
+        if phi * phi < xi and (1.0 - phi) * (1.0 - phi) < 1.0 - xi:
+            t = (
                 fa / (fb - fa) * fc / (fb - fc)
                 + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb)
             )
-            t_sec = fa / (fc - fa) * (a - c) / (b - a)
-            t = np.where(
-                (phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi),
-                t_iqi,
-                np.where((t_sec > 0.0) & (t_sec < 1.0), t_sec, 0.5),
-            )
-    return np.where(fa < 0.0, b, a), np.where(fa > 0.0, b, a)
+        else:
+            t_sec = fa / (fc - fa) * (a - c) / (b - a) if fc != fa else 0.5
+            t = t_sec if 0.0 < t_sec < 1.0 else 0.5
 
 
 def _brent_min(f, a, b, x=None, fx=None):
@@ -250,20 +257,20 @@ def _u_from_k(k: np.ndarray) -> np.ndarray:
     return np.where(eps < 1e-2, np.polyval(_U_SERIES, eps), v) / _LN2
 
 
-def _fdma_min_bandwidth(env: _Env, deadlines):
-    """Per-device bandwidth floors at full power, or None when infeasible.
+def _fdma_floors(env: _Env, deadlines):
+    """Per-device bandwidth floors at full power and the margin by which
+    they overrun B, as ``(margin, b_floor)``.
 
     A device transmitting at p_max with bandwidth below its floor cannot
-    meet its deadline; a split is feasible iff the floors fit into B.
+    meet its deadline, so a split is feasible iff the margin is <= 0.  A
+    deadline no bandwidth can meet gives margin +inf and no floors.
     """
     rho = env.s / deadlines
     k_max = env.dev.gain * env.dev.p_max / (env.noise * rho)
     if np.any(k_max <= _LN2 * (1.0 + 1e-12)):
-        return None
+        return math.inf, None
     b_floor = rho / _u_from_k(k_max)
-    if float(b_floor.sum()) > env.bw:
-        return None
-    return b_floor
+    return float(b_floor.sum()) - env.bw, b_floor
 
 
 def _floor_marginal(env: _Env, b, g, pmin):
@@ -296,8 +303,8 @@ def _fdma_comm_solve(env: _Env, deadlines):
     dev = env.dev
     d = np.asarray(deadlines, dtype=float)
     rho = env.s / d
-    b_floor = _fdma_min_bandwidth(env, d)
-    if b_floor is None:
+    margin, b_floor = _fdma_floors(env, d)
+    if margin > 0.0:
         return None
 
     k_min = dev.gain * dev.p_min / (env.noise * rho)
@@ -315,11 +322,11 @@ def _fdma_comm_solve(env: _Env, deadlines):
             b1 = np.where(u > 0.0, rho / u, np.inf)
         b = np.clip(b1, b_floor, b_cap)
         floored = (b1 > b_kink) & (b_kink < env.bw)
-        if floored.any():
-            # devices pinned at p_min: v2(b) = lam on [b_kink, B]
-            g, pmin = dev.gain[floored], dev.p_min[floored]
-            b[floored], _ = _root(
-                lambda x: _floor_marginal(env, x, g, pmin) - lam, b_kink[floored], env.bw
+        # devices pinned at p_min: v2(b) = lam on [b_kink, B]
+        for i in np.flatnonzero(floored):
+            g, pmin = dev.gain[i], dev.p_min[i]
+            b[i], _ = _root(
+                lambda x: _floor_marginal(env, x, g, pmin) - lam, b_kink[i], env.bw
             )
         return b
 
@@ -362,6 +369,35 @@ def _fdma_comm_solve(env: _Env, deadlines):
     return p, b, t, p * t
 
 
+def _noma_powers(env: _Env, d):
+    """Required channel powers for deadlines ``d`` and their margin, as
+    ``(margin, p_w, p_s)``.
+
+    Each weak user needs the power that meets its deadline, and at least
+    p_min; each strong user then needs the same against that weak power as
+    interference.  The margin is the largest excess of a required power
+    over p_max (1 + 1e-12), so the deadlines can be met iff it is <= 0.
+    Where a weak user already fails, the margin is the weak users' alone
+    and no strong powers are returned.
+    """
+    s_idx, w_idx = env.strong, env.weak
+    g, p_min, cap = env.dev.gain, env.dev.p_min, env.dev.p_max * (1.0 + 1e-12)
+    bc = env.channel_bw
+    noise = env.noise * bc
+    with np.errstate(over="ignore"):
+        p_w = np.maximum(
+            power_for_rate(bc, env.s / d[w_idx], noise, g[w_idx]), p_min[w_idx]
+        )
+        margin = float(np.max(p_w - cap[w_idx]))
+        if margin > 0.0:
+            return margin, p_w, None
+        interference = g[w_idx] * p_w + noise
+        p_s = np.maximum(
+            power_for_rate(bc, env.s / d[s_idx], interference, g[s_idx]), p_min[s_idx]
+        )
+    return max(margin, float(np.max(p_s - cap[s_idx]))), p_w, p_s
+
+
 def _noma_comm_solve(env: _Env, deadlines):
     """Minimum-energy per-channel powers meeting both users' deadlines.
 
@@ -374,22 +410,13 @@ def _noma_comm_solve(env: _Env, deadlines):
     Returns ``(power, None, comm_time, comm_energy)`` or None.
     """
     d = np.asarray(deadlines, dtype=float)
+    margin, p_w, p_s = _noma_powers(env, d)
+    if margin > 0.0:
+        return None
     s_idx, w_idx = env.strong, env.weak
     g, p_min, p_max = env.dev.gain, env.dev.p_min, env.dev.p_max
     bc = env.channel_bw
     noise = env.noise * bc
-    with np.errstate(over="ignore"):
-        p_w = np.maximum(
-            power_for_rate(bc, env.s / d[w_idx], noise, g[w_idx]), p_min[w_idx]
-        )
-        if np.any(p_w > p_max[w_idx] * (1.0 + 1e-12)):
-            return None
-        interference = g[w_idx] * p_w + noise
-        p_s = np.maximum(
-            power_for_rate(bc, env.s / d[s_idx], interference, g[s_idx]), p_min[s_idx]
-        )
-    if np.any(p_s > p_max[s_idx] * (1.0 + 1e-12)):
-        return None
     p = np.empty(env.n, dtype=float)
     p[w_idx] = np.clip(p_w, p_min[w_idx], p_max[w_idx])
     p[s_idx] = np.clip(p_s, p_min[s_idx], p_max[s_idx])
@@ -559,27 +586,34 @@ def _budget_config(env: _Env, weights: Weights, tau: float, cyc, t_floor, loss_t
     return _Budget(value, tau, p, b, f, t_com, e_com)
 
 
-def _continuous_solve(env: _Env, weights: Weights, resolution_px) -> _Budget:
-    """Best continuous variables for fixed resolutions via a search over tau."""
-    cyc = env.round_cycles(resolution_px)
-    t_floor = cyc / env.dev.f_max
+def _tau_lo(env: _Env, t_floor):
+    """Smallest feasible round-time budget, and the step that bracketed it.
+
+    Steps double from a guess until base + step is feasible, base being the
+    compute floor max(t_floor); `_root` on the comm margin over
+    [base, base + step] then ends on the smallest feasible budget.
+    """
     base = float(t_floor.max())
-    loss_term = weights.w3 * float((1.0 - env.accuracy(resolution_px)).sum())
-
-    def feasible(tau: float) -> bool:
-        return tau > base and env.comm_feasible(tau - t_floor)
-
     step = env.n * env.s / env.bw + 1e-9
     for _ in range(80):
-        if feasible(base + step):
+        if env.comm_feasible(base + step - t_floor):
             break
         step *= 2.0
     else:
         raise InfeasibleScenarioError(
             "no round-time budget satisfies the power and bandwidth limits"
         )
-    _, tau_lo = _bisect(lambda tau: not feasible(float(tau)), base, base + step)
-    tau_lo = float(tau_lo)
+    _, tau_lo = _root(lambda tau: env.comm_margin(tau - t_floor), base, base + step)
+    return tau_lo, step
+
+
+def _continuous_solve(env: _Env, weights: Weights, resolution_px) -> _Budget:
+    """Best continuous variables for fixed resolutions via a search over tau."""
+    cyc = env.round_cycles(resolution_px)
+    t_floor = cyc / env.dev.f_max
+    base = float(t_floor.max())
+    loss_term = weights.w3 * float((1.0 - env.accuracy(resolution_px)).sum())
+    tau_lo, step = _tau_lo(env, t_floor)
 
     best: list = [math.inf, None]
 

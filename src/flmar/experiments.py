@@ -64,12 +64,16 @@ class ExperimentGrid:
         if not self.weight_pairs:
             raise ValueError("weight_pairs must be non-empty")
         for w1, w2 in self.weight_pairs:
-            if w1 < 0.0 or w2 < 0.0 or abs(w1 + w2 - 1.0) > 1e-9:
+            # the cells build these Weights; checking them here keeps a bad
+            # weight a configuration error rather than a failure mid-run
+            try:
+                Weights(w1, w2, self.w3)
+            except ValueError as exc:
                 raise ValueError(
-                    f"weight pair ({w1}, {w2}) must be non-negative and sum to 1"
-                )
-        if self.w3 < 0.0:
-            raise ValueError("w3 must be non-negative")
+                    f"weight pair ({w1}, {w2}) with w3 {self.w3}: {exc}"
+                ) from None
+            if abs(w1 + w2 - 1.0) > 1e-9:
+                raise ValueError(f"weight pair ({w1}, {w2}) must sum to 1")
         if not self.pmax_values or any(p <= 0.0 for p in self.pmax_values):
             raise ValueError("pmax_values must be positive")
         if self.n_seeds < 1:

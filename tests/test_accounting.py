@@ -124,6 +124,14 @@ class TestObjective:
         with pytest.raises(ValueError):
             Weights(0.5, 0.5, -1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_weights_must_be_finite(self, bad, position):
+        values = [0.5, 0.5, 0.5]
+        values[position] = bad
+        with pytest.raises(ValueError, match="finite"):
+            Weights(*values)
+
 
 class TestUplinkRates:
     def test_noma_rates_match_channel_model(self):

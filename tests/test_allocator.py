@@ -40,6 +40,7 @@ from flmar.allocator import (
     _noma_resplit,
     _root,
     _sweep_core,
+    _tau_lo,
     _u_from_k,
 )
 
@@ -88,11 +89,34 @@ class TestBisect:
         assert float(lo) ** 2 < 2.0 <= float(hi) ** 2
 
 
+def smooth(r, k):
+    return lambda x: math.atan(r - x) + 0.3 * math.tanh(k * (r - x))
+
+
+def corner(r, k):
+    """The slope changes at the root."""
+    return lambda x: r - x if x < r else k * (r - x)
+
+
+def rough(r):
+    """Powers below 1 on both sides of the root defeat interpolation."""
+    return lambda x: abs(r - x) ** 0.85 if x < r else -1e-4 * abs(x - r) ** 0.3
+
+
+def line(r):
+    return lambda x: r - x
+
+
+def step(r):
+    return lambda x: 1.0 if x < r else -1.0
+
+
 class TestRoot:
     roots = np.array([-3.7, -1e-3, 1e-9, 0.5, 123.456, 7e5])
     lo = np.array([-10.0, -2.0, 0.0, 0.25, 100.0, -1e6])
     hi = np.array([0.0, 1.0, 1.0, 0.75, 1e4, 1e6])
     slope = np.array([1.0, 5.0, 1e-3, 0.01, 30.0, 1e-3])
+    shapes = {"smooth": smooth, "corner": corner}
 
     @staticmethod
     def counted(f):
@@ -102,45 +126,48 @@ class TestRoot:
         g.calls = 0
         return g
 
+    @staticmethod
+    def assert_ends_at(f, lo_end, hi_end, r):
+        spacing = np.spacing(max(abs(lo_end), abs(hi_end)))
+        straddle = f(lo_end) > 0.0 > f(hi_end) and hi_end - lo_end <= spacing
+        hit = lo_end == hi_end and f(lo_end) == 0.0
+        assert straddle or hit
+        assert abs(lo_end - r) <= np.spacing(abs(r))
+
     @pytest.mark.parametrize("shape", ["smooth", "corner"])
     def test_lanes_end_at_their_root(self, shape):
-        r, k = self.roots, self.slope
-        if shape == "smooth":
-            f = self.counted(lambda x: np.arctan(r - x) + 0.3 * np.tanh(k * (r - x)))
-        else:   # the slope changes at the root
-            f = self.counted(lambda x: np.where(x < r, r - x, k * (r - x)))
-        lo_end, hi_end = _root(f, self.lo, self.hi)
-        spacing = np.spacing(np.maximum(np.abs(lo_end), np.abs(hi_end)))
-        straddle = (f(lo_end) > 0.0) & (f(hi_end) < 0.0) & (hi_end - lo_end <= spacing)
-        hit = (lo_end == hi_end) & (f(lo_end) == 0.0)
-        assert np.all(straddle | hit)
-        assert np.all(np.abs(lo_end - r) <= np.spacing(np.abs(r)))
-        # the widest lane needs 54 halvings to reach one float spacing
-        assert f.calls - 2 <= 30
+        for r, k, lo, hi in zip(self.roots, self.slope, self.lo, self.hi):
+            f = self.counted(self.shapes[shape](r, k))
+            self.assert_ends_at(f, *_root(f, lo, hi), r)
+            # the widest bracket needs 54 halvings to reach one float spacing
+            assert f.calls - 2 <= 30
 
     def test_bracket_halves_at_least_every_three_probes(self):
-        # powers below 1 on both sides of the root defeat interpolation;
-        # without forced midpoints this lane takes thousands of probes
-        f = self.counted(lambda x: np.where(x < 0.14, np.abs(0.14 - x) ** 0.85,
-                                            -1e-4 * np.abs(x - 0.14) ** 0.3))
+        # without forced midpoints this bracket takes thousands of probes
+        f = self.counted(rough(0.14))
         lo, hi = _root(f, 0.0, 1.0)
-        assert float(hi) - float(lo) <= np.spacing(0.14)
+        assert hi - lo <= np.spacing(0.14)
         # 53 halvings take [0, 1] to one float spacing at 1
         assert f.calls - 2 <= 3 * 53
 
+    def test_flat_sides_end_at_the_step(self):
+        # equal values on one side leave the secant undefined
+        for r in (0.3, 1.0 / 3.0, 0.9):
+            f = self.counted(step(r))
+            self.assert_ends_at(f, *_root(f, 0.0, 1.0), r)
+            assert f.calls - 2 <= 3 * 53
+
     def test_roots_at_or_beyond_an_end_settle_without_a_probe(self):
-        lo, hi = np.array([1.0, 1.0, 1.0, 1.0]), np.array([2.0, 2.0, 2.0, 2.0])
-        r = np.array([0.5, 1.0, 2.0, 3.0])
-        f = self.counted(lambda x: r - x)
-        lo_end, hi_end = _root(f, lo, hi)
-        np.testing.assert_array_equal(lo_end, [1.0, 1.0, 2.0, 2.0])
-        np.testing.assert_array_equal(hi_end, lo_end)
-        assert f.calls == 2
+        for r, end in zip((0.5, 1.0, 2.0, 3.0), (1.0, 1.0, 2.0, 2.0)):
+            f = self.counted(line(r))
+            assert _root(f, 1.0, 2.0) == (end, end)
+            assert f.calls == 2
 
     def test_scalar_bounds(self):
         lo, hi = _root(lambda x: 2.0 - x * x, 1.0, 2.0)
-        assert 0.0 < float(hi) - float(lo) <= np.spacing(2.0)
-        assert float(lo) ** 2 < 2.0 < float(hi) ** 2
+        assert type(lo) is float and type(hi) is float
+        assert 0.0 < hi - lo <= np.spacing(2.0)
+        assert lo**2 < 2.0 < hi**2
 
 
 class TestBrentMin:
@@ -850,6 +877,39 @@ class TestRoundTimeSearch:
         fits = [count for *_, count in searches]
         assert len(fits) == 24
         assert np.median(fits) <= 20
+
+
+class TestSmallestBudget:
+    """`_tau_lo` on default 40-device scenarios, seeds 0-3 on both schemes,
+    and on wide-box 2- and 3-device draws with p_min > 0."""
+
+    @staticmethod
+    def scenarios():
+        for scheme in ("fdma", "noma"):
+            for seed in range(4):
+                yield generate_scenario(ScenarioSpec(n_devices=40, scheme=scheme), seed=seed)
+        for k in range(6):
+            yield wide_box_draw(k)
+
+    def test_exact_and_short(self):
+        probes = []
+        for scn in self.scenarios():
+            env = _Env(scn)
+            t_floor = env.round_cycles(env.dev.min_resolution) / env.dev.f_max
+            calls = []
+            real = env.comm_margin
+            env.comm_margin = lambda d: calls.append(d) or real(d)
+            tau_lo, _ = _tau_lo(env, t_floor)
+            probes.append(len(calls))
+            below = np.nextafter(tau_lo, 0.0)
+            assert env.comm_feasible(tau_lo - t_floor)
+            assert not env.comm_feasible(below - t_floor)
+            # the comm solve agrees with the margin on both sides
+            assert env.comm_solve(tau_lo - t_floor) is not None
+            assert env.comm_solve(below - t_floor) is None
+        # march included; with a float-precision bisection this took 46-54
+        # (median 51.5) here
+        assert np.median(probes) <= 20
 
 
 class TestRandomBaseline:

@@ -57,6 +57,11 @@ class TestRun:
         assert run_cli("run", "--weights", "0.5") == 1
         assert run_cli("run", "--weights", "a,b") == 1
 
+    @pytest.mark.parametrize("text", ["nan,0.5", "inf,0.5", "0.5,0.5,nan"])
+    def test_non_finite_weights_are_config_errors(self, text, capsys):
+        assert run_cli("run", "--weights", text, "--solver", "random") == 1
+        assert "--weights:" in capsys.readouterr().err
+
     def test_invalid_config_content(self, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text("{not json")
@@ -85,6 +90,12 @@ class TestSweep:
     def test_bad_scheme_is_config_error(self, tmp_path):
         assert run_cli("sweep", "--schemes", "cdma",
                        "--out", str(tmp_path / "x.csv")) == 1
+
+    @pytest.mark.parametrize("w3", ["inf", "nan"])
+    def test_non_finite_w3_is_config_error(self, w3, tmp_path, capsys):
+        assert run_cli("sweep", "--w3", w3, "--n-devices", "2", "--seeds", "1",
+                       "--out", str(tmp_path / "x.csv")) == 1
+        assert "finite" in capsys.readouterr().err
 
 
 class TestOracle:

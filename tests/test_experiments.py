@@ -38,6 +38,19 @@ class TestGridValidation:
         with pytest.raises(ValueError, match="sum"):
             tiny_grid(weight_pairs=((0.5, 0.6),))
 
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(weight_pairs=((float("nan"), 0.5),)),
+            dict(weight_pairs=((0.5, float("inf")),)),
+            dict(w3=float("nan")),
+            dict(w3=float("inf")),
+        ],
+    )
+    def test_weights_must_be_finite(self, kw):
+        with pytest.raises(ValueError, match="finite"):
+            tiny_grid(**kw)
+
     def test_schemes_checked(self):
         with pytest.raises(ValueError):
             tiny_grid(schemes=("tdma",))
