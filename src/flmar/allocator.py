@@ -2,11 +2,13 @@
 resolution for synchronous federated rounds.
 
 The solver runs a block-coordinate descent around an epigraph variable: for
-a candidate round-time budget tau the communication subproblem is solved in
-closed form (FDMA: minimum-energy bandwidth split via one bracketed root
-search on the multiplier with a Lambert-W inversion; NOMA: per-channel power
-fixed point), CPU frequencies follow by deadline inversion, and tau itself is
-located by a doubling march and Brent's minimisation.  Frame resolutions
+a candidate round-time budget tau each device's time is split between
+compute and upload by one convex 1-D search on a fixed link, written once
+for both schemes; the communication subproblem is solved in closed form
+(FDMA: minimum-energy bandwidth split via one bracketed root search on the
+multiplier with a Lambert-W inversion; NOMA: per-channel power fixed point),
+CPU frequencies follow by deadline inversion, and tau itself is located by
+a doubling march and Brent's minimisation.  Frame resolutions
 then improve through exact per-device coordinate moves, and the outer loop
 repeats until the sweep returns resolutions it has already solved.
 """
@@ -346,7 +348,7 @@ def _fdma_comm_solve(env: _Env, deadlines):
 
     # Demand within 16 float spacings of B counts as the root.  When every
     # device sits at its kink, demand is flat in the price at the sum of the
-    # kinks.  The time resplit puts the kinks at the previous split, so that
+    # kinks.  The time split puts the kinks at the previous split, so that
     # sum misses B only by the rounding of the searches behind it (up to 12
     # spacings on the wide parameter box), and a bracket search could only
     # creep along the plateau.
@@ -432,7 +434,6 @@ class _Budget:
     """Continuous variables fitted to one round-time budget tau."""
 
     value: float
-    tau: float
     power: np.ndarray
     bandwidth: np.ndarray | None
     cpu: np.ndarray
@@ -451,131 +452,110 @@ def _comm_marginal(c, x):
     return out
 
 
-def _split_bisect(tau, two_k_cyc3, comm_marginal_at, d_lo, d_hi):
-    """Minimise kappa cyc^3/(tau-d)^2 + E_com(d) over d in [d_lo, d_hi].
-
-    The derivative 2 kappa cyc^3/(tau-d)^3 - comm_marginal(d) is increasing
-    (both energies are convex), so sign bisection lands on the minimiser and
-    collapses to the binding bound when the sign never flips.
-    """
-    lo, hi = _bisect(
-        lambda d: ~(two_k_cyc3 / (tau - d) ** 3 >= comm_marginal_at(d)),
-        np.minimum(d_lo, d_hi),
-        d_hi,
-    )
-    return 0.5 * (lo + hi)
-
-
-def _deadline_bounds(env: _Env, tau: float, cyc, idx, bw, denom):
-    """Upload-deadline range ``(d_lo, d_hi)`` of the devices at ``idx``.
+def _time_split(env: _Env, tau: float, cyc, idx, bw, denom, price=None, floor=None):
+    """Upload deadlines of the devices at ``idx`` that minimise each one's
+    compute plus upload energy within budget tau, on a fixed link.
 
     The devices upload on ``bw`` hertz against ``denom`` watts of noise plus
-    interference.  d_lo is the later of the upload time at p_max and the
-    deadline that leaves f_min the rest of tau; d_hi leaves f_max the rest
-    of tau and, where p_min > 0, is capped at the upload time at p_min (no
-    slower upload exists), but not below d_lo.
+    interference.  ``price`` charges that many joules per watt of upload
+    power, and ``floor`` is a lowest deadline.  The deadline range starts at
+    the latest of the upload time at p_max, the deadline that leaves f_min
+    the rest of tau and the floor; it ends where f_max fills the rest of
+    tau and, where p_min > 0, at the upload time at p_min (no slower upload
+    exists), but not below its start.  Compute and upload energy are both
+    convex in the deadline, so the derivative 2 kappa cyc^3/(tau-d)^3 -
+    (-dE_up/dd) rises with it, and sign bisection lands on the minimiser or
+    collapses to the binding end where the sign never flips.
     """
     dev = env.dev
     g = dev.gain[idx]
     d_feas = env.s / shannon_rate(bw, g * dev.p_max[idx] / denom)
     d_hi = tau - cyc[idx] / dev.f_max[idx]
     d_lo = np.maximum(tau - cyc[idx] / dev.f_min[idx], d_feas)
+    if floor is not None:
+        d_lo = np.maximum(d_lo, floor)
     pinned = dev.p_min[idx] > 0.0
     if pinned.any():
         # the p_min upload time; inf where p_min = 0 leaves d_hi as it is
         rate = shannon_rate(bw, g * dev.p_min[idx] / denom)
         d_pin = np.divide(env.s, rate, out=np.full(pinned.shape, np.inf), where=pinned)
         d_hi = np.minimum(d_hi, np.maximum(d_pin, d_lo))
-    return d_lo, d_hi
 
+    c = denom / g
+    a = env.s / bw
+    two_k_cyc3 = 2.0 * dev.kappa[idx] * cyc[idx] ** 3
 
-def _fdma_resplit(env: _Env, tau: float, cyc, b):
-    """Per-device upload deadlines balancing CPU and transmit energy at fixed b."""
-    dev = env.dev
-    c = env.noise * b / dev.gain
-    a = env.s / b
-    d_lo, d_hi = _deadline_bounds(env, tau, cyc, slice(None), b, env.noise * b)
-    return _split_bisect(
-        tau,
-        2.0 * dev.kappa * cyc**3,
-        lambda d: _comm_marginal(c, a / d),
-        d_lo,
-        d_hi,
-    )
-
-
-def _noma_resplit(env: _Env, tau: float, cyc, deadlines):
-    """One weak-then-strong pass of per-channel deadline rebalancing.
-
-    The weak user's power raises the interference the strong user must
-    overcome, so the weak split also prices d_s A_s g_w / g_s extra joules
-    per watt of weak power; both half-steps stay 1-D convex.
-    """
-    dev = env.dev
-    g = dev.gain
-    s_idx, w_idx = env.strong, env.weak
-    bc = env.channel_bw
-    noise = env.noise * bc
-    d = deadlines.copy()
-
-    # weak half-step: account for the interference cost on the strong user;
-    # k_cross is d_s times the strong power bought per watt of weak power
-    c_w = noise / g[w_idx]
-    with np.errstate(over="ignore"):
-        k_cross = d[s_idx] * power_for_rate(bc, env.s / d[s_idx], g[w_idx], g[s_idx])
-    x_of = lambda dd: env.s / (bc * dd)  # noqa: E731
-
-    def weak_marginal(dd):
-        x = x_of(dd)
+    def upload_marginal(d):
+        x = a / d
+        m = _comm_marginal(c, x)
+        if price is None:
+            return m
+        # the upload power falls by c 2**x ln2 x / d per second of deadline
         with np.errstate(over="ignore", invalid="ignore"):
-            dpw = c_w * np.exp2(x) * _LN2 * x / dd
-        return _comm_marginal(c_w, x) + k_cross * dpw
+            return m + price * (c * np.exp2(x) * _LN2 * x / d)
 
-    d_lo, d_hi = _deadline_bounds(env, tau, cyc, w_idx, bc, noise)
-    d[w_idx] = _split_bisect(
-        tau, 2.0 * dev.kappa[w_idx] * cyc[w_idx] ** 3, weak_marginal, d_lo, d_hi
-    )
-
-    # strong half-step against the updated weak interference
-    with np.errstate(over="ignore"):
-        p_w = np.maximum(
-            power_for_rate(bc, env.s / d[w_idx], noise, g[w_idx]), dev.p_min[w_idx]
-        )
-    denom_s = g[w_idx] * p_w + noise
-    c_s = denom_s / g[s_idx]
-    d_lo, d_hi = _deadline_bounds(env, tau, cyc, s_idx, bc, denom_s)
-    d[s_idx] = _split_bisect(
-        tau,
-        2.0 * dev.kappa[s_idx] * cyc[s_idx] ** 3,
-        lambda dd: _comm_marginal(c_s, x_of(dd)),
-        d_lo,
+    lo, hi = _bisect(
+        lambda d: ~(two_k_cyc3 / (tau - d) ** 3 >= upload_marginal(d)),
+        np.minimum(d_lo, d_hi),
         d_hi,
     )
+    return 0.5 * (lo + hi)
+
+
+def _noma_split(env: _Env, tau: float, cyc, d):
+    """NOMA upload deadlines for budget tau: the weak users' split, then the
+    strong users' against the weak power it leaves.
+
+    ``d`` holds the full-speed deadlines tau - cyc / f_max.  At its partner's
+    full-speed deadline d_s each watt of weak power costs the strong user
+    d_s (2**x_s - 1) g_w / g_s joules, which the weak split prices.  The
+    weak deadline is floored where the strong partner, at p_max and f_max,
+    can still meet tau against the weak interference, so for every feasible
+    tau the strong split has deadlines it can meet.
+    """
+    s_idx, w_idx = env.strong, env.weak
+    g, bc = env.dev.gain, env.channel_bw
+    noise = env.noise * bc
+    d = d.copy()
+    with np.errstate(over="ignore", divide="ignore"):
+        price = d[s_idx] * power_for_rate(bc, env.s / d[s_idx], g[w_idx], g[s_idx])
+        # the largest weak SNR under which the strong user meets d_s at p_max
+        snr = env.dev.p_max[s_idx] / power_for_rate(bc, env.s / d[s_idx], noise, g[s_idx])
+        floor = env.s / shannon_rate(bc, np.maximum(snr - 1.0, 0.0))
+    d[w_idx] = _time_split(env, tau, cyc, w_idx, bc, noise, price, floor)
+    _, p_w, _ = _noma_powers(env, d)
+    d[s_idx] = _time_split(env, tau, cyc, s_idx, bc, g[w_idx] * p_w + noise)
     return d
 
 
 def _budget_config(env: _Env, weights: Weights, tau: float, cyc, t_floor, loss_term):
     """Fit powers, bandwidths and frequencies to budget tau; None if impossible.
 
-    One pass of three exact steps: solve the shared bandwidth / channel
-    powers at the full-speed upload deadlines, re-split each device's time
-    between compute and upload for that solution (1-D convex, handled by
-    `_split_bisect`), and solve the communication again at the new
-    deadlines, keeping the first solution when they cannot be met.  The
-    CPUs then slow to exactly fill tau minus the achieved upload time.
+    The upload deadlines come from a compute/upload time split on a fixed
+    link, then one comm solve meets them.  FDMA first solves the bandwidth
+    split at the full-speed deadlines tau - t_floor and splits the time on
+    those bandwidths; at tau_lo that split can miss feasibility by a
+    rounding, and the fit then keeps the first solution.  NOMA splits the
+    time by `_noma_split`, which always leaves deadlines that a feasible tau
+    can meet.  The CPUs then slow to exactly fill tau minus the achieved
+    upload time.
     """
     d = tau - t_floor
     if np.any(d <= 0.0):
         return None
-    sol = env.comm_solve(d)
+    first = None
+    if env.scheme == "fdma":
+        first = env.comm_solve(d)
+        if first is None:
+            return None
+        b = first[1]
+        d = _time_split(env, tau, cyc, slice(None), b, env.noise * b)
+    else:
+        d = _noma_split(env, tau, cyc, d)
+    sol = env.comm_solve(d) or first
     if sol is None:
         return None
-    if env.scheme == "fdma":
-        d = _fdma_resplit(env, tau, cyc, sol[1])
-    else:
-        d = _noma_resplit(env, tau, cyc, d)
-    resplit = env.comm_solve(d)
-    p, b, t_com, e_com = sol if resplit is None else resplit
+    p, b, t_com, e_com = sol
     f = np.clip(cyc / (tau - t_com), env.dev.f_min, env.dev.f_max)
     e_cmp = cmos_energy(env.dev.kappa, cyc, f)
     value = (
@@ -583,7 +563,7 @@ def _budget_config(env: _Env, weights: Weights, tau: float, cyc, t_floor, loss_t
         + weights.w2 * env.rounds * tau
         + loss_term
     )
-    return _Budget(value, tau, p, b, f, t_com, e_com)
+    return _Budget(value, p, b, f, t_com, e_com)
 
 
 def _tau_lo(env: _Env, t_floor):
@@ -679,10 +659,7 @@ def _sweep_core(env: _Env, weights: Weights, resolution_px, cpu_hz, t_com, e_com
     for n in range(env.n):
         cand = np.array(dev.resolutions[n], dtype=float)
         cyc_c = round_cycles(env.iters, dev.cycles_per_pixel[n], cand, dev.frames[n])
-        slack = tau - t_com[n]
-        if slack <= 0.0:
-            continue
-        f_c = np.clip(cyc_c / slack, dev.f_min[n], dev.f_max[n])
+        f_c = np.clip(cyc_c / (tau - t_com[n]), dev.f_min[n], dev.f_max[n])
         t_c = cyc_c / f_c
         e_c = cmos_energy(dev.kappa[n], cyc_c, f_c)
         hold = t_tot[n]

@@ -36,11 +36,11 @@ from flmar.allocator import (
     _budget_config,
     _continuous_solve,
     _Env,
-    _fdma_resplit,
-    _noma_resplit,
+    _noma_split,
     _root,
     _sweep_core,
     _tau_lo,
+    _time_split,
     _u_from_k,
 )
 
@@ -520,14 +520,25 @@ def split_energy(kappa, cyc, tau, d, noise_w, gain, bits, bandwidth):
     return kappa * cyc**3 / (tau - d) ** 2 + upload
 
 
-def deadline_range(dev, tau, cyc, bits, bandwidth, noise_w):
+def deadline_range(dev, tau, cyc, bits, bandwidth, noise_w, floor=0.0):
     """The upload deadlines a device can meet: at most p_max, at least p_min,
-    with its CPU within [f_min, f_max] on the rest of tau."""
-    lo = max(tau - cyc / dev.f_min, upload_seconds(bits, bandwidth, noise_w, dev.gain, dev.p_max))
+    with its CPU within [f_min, f_max] on the rest of tau, and no shorter
+    than ``floor``."""
+    lo = max(tau - cyc / dev.f_min, upload_seconds(bits, bandwidth, noise_w, dev.gain, dev.p_max),
+             floor)
     hi = tau - cyc / dev.f_max
     if dev.p_min > 0.0:
         hi = min(hi, max(upload_seconds(bits, bandwidth, noise_w, dev.gain, dev.p_min), lo))
     return lo, hi
+
+
+def weak_deadline_floor(strong, weak, tau, cyc_s, bits, bc, noise_w):
+    """The shortest weak upload deadline whose interference still lets the
+    strong partner meet tau at p_max and f_max."""
+    d_s = tau - cyc_s / strong.f_max
+    # at p_max the strong SINR is exactly 2**(bits / (bc d_s)) - 1
+    p_w = (strong.gain * strong.p_max / (2.0 ** (bits / (bc * d_s)) - 1.0) - noise_w) / weak.gain
+    return upload_seconds(bits, bc, noise_w, weak.gain, p_w)
 
 
 def assert_minimises(energy, d, lo, hi):
@@ -556,14 +567,23 @@ class TestTimeSplit:
         return replace(base, devices=[replace(dv, p_min=p)
                                      for dv, p in zip(base.devices, (0.15, 0.0, 0.1, 0.0))])
 
-    def noma_deadlines(self, scn, cyc):
-        return self.TAU - cyc / np.array([dv.f_max for dv in scn.devices])
+    def floored_noma_scenario(self):
+        # one pair: the weak user's compute is costly enough that it would
+        # upload at p_max, and its strong partner, with a short upload window
+        # and p_max = 0.05 W, cannot overcome that much interference
+        base = make_scenario([1e-12, 9e-13], scheme="noma", frames=[150, 100])
+        return replace(base, devices=[replace(base.devices[0], p_max=0.05), base.devices[1]])
+
+    def noma_split(self, scn):
+        env = _Env(scn)
+        cyc = self.cycles(scn)
+        return env, cyc, _noma_split(env, self.TAU, cyc, self.TAU - cyc / env.dev.f_max)
 
     def test_fdma(self):
         scn = self.fdma_scenario()
         cyc = self.cycles(scn)
         b = self.FDMA_BANDWIDTH
-        d = _fdma_resplit(_Env(scn), self.TAU, cyc, b)
+        d = _time_split(_Env(scn), self.TAU, cyc, slice(None), b, N0 * b)
         bits = scn.model_size_bits
         for n, dv in enumerate(scn.devices):
             noise_w = N0 * b[n]
@@ -576,29 +596,31 @@ class TestTimeSplit:
                 d[n], lo, hi,
             )
 
-    def test_noma(self):
-        scn = self.noma_scenario()
-        env = _Env(scn)
-        cyc = self.cycles(scn)
-        d_in = self.noma_deadlines(scn, cyc)
-        d = _noma_resplit(env, self.TAU, cyc, d_in)
+    def check_noma(self, scn):
+        """Check each pair's split; returns the weak deadlines and their floors."""
+        env, cyc, d = self.noma_split(scn)
+        assert env.comm_margin(d) <= 0.0
         bits, bc = scn.model_size_bits, env.channel_bw
         noise_w = N0 * bc
+        weak_split = []
         for s, w in zip(env.strong, env.weak):
             strong, weak = scn.devices[s], scn.devices[w]
 
-            # weak half-step, with the strong deadline still at its input value:
-            # each watt of weak power costs the strong user (2**x_s - 1) g_w / g_s
+            # weak half-step, with the strong deadline at full speed: each
+            # watt of weak power costs the strong user (2**x_s - 1) g_w / g_s
             # watts for d_s seconds
-            cross = d_in[s] * (2.0 ** (bits / (bc * d_in[s])) - 1.0) * weak.gain / strong.gain
+            d_s = self.TAU - cyc[s] / strong.f_max
+            cross = d_s * (2.0 ** (bits / (bc * d_s)) - 1.0) * weak.gain / strong.gain
 
             def weak_energy(x):
                 p_w = (noise_w / weak.gain) * (2.0 ** (bits / (bc * x)) - 1.0)
                 return split_energy(weak.kappa, cyc[w], self.TAU, x, noise_w, weak.gain,
                                     bits, bc) + cross * p_w
 
-            lo, hi = deadline_range(weak, self.TAU, cyc[w], bits, bc, noise_w)
+            floor = weak_deadline_floor(strong, weak, self.TAU, cyc[s], bits, bc, noise_w)
+            lo, hi = deadline_range(weak, self.TAU, cyc[w], bits, bc, noise_w, floor)
             assert_minimises(weak_energy, d[w], lo, hi)
+            weak_split.append((d[w], floor))
 
             # strong half-step at the weak power the weak deadline leaves
             p_w = max((noise_w / weak.gain) * (2.0 ** (bits / (bc * d[w])) - 1.0), weak.p_min)
@@ -611,15 +633,55 @@ class TestTimeSplit:
                                        strong.gain, bits, bc),
                 d[s], lo, hi,
             )
+        return weak_split
+
+    def test_noma(self):
+        self.check_noma(self.noma_scenario())
+
+    def test_noma_weak_deadline_floor(self):
+        scn = self.floored_noma_scenario()
+        [(d_w, floor)] = self.check_noma(scn)
+        # the floor binds, well above the weak user's own p_max upload time
+        weak = scn.devices[1]
+        bits, bc = scn.model_size_bits, scn.total_bandwidth_hz
+        assert upload_seconds(bits, bc, N0 * bc, weak.gain, weak.p_max) < 0.6 * floor
+        assert d_w == pytest.approx(floor, rel=1e-12)
 
     def test_mixed_p_min_splits_emit_no_warning(self):
         # a device with p_min = 0 has no p_min upload time to compute
         fdma, noma = self.fdma_scenario(), self.noma_scenario()
+        b = self.FDMA_BANDWIDTH
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            _fdma_resplit(_Env(fdma), self.TAU, self.cycles(fdma), self.FDMA_BANDWIDTH)
-            cyc = self.cycles(noma)
-            _noma_resplit(_Env(noma), self.TAU, cyc, self.noma_deadlines(noma, cyc))
+            _time_split(_Env(fdma), self.TAU, self.cycles(fdma), slice(None), b, N0 * b)
+            self.noma_split(noma)
+
+
+class TestNomaSplit:
+    """The NOMA time split just above the smallest feasible budget, on
+    default 40-device scenarios, seeds 0-3."""
+
+    def test_deadlines_can_be_met_with_one_comm_solve(self, monkeypatch):
+        solves = []
+        real = flmar.allocator._noma_comm_solve
+        monkeypatch.setattr(flmar.allocator, "_noma_comm_solve",
+                            lambda env, d: solves.append(d) or real(env, d))
+        for seed in range(4):
+            scn = generate_scenario(ScenarioSpec(n_devices=40, scheme="noma"), seed=seed)
+            env = _Env(scn)
+            r = env.dev.min_resolution
+            cyc = env.round_cycles(r)
+            t_floor = cyc / env.dev.f_max
+            loss = W.w3 * float((1.0 - env.accuracy(r)).sum())
+            tau_lo, _ = _tau_lo(env, t_floor)
+            for f in np.geomspace(1e-9, 1.0, 40):
+                tau = tau_lo * (1.0 + f)
+                # a split that ignored the strong partner left a pair that
+                # could not meet tau on 57 of these 160 budgets
+                assert env.comm_margin(_noma_split(env, tau, cyc, tau - t_floor)) <= 0.0
+                solves.clear()
+                assert _budget_config(env, W, tau, cyc, t_floor, loss) is not None
+                assert len(solves) == 1
 
 
 def test_import_leaves_scipy_optimize_out():
