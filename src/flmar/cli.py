@@ -31,7 +31,7 @@ from .experiments import (
     write_json,
 )
 from .figures import VALUE_FIELDS, render_bar_chart, write_svg
-from .oracle import GridSpec, brute_force_oracle
+from .oracle import MAX_ORACLE_DEVICES, GridSpec, brute_force_oracle
 from .scenario import ScenarioSpec, load_scenario
 
 
@@ -220,17 +220,15 @@ def _cmd_oracle(args) -> int:
     import json
 
     weights = _parse_weights(args.weights)
-    if args.n_devices > 3:
-        raise _CliError("oracle supports at most 3 devices")
-    scenario = _generated_scenario(args)
+    if args.n_devices > MAX_ORACLE_DEVICES:
+        raise _CliError(f"oracle supports at most {MAX_ORACLE_DEVICES} devices")
     points = args.grid_points
-    reference = brute_force_oracle(
-        scenario,
-        weights,
-        GridSpec(
-            power_points=points, freq_points=points, bandwidth_points=points
-        ),
-    )
+    try:
+        grid = GridSpec(power_points=points, freq_points=points, bandwidth_points=points)
+    except ValueError as exc:
+        raise _CliError(f"--grid-points: {exc}") from exc
+    scenario = _generated_scenario(args)
+    reference = brute_force_oracle(scenario, weights, grid)
     solved = optimize(scenario, weights)
     gap = (solved.objective - reference.objective) / abs(reference.objective)
     summary = {

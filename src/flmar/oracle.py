@@ -5,9 +5,14 @@ resolution choice, so it is exact on its grid and independent of the
 closed-form machinery in :mod:`flmar.allocator`.  Supports at most three
 devices; cost grows combinatorially beyond that.
 
-The only non-obvious step is how per-device candidate lists combine under
-the round-time coupling J = sum_d a_d + w2 G max_d t_d.  The optimal round
-time equals some candidate's t, so minimising
+The search runs over shared-link choices: an FDMA bandwidth split, or the
+NOMA weak user's power.  Within one choice each device's upload depends on
+its own power alone (the weak rate does not depend on the strong power,
+and the strong user is priced against the chosen weak power's
+interference), so every device gets one candidate table over power x
+frequency x resolution.  The tables combine under the round-time coupling
+J = sum_d a_d + w2 G max_d t_d.  The optimal round time equals some
+candidate's t, so minimising
 
     J(theta) = w2 G theta + sum_d min{ a_d : t_d <= theta }
 
@@ -19,6 +24,7 @@ round time recovers its value.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,13 +74,11 @@ def _min_over_grid(times: list, costs: list, w2_rounds: float):
     """Exact minimum of sum(costs) + w2_rounds * max(times) over one pick per list.
 
     Returns ``(value, picks)`` with original candidate indices, or None when
-    some device has no candidates.
+    no pick has a finite value.  Ties go to the smallest round time, then per
+    device to the faster of equal-cost candidates.
     """
-    n = len(times)
     orders, t_sorted, run_vals, run_idx = [], [], [], []
     for t, c in zip(times, costs):
-        if t.size == 0:
-            return None
         order = np.argsort(t, kind="stable")
         orders.append(order)
         t_sorted.append(t[order])
@@ -84,27 +88,27 @@ def _min_over_grid(times: list, costs: list, w2_rounds: float):
     thetas = np.unique(np.concatenate(t_sorted))
     total = w2_rounds * thetas
     positions = []
-    feasible = np.ones(thetas.size, dtype=bool)
-    for k in range(n):
-        pos = np.searchsorted(t_sorted[k], thetas, side="right") - 1
+    for ts, rv in zip(t_sorted, run_vals):
+        pos = np.searchsorted(ts, thetas, side="right") - 1
         positions.append(pos)
-        feasible &= pos >= 0
-        total = total + np.where(pos >= 0, run_vals[k][np.maximum(pos, 0)], np.inf)
-    total = np.where(feasible, total, np.inf)
+        total = total + np.where(pos >= 0, rv[np.maximum(pos, 0)], np.inf)
     best = int(np.argmin(total))
     if not np.isfinite(total[best]):
         return None
-    picks = [int(orders[k][run_idx[k][positions[k][best]]]) for k in range(n)]
+    picks = [int(o[ri[pos[best]]]) for o, ri, pos in zip(orders, run_idx, positions)]
     return float(total[best]), picks
 
 
 class _DeviceGrid:
-    """Per-device candidate tables shared across bandwidth/power loops."""
+    """One device's grids and the upload-free part of its candidate table."""
 
     def __init__(
         self, scenario: Scenario, table: DeviceTable, k: int, weights: Weights,
         grid: GridSpec,
     ):
+        powers = np.linspace(table.p_min[k], table.p_max[k], grid.power_points)
+        self.p_grid = powers[powers > 0.0]
+        self.gain = table.gain[k]
         self.f_grid = np.linspace(table.f_min[k], table.f_max[k], grid.freq_points)
         self.r_grid = np.array(table.resolutions[k], dtype=int)
         cyc = round_cycles(
@@ -115,47 +119,73 @@ class _DeviceGrid:
         )
         self.t_cmp = (cyc[None, :] / self.f_grid[:, None]).ravel()
         e_cmp = cmos_energy(table.kappa[k], cyc[None, :], self.f_grid[:, None]).ravel()
-        loss = (
-            1.0 - detection_accuracy(self.r_grid, scenario.accuracy_model)
-        )
-        w1_rounds = weights.w1 * scenario.global_rounds
+        loss = 1.0 - detection_accuracy(self.r_grid, scenario.accuracy_model)
+        self.w1_rounds = weights.w1 * scenario.global_rounds
         self.base_cost = (
-            w1_rounds * e_cmp
+            self.w1_rounds * e_cmp
             + weights.w3 * np.broadcast_to(loss, (grid.freq_points, loss.size)).ravel()
         )
-        self.w1_rounds = w1_rounds
         self.n_res = self.r_grid.size
 
-    def with_comm(self, t_com: float, e_com: float):
-        """Candidate (times, costs) once the upload time/energy are fixed."""
-        return self.t_cmp + t_com, self.base_cost + self.w1_rounds * e_com
+    def candidates(self, t_com: np.ndarray, e_com: np.ndarray):
+        """Candidate (times, costs) over power x frequency x resolution, from
+        the upload time and energy at each power."""
+        return (
+            (t_com[:, None] + self.t_cmp[None, :]).ravel(),
+            (self.w1_rounds * e_com[:, None] + self.base_cost[None, :]).ravel(),
+        )
 
-    def decode(self, pick: int):
-        """Candidate index -> (cpu_hz, resolution)."""
-        return float(self.f_grid[pick // self.n_res]), int(self.r_grid[pick % self.n_res])
+    def decode(self, pick: int, powers: np.ndarray):
+        """Candidate index -> (power_w, cpu_hz, resolution)."""
+        p, fr = divmod(pick, self.t_cmp.size)
+        f, r = divmod(fr, self.n_res)
+        return float(powers[p]), float(self.f_grid[f]), int(self.r_grid[r])
 
 
-def _power_grid(table: DeviceTable, k: int, grid: GridSpec) -> np.ndarray:
-    pts = np.linspace(table.p_min[k], table.p_max[k], grid.power_points)
-    return pts[pts > 0.0]
+def _upload(scenario: Scenario, dgrid: _DeviceGrid, bandwidth: float, interference=0.0):
+    """Upload (time, energy) at each of the device's grid powers, on
+    ``bandwidth`` Hz against noise plus ``interference`` watts."""
+    noise = scenario.noise_psd * bandwidth + interference
+    t_com = scenario.model_size_bits / shannon_rate(bandwidth, dgrid.gain * dgrid.p_grid / noise)
+    return t_com, dgrid.p_grid * t_com
 
 
-def _fdma_splits(n: int, total: float, points: int):
-    """Bandwidth splits to enumerate, each summing to ``total``."""
-    if n == 1:
-        for b in np.linspace(total / points, total, points):
-            yield np.array([b])
+def _fdma_splits(n: int, total: float, grid: GridSpec):
+    """Bandwidth splits to enumerate, each summing to ``total``.
+
+    Every device but the last takes an interior fraction of
+    linspace(0, 1, bandwidth_points + 2); the last takes the rest, so one
+    device gets all of ``total``.  The rest is a whole number of grid steps
+    up to rounding, so half a step tells an empty share from a real one.
+    """
+    fractions = np.linspace(0.0, 1.0, grid.bandwidth_points + 2)
+    for head in itertools.product(fractions[1:-1], repeat=n - 1):
+        rest = 1.0
+        for x in head:
+            rest -= x
+        if rest > fractions[1] / 2:
+            yield np.array([*head, rest]) * total
+
+
+def _links(scenario: Scenario, table: DeviceTable, dgrids: list, grid: GridSpec):
+    """Shared-link choices, each as per-device ``(powers, t_com, e_com)``
+    plus the Allocation fields that fix the link."""
+    if scenario.scheme == "fdma":
+        for split in _fdma_splits(scenario.n_devices, scenario.total_bandwidth_hz, grid):
+            uploads = [(d.p_grid, *_upload(scenario, d, b)) for d, b in zip(dgrids, split)]
+            yield uploads, {"bandwidth_hz": split}
         return
-    fractions = np.linspace(0.0, 1.0, points + 2)[1:-1]
-    if n == 2:
-        for x in fractions:
-            yield np.array([x * total, (1.0 - x) * total])
-        return
-    for x in fractions:
-        for y in fractions:
-            z = 1.0 - x - y
-            if z > 1e-12:
-                yield np.array([x * total, y * total, z * total])
+    # one channel, two users, in the gain-sorted pairing
+    bc = scenario.total_bandwidth_hz / scenario.n_channels
+    pairing = table.noma_pairing(bc)
+    s_pos, w_pos = table.positions(pairing.channels[0]).tolist()
+    strong, weak = dgrids[s_pos], dgrids[w_pos]
+    t_w, e_w = _upload(scenario, weak, bc)
+    for j, p_w in enumerate(weak.p_grid):
+        uploads = [None, None]
+        uploads[w_pos] = (weak.p_grid[j:j + 1], t_w[j:j + 1], e_w[j:j + 1])
+        uploads[s_pos] = (strong.p_grid, *_upload(scenario, strong, bc, weak.gain * p_w))
+        yield uploads, {"pairing": pairing}
 
 
 def brute_force_oracle(
@@ -164,8 +194,10 @@ def brute_force_oracle(
     """Grid-exact reference solution for scenarios with at most 3 devices.
 
     Deterministic: the same scenario, weights and grid always return the
-    identical report.  Ties resolve to the earliest grid point (lowest
-    power, then frequency, then resolution index).
+    identical report.  Ties go to the earliest link choice (FDMA splits in
+    order of their leading fractions, NOMA weak powers ascending), then to
+    the smallest round time, then per device to the faster of two
+    equal-cost candidates.
     """
     errors = scenario.validate()
     if errors:
@@ -178,10 +210,20 @@ def brute_force_oracle(
     table = device_table(scenario)
     dgrids = [_DeviceGrid(scenario, table, k, weights, grid) for k in range(n)]
     w2_rounds = weights.w2 * scenario.global_rounds
-    if scenario.scheme == "fdma":
-        alloc = _fdma_search(scenario, table, grid, dgrids, w2_rounds)
-    else:
-        alloc = _noma_search(scenario, table, grid, dgrids, w2_rounds)
+    best_val, alloc = np.inf, None
+    for uploads, link in _links(scenario, table, dgrids, grid):
+        tables = [d.candidates(t, e) for d, (_, t, e) in zip(dgrids, uploads)]
+        hit = _min_over_grid([t for t, _ in tables], [c for _, c in tables], w2_rounds)
+        if hit is None or hit[0] >= best_val:
+            continue
+        best_val = hit[0]
+        power, cpu, res = zip(
+            *(d.decode(pick, p) for d, (p, _, _), pick in zip(dgrids, uploads, hit[1]))
+        )
+        alloc = Allocation(
+            power_w=np.array(power), cpu_hz=np.array(cpu),
+            resolution_px=np.array(res), **link,
+        )
     if alloc is None:
         raise ValueError("no feasible grid point: every candidate violates a limit")
     metrics = system_metrics(scenario, alloc)
@@ -194,92 +236,3 @@ def brute_force_oracle(
         converged=True,
         objective_trace=[value],
     )
-
-
-def _comm_tables(scenario, gain, powers, bandwidth):
-    noise = scenario.noise_psd * bandwidth
-    t_com = scenario.model_size_bits / shannon_rate(bandwidth, gain * powers / noise)
-    return t_com, powers * t_com
-
-
-def _fdma_search(scenario, table, grid, dgrids, w2_rounds):
-    n = scenario.n_devices
-    best_val = np.inf
-    best = None
-    p_grids = [_power_grid(table, k, grid) for k in range(n)]
-    for split in _fdma_splits(n, scenario.total_bandwidth_hz, grid.bandwidth_points):
-        times, costs, decode = [], [], []
-        usable = True
-        for k in range(n):
-            if p_grids[k].size == 0:
-                usable = False
-                break
-            t_com, e_com = _comm_tables(scenario, table.gain[k], p_grids[k], split[k])
-            times.append((t_com[:, None] + dgrids[k].t_cmp[None, :]).ravel())
-            costs.append(
-                (
-                    dgrids[k].w1_rounds * e_com[:, None]
-                    + dgrids[k].base_cost[None, :]
-                ).ravel()
-            )
-            decode.append(p_grids[k])
-        if not usable:
-            continue
-        hit = _min_over_grid(times, costs, w2_rounds)
-        if hit is None or hit[0] >= best_val:
-            continue
-        best_val = hit[0]
-        power = np.empty(n)
-        cpu = np.empty(n)
-        res = np.empty(n, dtype=int)
-        for k, pick in enumerate(hit[1]):
-            stride = dgrids[k].t_cmp.size
-            power[k] = decode[k][pick // stride]
-            cpu[k], res[k] = dgrids[k].decode(pick % stride)
-        best = Allocation(
-            power_w=power,
-            cpu_hz=cpu,
-            resolution_px=res,
-            bandwidth_hz=split.copy(),
-        )
-    return best
-
-
-def _noma_search(scenario, table, grid, dgrids, w2_rounds):
-    # one channel, two users, in the gain-sorted pairing
-    bc = scenario.total_bandwidth_hz / scenario.n_channels
-    pairing = table.noma_pairing(bc)
-    s_pos, w_pos = table.positions(pairing.channels[0]).tolist()
-    noise = scenario.noise_psd * bc
-    g_s, g_w = table.gain[s_pos], table.gain[w_pos]
-    p_s_grid = _power_grid(table, s_pos, grid)
-    p_w_grid = _power_grid(table, w_pos, grid)
-    size = scenario.model_size_bits
-    rate_w = shannon_rate(bc, g_w * p_w_grid / noise)
-    best_val = np.inf
-    best = None
-    for j, p_w in enumerate(p_w_grid):
-        t_com_w = size / rate_w[j]
-        e_com_w = p_w * t_com_w
-        t_com_s = size / shannon_rate(bc, g_s * p_s_grid / (g_w * p_w + noise))
-        e_com_s = p_s_grid * t_com_s
-        for i, p_s in enumerate(p_s_grid):
-            t_s, c_s = dgrids[s_pos].with_comm(t_com_s[i], e_com_s[i])
-            t_w, c_w = dgrids[w_pos].with_comm(t_com_w, e_com_w)
-            hit = _min_over_grid([t_s, t_w], [c_s, c_w], w2_rounds)
-            if hit is None or hit[0] >= best_val:
-                continue
-            best_val = hit[0]
-            power = np.empty(2)
-            cpu = np.empty(2)
-            res = np.empty(2, dtype=int)
-            power[s_pos], power[w_pos] = p_s, p_w
-            cpu[s_pos], res[s_pos] = dgrids[s_pos].decode(hit[1][0])
-            cpu[w_pos], res[w_pos] = dgrids[w_pos].decode(hit[1][1])
-            best = Allocation(
-                power_w=power,
-                cpu_hz=cpu,
-                resolution_px=res,
-                pairing=pairing,
-            )
-    return best

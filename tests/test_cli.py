@@ -113,6 +113,10 @@ class TestOracle:
     def test_too_many_devices_is_config_error(self):
         assert run_cli("oracle", "--n-devices", "5") == 1
 
+    def test_too_few_grid_points_is_config_error(self, capsys):
+        assert run_cli("oracle", "--grid-points", "1") == 1
+        assert capsys.readouterr().err.startswith("flmar: ")
+
 
 class TestPlot:
     def test_plot_from_csv(self, tmp_path):

@@ -1,8 +1,9 @@
 """Exhaustive grid reference: checked against a from-scratch enumerator.
 
 The naive enumerator below mirrors the documented grid contract (power and
-frequency are linspace over device bounds with zero power dropped; two-device
-bandwidth splits use interior fractions of linspace(0, 1, points+2)) but
+frequency are linspace over device bounds with zero power dropped; every FDMA
+device but the last takes an interior fraction of linspace(0, 1, points+2) of
+the bandwidth and the last takes the rest) but
 computes every objective with plain ``math`` formulas, no library calls, so
 the two implementations share nothing beyond the problem statement.
 """
@@ -109,6 +110,31 @@ class TestOracleAgainstNaive:
                         w, per, (c0[2], c1[2])))
         assert report.objective == pytest.approx(best, rel=1e-9)
 
+    def test_fdma_three_devices(self):
+        scn = make_scenario([2e-9, 8e-10, 5e-10], frames=[30, 20, 25],
+                            resolutions=(100, 500))
+        w = Weights(0.4, 0.6, 0.5)
+        grid = GridSpec(power_points=3, freq_points=2, bandwidth_points=3)
+        report = brute_force_oracle(scn, w, grid)
+
+        cands = [device_candidates(d, 3, 2) for d in scn.devices]
+        total = scn.total_bandwidth_hz
+        fracs = np.linspace(0.0, 1.0, 5)[1:-1]
+        splits = [(x, y, 1.0 - x - y) for x in fracs for y in fracs
+                  if 1.0 - x - y > 0.1]
+        assert len(splits) == 3
+        best = math.inf
+        for shares in splits:
+            for combo in itertools.product(*cands):
+                per = []
+                for dev, share, (p, f, r) in zip(scn.devices, shares, combo):
+                    rate = naive_fdma_rate(share * total, p, dev.gain)
+                    per.append(naive_device_cost(
+                        dev.gain, dev.dataset_frames, p, f, r, rate))
+                best = min(best, naive_objective(
+                    w, per, [r for _, _, r in combo]))
+        assert report.objective == pytest.approx(best, rel=1e-9)
+
     def test_noma_two_devices(self):
         scn = make_scenario([2e-9, 5e-10], frames=[30, 20],
                             scheme="noma", resolutions=(100, 500))
@@ -137,6 +163,8 @@ class TestOracleAgainstNaive:
         grid = GridSpec(power_points=5, freq_points=4, bandwidth_points=4)
         report = brute_force_oracle(scn, w, grid)
 
+        # the oracle gives the lone device all of B; every narrower band is
+        # strictly worse at each power, so the wider enumeration agrees
         dev = scn.devices[0]
         best = math.inf
         for bw in np.linspace(scn.total_bandwidth_hz / 4, scn.total_bandwidth_hz, 4):
