@@ -120,24 +120,6 @@ class _Env:
         return self.comm_margin(deadlines) <= 0.0
 
 
-def _bisect(low_side, lo, hi):
-    """Bisect every lane of the bracket [lo, hi] down to float precision.
-
-    ``low_side(mid)`` is True in the lanes whose sought point lies above
-    ``mid``.  The step count is fixed once per call: enough halvings that
-    every lane ends no wider than one float spacing at its starting top end
-    max(|lo|, |hi|), so the loop needs no convergence test.  Lanes with
-    hi <= lo take no part in the count.  Returns the final ``(lo, hi)``.
-    """
-    width = np.max((hi - lo) / np.spacing(np.maximum(np.abs(lo), np.abs(hi))))
-    for _ in range(math.ceil(math.log2(width)) if width > 1.0 else 0):
-        mid = 0.5 * (lo + hi)
-        side = low_side(mid)
-        lo = np.where(side, mid, lo)
-        hi = np.where(side, hi, mid)
-    return lo, hi
-
-
 def _root(f, lo: float, hi: float):
     """Bracketed root search on [lo, hi] (Chandrupatla 1997).
 
@@ -340,8 +322,9 @@ def _fdma_comm_solve(env: _Env, deadlines):
     # marginal cancels to 0, the floor at the smallest normal float still
     # has every device demand its cap.
     c_dev = d * env.noise / dev.gain
-    lam_hi = float(np.minimum(_comm_marginal(c_dev, rho / b_floor), 1e300).max())
-    top = _comm_marginal(c_dev, rho / env.bw)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam_hi = float(np.minimum(_comm_marginal(c_dev, rho / b_floor)[0], 1e300).max())
+        top = _comm_marginal(c_dev, rho / env.bw)[0]
     pin_top = b_kink < env.bw
     top[pin_top] = _floor_marginal(env, env.bw, dev.gain[pin_top], dev.p_min[pin_top])
     lam_lo = max(float(top.max()), np.finfo(float).tiny)
@@ -442,14 +425,17 @@ class _Budget:
 
 
 def _comm_marginal(c, x):
-    """-dE/dd for a deadline-binding upload: E(d) = c d (2**x - 1), x ~ 1/d.
+    """M = -dE/dd for a deadline-binding upload, E(d) = c d (2**x - 1) with
+    x = a/d, and its slope in log d, dM = -d dM/dd, as ``(M, dM)``.
 
-    Equals c ((x ln2 - 1) 2**x + 1), positive and decreasing in d, so the
+    M = c ((x ln2 - 1) 2**x + 1) is positive and decreasing in d, so the
     total per-device energy (compute plus upload) is convex in the split.
+    dM/dx = c x ln2**2 2**x and dx/dd = -x/d give dM = c (x ln2)**2 2**x.
+    Both overflow to inf past x = 1024; callers that reach it ignore that.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = c * ((x * _LN2 - 1.0) * np.exp2(x) + 1.0)
-    return out
+    e = np.exp2(x)
+    u = x * _LN2
+    return c * ((u - 1.0) * e + 1.0), c * (u * u) * e
 
 
 def _time_split(env: _Env, tau: float, cyc, idx, bw, denom, price=None, floor=None):
@@ -458,14 +444,30 @@ def _time_split(env: _Env, tau: float, cyc, idx, bw, denom, price=None, floor=No
 
     The devices upload on ``bw`` hertz against ``denom`` watts of noise plus
     interference.  ``price`` charges that many joules per watt of upload
-    power, and ``floor`` is a lowest deadline.  The deadline range starts at
-    the latest of the upload time at p_max, the deadline that leaves f_min
-    the rest of tau and the floor; it ends where f_max fills the rest of
-    tau and, where p_min > 0, at the upload time at p_min (no slower upload
-    exists), but not below its start.  Compute and upload energy are both
-    convex in the deadline, so the derivative 2 kappa cyc^3/(tau-d)^3 -
-    (-dE_up/dd) rises with it, and sign bisection lands on the minimiser or
-    collapses to the binding end where the sign never flips.
+    power, and ``floor`` is a lowest deadline.  Each device's bracket [lo,
+    hi] starts at the latest of the upload time at p_max, the deadline that
+    leaves f_min the rest of tau and the floor; it ends where f_max fills
+    the rest of tau and, where p_min > 0, at the upload time at p_min (no
+    slower upload exists), but not below its start.
+
+    Compute and upload energy are both convex in the deadline d, so with M
+    the upload marginal -dE/dd, price included, phi(d) = ln(2 kappa cyc^3 /
+    ((tau - d)^3 M(d))) rises with d, and its root is the minimiser.  Each
+    device is one lane of a safeguarded Newton search on phi in log d, from
+    the geometric midpoint of its bracket.  A step goes to d exp(-phi / (d
+    phi')), clamped to one spacing inside the bracket, where the last probe
+    halved ln(hi / lo) or the step is at most half as long as the last one;
+    otherwise to the geometric midpoint, which halves ln(hi / lo).  The
+    spacing is one float spacing at hi's starting value.  Every probe lies
+    strictly inside the bracket, so each step shrinks it, and either the
+    bracket halves at least every other step or the steps shrink
+    geometrically: the search ends without a step cap.  A lane stops at its
+    probe once the Newton step there is at most one spacing, or once its
+    bracket is no wider than one spacing.  It then ends at hi if no probe
+    fell above the root, which lies at or beyond hi, and else half a
+    spacing above lo, never on lo itself: where the root lies at or below
+    lo, the deadline keeps a rounding's room above the p_max upload time
+    for the comm solve.  An empty bracket ends at hi.
     """
     dev = env.dev
     g = dev.gain[idx]
@@ -481,25 +483,54 @@ def _time_split(env: _Env, tau: float, cyc, idx, bw, denom, price=None, floor=No
         d_pin = np.divide(env.s, rate, out=np.full(pinned.shape, np.inf), where=pinned)
         d_hi = np.minimum(d_hi, np.maximum(d_pin, d_lo))
 
-    c = denom / g
-    a = env.s / bw
-    two_k_cyc3 = 2.0 * dev.kappa[idx] * cyc[idx] ** 3
-
-    def upload_marginal(d):
-        x = a / d
-        m = _comm_marginal(c, x)
-        if price is None:
-            return m
-        # the upload power falls by c 2**x ln2 x / d per second of deadline
-        with np.errstate(over="ignore", invalid="ignore"):
-            return m + price * (c * np.exp2(x) * _LN2 * x / d)
-
-    lo, hi = _bisect(
-        lambda d: ~(two_k_cyc3 / (tau - d) ** 3 >= upload_marginal(d)),
-        np.minimum(d_lo, d_hi),
-        d_hi,
-    )
-    return 0.5 * (lo + hi)
+    out = d_hi.copy()
+    k = np.flatnonzero(d_lo < d_hi)
+    lo, hi = d_lo[k], d_hi[k]
+    spacing = np.spacing(hi)
+    c = np.broadcast_to(denom / g, out.shape)[k]
+    a = np.broadcast_to(env.s / bw, out.shape)[k]
+    two_k_cyc3 = (2.0 * dev.kappa[idx] * cyc[idx] ** 3)[k]
+    # the price term of M, price * -dp/dd = price c 2**x ln2 x / d, is
+    # lead dM with lead = price / (a ln2)
+    lead = None if price is None else price[k] / (a * _LN2)
+    d = np.sqrt(lo * hi)
+    # hi / lo and the step length, one step back
+    ratio_1 = step_1 = np.full(k.size, np.inf)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while k.size:
+            x = a / d
+            m, dm = _comm_marginal(c, x)
+            if lead is not None:
+                # -d dw/dd = w (x ln2 + 2) for the price term w
+                w = lead * dm
+                m, dm = m + w, dm + w * (x * _LN2 + 2.0)
+            t = tau - d
+            phi = np.log(two_k_cyc3 / (t * t * t * m))
+            newton = d * np.exp(-phi / (3.0 * d / t + dm / m))
+            above = phi < 0.0
+            lo = np.where(above, d, lo)
+            hi = np.where(above, hi, d)
+            step = np.abs(newton - d)
+            converged = step <= spacing
+            stop = converged | (hi - lo <= spacing)
+            ratio = hi / lo
+            take = (ratio * ratio <= ratio_1) | (step <= 0.5 * step_1)
+            d_next = np.where(take, newton, np.sqrt(lo * hi))
+            d_next = np.fmin(np.fmax(d_next, lo + spacing), hi - spacing)
+            step_1, ratio_1 = np.abs(d_next - d), ratio
+            if np.count_nonzero(stop):
+                inside = np.maximum(lo + 0.5 * spacing, np.nextafter(lo, np.inf))
+                end = np.where(hi == d_hi[k], hi, inside)
+                out[k[stop]] = np.where(converged, d, end)[stop]
+                go = ~stop
+                k, d_next, lo, hi, spacing, ratio_1, step_1 = (
+                    v[go] for v in (k, d_next, lo, hi, spacing, ratio_1, step_1)
+                )
+                c, a, two_k_cyc3 = c[go], a[go], two_k_cyc3[go]
+                if lead is not None:
+                    lead = lead[go]
+            d = d_next
+    return out
 
 
 def _noma_split(env: _Env, tau: float, cyc, d):
