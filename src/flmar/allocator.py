@@ -84,6 +84,18 @@ class _Env:
         self.bw = float(scenario.total_bandwidth_hz)
         self.scheme = scenario.scheme
         self.acc_model = scenario.accuracy_model
+        # each menu padded with its own last entry to the widest one, so a
+        # padded lane repeats the entry before it and a first-index argmin
+        # still gives ties to the smaller resolution
+        width = max(map(len, self.dev.resolutions))
+        self.menu = np.array(
+            [menu + menu[-1:] * (width - len(menu)) for menu in self.dev.resolutions],
+            dtype=float,
+        )
+        self.menu_cycles = round_cycles(
+            self.iters, self.dev.cycles_per_pixel[:, None], self.menu, self.dev.frames[:, None]
+        )
+        self.menu_loss = 1.0 - detection_accuracy(self.menu, self.acc_model)
         if self.scheme == "noma":
             self.use_pairing(self.dev.noma_pairing(self.bw / scenario.n_channels))
 
@@ -666,53 +678,63 @@ def _continuous_solve(env: _Env, weights: Weights, resolution_px) -> _Budget:
     return best[1]
 
 
-def _sweep_core(env: _Env, weights: Weights, resolution_px, cpu_hz, t_com, e_com):
-    """One pass of exact per-device resolution moves at fixed communication.
+def _sweep_core(env: _Env, weights: Weights, resolution_px, cpu_hz, t_com):
+    """One Gauss-Seidel pass of exact per-device resolution moves at fixed
+    communication.
 
-    Each device scans its resolution menu; a candidate's CPU frequency fills
-    the current round time exactly (clipped to the device's range), and the
-    candidate objective is the true objective of the resulting state, so
-    every applied move is non-increasing.
+    Devices are visited in position order.  Each scans its menu: a
+    candidate's CPU frequency fills the current round time tau exactly
+    (clipped to the device's range), and the candidate scores its energy,
+    the round time max(others, its own total) and its accuracy loss, where
+    ``others`` is the largest total of the other devices.  The rest of the
+    objective is the same for every candidate, so the best one lowers the
+    true objective of the resulting state the most, ties going to the
+    smaller resolution; every applied move is non-increasing.
+
+    The pass runs in segments, each scoring every remaining device's whole
+    menu on the padded table `_Env` holds, at the tau and ``others`` the
+    segment starts with.  A device's choice depends only on those two, and
+    tau is the larger of ``others`` and the device's own starting total.  So
+    the segment commits each device up to the first whose ``others``, with
+    the totals chosen before it, differs from the one assumed; that device
+    starts the next segment.  A commit that changes tau changes the next
+    device's ``others``, so it also ends the segment.  The first device of a
+    segment always commits, so a pass ends within n segments.
     """
     dev = env.dev
     w1g = weights.w1 * env.rounds
     w2g = weights.w2 * env.rounds
     r_out = np.asarray(resolution_px, dtype=int).copy()
     f_out = np.asarray(cpu_hz, dtype=float).copy()
-    cyc = env.round_cycles(r_out)
-    t_cmp = cyc / f_out
-    e_cmp = cmos_energy(dev.kappa, cyc, f_out)
-    t_tot = t_cmp + t_com
-    e_sum = float((e_cmp + e_com).sum())
-    loss = 1.0 - env.accuracy(r_out)
-    loss_sum = float(loss.sum())
-    tau = float(t_tot.max())
-    for n in range(env.n):
-        cand = np.array(dev.resolutions[n], dtype=float)
-        cyc_c = round_cycles(env.iters, dev.cycles_per_pixel[n], cand, dev.frames[n])
-        f_c = np.clip(cyc_c / (tau - t_com[n]), dev.f_min[n], dev.f_max[n])
-        t_c = cyc_c / f_c
-        e_c = cmos_energy(dev.kappa[n], cyc_c, f_c)
-        hold = t_tot[n]
-        t_tot[n] = -math.inf
-        others = float(t_tot.max())
-        t_tot[n] = hold
-        round_c = np.maximum(others, t_com[n] + t_c)
-        loss_c = 1.0 - env.accuracy(cand)
-        j_c = (
-            w1g * (e_sum - e_cmp[n] + e_c)
-            + w2g * round_c
-            + weights.w3 * (loss_sum - loss[n] + loss_c)
+    t_tot = env.round_cycles(r_out) / f_out + t_com
+    s = 0
+    while s < env.n:
+        lane = np.arange(env.n - s)
+        head = float(t_tot[:s].max(initial=-math.inf))
+        start = t_tot[s:]
+        tau = max(head, float(start.max()))
+        # the largest total after each device, and before it, as they start
+        after = np.append(np.maximum.accumulate(start[:0:-1])[::-1], -math.inf)
+        others = np.maximum(np.maximum.accumulate(np.append(head, start[:-1])), after)
+
+        cyc = env.menu_cycles[s:]
+        tc = t_com[s:, None]
+        f_c = np.clip(cyc / (tau - tc), dev.f_min[s:, None], dev.f_max[s:, None])
+        total = tc + cyc / f_c
+        score = (
+            w1g * cmos_energy(dev.kappa[s:, None], cyc, f_c)
+            + w2g * np.maximum(others[:, None], total)
+            + weights.w3 * env.menu_loss[s:]
         )
-        k = int(np.argmin(j_c))
-        r_out[n] = int(cand[k])
-        f_out[n] = float(f_c[k])
-        e_sum += float(e_c[k]) - float(e_cmp[n])
-        e_cmp[n] = e_c[k]
-        loss_sum += float(loss_c[k]) - float(loss[n])
-        loss[n] = loss_c[k]
-        t_tot[n] = t_com[n] + t_c[k]
-        tau = float(t_tot.max())
+        k = np.argmin(score, axis=1)
+        chosen = total[lane, k]
+        actual = np.maximum(np.maximum.accumulate(np.append(head, chosen[:-1])), after)
+        moved = np.flatnonzero(actual != others)
+        m = int(moved[0]) if moved.size else lane.size
+        r_out[s:s + m] = env.menu[s:s + m][lane[:m], k[:m]]
+        f_out[s:s + m] = f_c[lane[:m], k[:m]]
+        t_tot[s:s + m] = chosen[:m]
+        s += m
     return r_out, f_out
 
 
@@ -745,9 +767,7 @@ def optimize(scenario: Scenario, weights: Weights) -> SolveReport:
     for iterations in range(1, MAX_OUTER_ITERATIONS + 1):
         solved.add(tuple(r.tolist()))
         cfg = _continuous_solve(env, weights, r)
-        r_new, f_new = _sweep_core(
-            env, weights, r, cfg.cpu, cfg.comm_time, cfg.comm_energy
-        )
+        r_new, f_new = _sweep_core(env, weights, r, cfg.cpu, cfg.comm_time)
         alloc = _assemble(env, cfg.power, cfg.bandwidth, f_new, r_new)
         metrics = system_metrics(scenario, alloc)
         value = objective(weights, metrics)
@@ -896,19 +916,16 @@ def sweep_resolutions(
 
     Devices are visited in position order; each picks the resolution (with
     its CPU frequency refitted to the current round time) that minimises the
-    full objective, ties going to the smaller resolution.  The returned
-    resolutions never increase the objective.
+    full objective, ties going to the smaller resolution.  The menus of all
+    devices not yet visited are scored in one array pass and committed in
+    that order, with the results of visiting one device at a time.  The
+    returned resolutions never increase the objective.
     """
     env = _Env(scenario)
     if allocation.pairing is not None:
         env.use_pairing(allocation.pairing)
     metrics = system_metrics(scenario, allocation)
     r_new, _ = _sweep_core(
-        env,
-        weights,
-        allocation.resolution_px,
-        allocation.cpu_hz,
-        metrics.comm_time_s,
-        metrics.comm_energy_j,
+        env, weights, allocation.resolution_px, allocation.cpu_hz, metrics.comm_time_s
     )
     return r_new
