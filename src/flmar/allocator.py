@@ -5,8 +5,9 @@ The solver runs a block-coordinate descent around an epigraph variable: for
 a candidate round-time budget tau each device's time is split between
 compute and upload by one convex 1-D search on a fixed link, written once
 for both schemes; the communication subproblem is solved in closed form
-(FDMA: minimum-energy bandwidth split via one bracketed root search on the
-multiplier with a Lambert-W inversion; NOMA: per-channel power fixed point),
+(FDMA: minimum-energy bandwidth split via a safeguarded Newton search on
+the log of the multiplier, with a Lambert-W inversion and closed-form
+demand slopes; NOMA: per-channel power fixed point),
 CPU frequencies follow by deadline inversion, and tau itself is located by
 a doubling march and Brent's minimisation.  Frame resolutions
 then improve through exact per-device coordinate moves, and the outer loop
@@ -36,8 +37,11 @@ from .scenario import ScenarioValidationError
 
 _LN2 = math.log(2.0)
 _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
-_SQRT_EPS = math.sqrt(np.finfo(float).eps)
+_EPS = float(np.finfo(float).eps)
+_SQRT_EPS = math.sqrt(_EPS)
 _U_SERIES = (38698 / 42525, -524 / 567, 386 / 405, -136 / 135, 10 / 9, -4 / 3, 2.0, 0.0)
+# (k - 1) / k! for k = 2 to 13: the series of `_comm_marginal` over u**2
+_M_SERIES = np.array([(k - 1) / math.factorial(k) for k in range(2, 14)])
 
 MAX_OUTER_ITERATIONS = 50
 
@@ -270,11 +274,82 @@ def _fdma_floors(env: _Env, deadlines):
 
 
 def _floor_marginal(env: _Env, b, g, pmin):
-    """-dE/db for a device pinned at its power floor p_min."""
+    """v2 = -dE/db for a device pinned at its power floor p_min, and its
+    negated log slope D = -d ln v2 / d ln b, as ``(v2, D)``.
+
+    With x = g p_min / (N0 b), L = ln(1 + x) and q = L - x / (1 + x), v2 =
+    p_min s q ln2 / (b L)**2, and D = 2 + x**2 / ((1 + x)**2 q) - 2 x / ((1
+    + x) L), which is positive: v2 falls with b.
+    """
     x = g * pmin / (env.noise * b)
-    rate = shannon_rate(b, x)
-    drate = rate / b - x / ((1.0 + x) * _LN2)
-    return pmin * env.s * drate / (rate * rate)
+    ln1x = np.log1p(x)
+    y = x / (1.0 + x)
+    q = ln1x - y
+    v2 = pmin * env.s * q * _LN2 / (b * ln1x) ** 2
+    return v2, 2.0 + y * y / q - 2.0 * y / ln1x
+
+
+def _floor_split(env: _Env, lam: float, g, pmin, lo, v_lo, v_hi, start):
+    """Bandwidths b of devices pinned at p_min with v2(b) = lam on [lo, B],
+    and their slopes db/d ln lam, as ``(b, slope)``.
+
+    ``v_lo`` and ``v_hi`` hold v2 at lo and at B.  A root at or beyond an
+    end settles there with slope 0: at lo where lam >= v_lo, at B where lam
+    <= v_hi.  The other devices are lanes of one Newton search on ln v2 in
+    ln b, from ``start``, each probe clamped one spacing inside (lo, B).
+    D = -d ln v2 / d ln b lies in (1.79, 2] for every x, so each step
+    shrinks the distance to the root by a factor of at least 9, and a step
+    of length s in ln b leaves an error below 0.02 s**2.  A lane therefore
+    ends on the point its first step of at most sqrt(eps) reaches, with
+    slope -b / D.
+    """
+    b = np.where(lam >= v_lo, lo, env.bw)
+    slope = np.zeros(b.shape)
+    k = np.flatnonzero((lam < v_lo) & (lam > v_hi))
+    g, pmin = g[k], pmin[k]
+    low, high = np.nextafter(lo[k], np.inf), np.nextafter(env.bw, 0.0)
+    x = np.fmin(np.fmax(start[k], low), high)
+    while k.size:
+        v, dv = _floor_marginal(env, x, g, pmin)
+        step = np.log(v / lam) / dv
+        x = np.fmin(np.fmax(x * np.exp(step), low), high)
+        done = np.abs(step) <= _SQRT_EPS
+        if np.count_nonzero(done):
+            b[k[done]] = x[done]
+            slope[k[done]] = -x[done] / dv[done]
+            go = ~done
+            k, x, low, g, pmin = k[go], x[go], low[go], g[go], pmin[go]
+    return b, slope
+
+
+def _v1_inverse(lam: float, c, rho):
+    """Bandwidths b at which v1(b) = lam, their slopes db / d ln lam and
+    the demand that rounding moves, as ``(b, slope, stair)``, for uploads
+    of ``rho`` bit/s with c = d N0 / g.
+
+    With a = lam / c and v = u ln2, v1(b) = lam reads (v - 1) e**v + 1 = a,
+    whose root is v = W((a - 1) / e) + 1 (Lambert W, principal branch), and
+    db / d ln lam = -b a 2**-u / v**2.  a - 1 and its quotient by e each
+    round by up to eps |a - 1|, which moves ln lam by up to 2 eps |a - 1| /
+    a: near a = 0 b climbs in stairs that times its slope, as ``stair``
+    holds.  Below a = 1e-8 a stair would span most of b, and v comes from
+    its branch-point series p - p**2/3 + 11 p**3/72 in p = sqrt(2a) instead
+    (Corless et al. 1996), within 2e-13 and with no stair.  Where v rounds
+    to 0, b is inf.
+    """
+    a = lam / c
+    a1 = a - 1.0
+    v = np.real(lambertw(a1 / math.e)) + 1.0
+    tiny = a < 1e-8
+    if np.count_nonzero(tiny):
+        p = np.sqrt(2.0 * a[tiny])
+        v[tiny] = p * (1.0 - p * (1.0 / 3.0 - p * (11.0 / 72.0)))
+    u = v / _LN2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b = np.where(v > 0.0, rho / u, np.inf)
+        slope = -b * a * np.exp2(-u) / (v * v)
+        stair = np.where(tiny, 0.0, 2.0 * _EPS * np.abs(slope * a1 / a))
+    return b, slope, stair
 
 
 def _fdma_comm_solve(env: _Env, deadlines):
@@ -287,11 +362,31 @@ def _fdma_comm_solve(env: _Env, deadlines):
 
     which a Lambert-W evaluation inverts in closed form.  Once p_req drops
     to p_min the power pins there and the marginal switches to the flatter
-    v2 curve of `_floor_marginal`, which `_root` inverts numerically.
-    Equalising marginals across devices via an outer `_root` search on the
-    log of the bandwidth price lambda yields the optimal split; leftover
-    bandwidth is then spread proportionally, which can only reduce energy
-    further.
+    v2 curve of `_floor_marginal`, which `_floor_split` inverts for all the
+    pinned devices at once.  Equalising marginals across devices at one
+    bandwidth price lambda yields the optimal split; leftover bandwidth is
+    then spread proportionally, which can only reduce energy further.
+
+    The price comes from a safeguarded Newton search on t = ln lambda for
+    ln(demand / B).  Demand S falls with t, and each probe gives its slope
+    in closed form: db/dt = -b (c + 1) 2**-u / (u ln2)**2 for a device
+    whose v1 demand lies strictly inside its floor and cap, with c = lambda
+    g / (d N0) - 1, and -b / D for a pinned one strictly inside [b_kink, B];
+    a device at either end adds 0.  The bracket's ends need no probe:
+    demand is at least B at the low end, and at the high end every device
+    sits at its floor.  The search starts one spacing of t above the low
+    end.  It takes the Newton step where that lands inside the bracket and
+    the bracket halved over the last two probes, or the step is at most
+    half as long as the last one, or the probe is near the root (below);
+    else the secant through the bracket's ends where the Newton step left
+    the bracket, else the midpoint.  Every probe keeps one spacing of t
+    from both ends.  A probe's grain is the demand that one spacing of t
+    moves plus the stairs of `_v1_inverse`; the probe is the root once its
+    demand lies within 16 float spacings of B above, or within those and
+    two grains below, and the Newton step aims at the middle of that
+    window.  "Near" means within four such half-windows of it.  The search
+    ends on the high end's split, the floors or the last probe on that
+    side, once its demand lies in the window or the bracket closes.
 
     Returns ``(power, bandwidth, comm_time, comm_energy)`` or None when the
     deadlines cannot be met.
@@ -310,55 +405,88 @@ def _fdma_comm_solve(env: _Env, deadlines):
         b_kink[kinked] = rho[kinked] / _u_from_k(k_min[kinked])
     b_kink = np.maximum(b_kink, b_floor)
     b_cap = np.minimum(b_kink, env.bw)
+    # devices that can pin at p_min below B, with v2 at their kink and at B
+    pin = np.flatnonzero(b_kink < env.bw)
+    g_pin, pmin_pin, kink_pin = dev.gain[pin], dev.p_min[pin], b_kink[pin]
+    v_kink, _ = _floor_marginal(env, kink_pin, g_pin, pmin_pin)
+    v_top, _ = _floor_marginal(env, env.bw, g_pin, pmin_pin)
+    c_dev = d * env.noise / dev.gain
 
-    def split_at(lam: float) -> np.ndarray:
-        c = lam * dev.gain / (d * env.noise) - 1.0
-        u = (np.real(lambertw(c / math.e)) + 1.0) / _LN2
-        with np.errstate(divide="ignore"):
-            b1 = np.where(u > 0.0, rho / u, np.inf)
+    def demand(t: float, start):
+        """Each device's demand at price e**t, its slope in t and the demand
+        that rounding moves, as ``(b, slope, stair)``; pinned devices start
+        their search from ``start``."""
+        lam = math.exp(t)
+        b1, slope, stair = _v1_inverse(lam, c_dev, rho)
         b = np.clip(b1, b_floor, b_cap)
-        floored = (b1 > b_kink) & (b_kink < env.bw)
-        # devices pinned at p_min: v2(b) = lam on [b_kink, B]
-        for i in np.flatnonzero(floored):
-            g, pmin = dev.gain[i], dev.p_min[i]
-            b[i], _ = _root(
-                lambda x: _floor_marginal(env, x, g, pmin) - lam, b_kink[i], env.bw
+        free = (b1 > b_floor) & (b1 < b_cap)
+        slope = np.where(free, slope, 0.0)
+        stair = float(stair[free].sum())
+        floored = b1[pin] > kink_pin
+        if np.count_nonzero(floored):
+            i = pin[floored]
+            b[i], slope[i] = _floor_split(
+                env, lam, g_pin[floored], pmin_pin[floored], kink_pin[floored],
+                v_kink[floored], v_top[floored], start[i],
             )
-        return b
+        return b, slope, stair
 
     # Price bracket.  At lam_hi, the highest marginal at the bandwidth
     # floors, every device shrinks to its floor, and the floors fit.  At
     # lam_lo, the highest marginal at b = B (v2 where the device is pinned
     # there, v1 elsewhere), the device that sets it demands the whole band
     # by itself, so demand is at least B.  On a budget so long that this
-    # marginal cancels to 0, the floor at the smallest normal float still
+    # marginal underflows to 0, the floor at the smallest normal float still
     # has every device demand its cap.
-    c_dev = d * env.noise / dev.gain
     with np.errstate(over="ignore", invalid="ignore"):
         lam_hi = float(np.minimum(_comm_marginal(c_dev, rho / b_floor)[0], 1e300).max())
         top = _comm_marginal(c_dev, rho / env.bw)[0]
-    pin_top = b_kink < env.bw
-    top[pin_top] = _floor_marginal(env, env.bw, dev.gain[pin_top], dev.p_min[pin_top])
+    top[pin] = v_top
     lam_lo = max(float(top.max()), np.finfo(float).tiny)
 
-    # Demand within 16 float spacings of B counts as the root.  When every
-    # device sits at its kink, demand is flat in the price at the sum of the
-    # kinks.  The time split puts the kinks at the previous split, so that
-    # sum misses B only by the rounding of the searches behind it (up to 12
-    # spacings on the wide parameter box), and a bracket search could only
-    # creep along the plateau.
+    # When every device sits at its kink, demand is flat in the price at the
+    # sum of the kinks.  The time split puts the kinks at the previous
+    # split, so that sum misses B only by the rounding of the searches
+    # behind it (up to 12 spacings on the wide parameter box), inside tol.
     tol = 16.0 * np.spacing(env.bw)
-
-    def excess(log_lam):
-        e = float(split_at(math.exp(log_lam)).sum()) - env.bw
-        return 0.0 if abs(e) <= tol else e
-
-    # search log(lam), since the bracket can span many decades, and take its
-    # feasible end; the fill then spreads any leftover (or trims the excess
-    # the guard allows) so that the split sums to B
-    _, log_lam = _root(excess, math.log(lam_lo), math.log(lam_hi))
-    b = split_at(math.exp(log_lam))
-    b = b * (env.bw / float(b.sum()))
+    lo, hi = math.log(lam_lo), math.log(lam_hi)
+    spacing = math.ulp(max(abs(lo), abs(hi)))
+    # demand at the ends: at least B at lo, and the floors at hi
+    total_lo, total_hi, b_hi = math.inf, env.bw + margin, b_floor
+    t, b, target, half = lo, b_cap, env.bw, tol
+    width_2 = width_1 = step_1 = math.inf     # widths two and one probes back
+    while hi - lo > spacing and abs(total_hi - target) > half:
+        t = min(max(t, lo + spacing), hi - spacing)
+        b, slope, stair = demand(t, b)
+        total, fall = float(b.sum()), -float(slope.sum())
+        grain = fall * spacing + stair
+        target, half = env.bw - grain, tol + grain
+        miss = abs(total - target)
+        if miss <= half:
+            break
+        if total > env.bw:
+            lo, total_lo = t, total
+        else:
+            hi, total_hi, b_hi = t, total, b
+        width = hi - lo
+        newton = t + math.log(total / target) * total / fall if fall else lo
+        if not lo < newton < hi and total_lo < math.inf:
+            # the secant through the ends, which lies inside
+            newton = lo + (hi - lo) * (total_lo - target) / (total_lo - total_hi)
+        step = abs(newton - t)
+        take = lo < newton < hi and (
+            width <= 0.5 * width_2 or step <= 0.5 * step_1 or miss <= 4.0 * half
+        )
+        t_next = newton if take else 0.5 * (lo + hi)
+        step_1, width_2, width_1 = abs(t_next - t), width_1, width
+        t = t_next
+    else:
+        b = b_hi
+    # spread the leftover in proportion to b, but trim an excess from the
+    # room above the floors, which it cannot exceed
+    total = float(b.sum())
+    room = b - b_floor if total > env.bw else b
+    b = b + (env.bw - total) * (room / float(room.sum()))
 
     p_req = power_for_rate(b, rho, env.noise * b, dev.gain)
     p = np.clip(p_req, dev.p_min, dev.p_max)
@@ -440,14 +568,24 @@ def _comm_marginal(c, x):
     """M = -dE/dd for a deadline-binding upload, E(d) = c d (2**x - 1) with
     x = a/d, and its slope in log d, dM = -d dM/dd, as ``(M, dM)``.
 
-    M = c ((x ln2 - 1) 2**x + 1) is positive and decreasing in d, so the
-    total per-device energy (compute plus upload) is convex in the split.
-    dM/dx = c x ln2**2 2**x and dx/dd = -x/d give dM = c (x ln2)**2 2**x.
-    Both overflow to inf past x = 1024; callers that reach it ignore that.
+    M = c ((u - 1) e**u + 1) with u = x ln2 is positive and decreasing in d,
+    so the total per-device energy (compute plus upload) is convex in the
+    split.  That form cancels as u falls: its error is 3 eps from u = 0.5
+    up, 22 eps at u = 0.25 and 800 at 0.05.  Below u = 0.25 M comes from
+    its series c sum_{k>=2} (k - 1) u**k / k! instead, whose terms are all
+    positive; past k = 13 its tail is below eps / 10 of M.  dM/dx = c x
+    ln2**2 2**x and dx/dd = -x/d give dM = c u**2 e**u, which does not
+    cancel.  Both overflow to inf past x = 1024; callers that reach it
+    ignore that.
     """
     e = np.exp2(x)
     u = x * _LN2
-    return c * ((u - 1.0) * e + 1.0), c * (u * u) * e
+    m = (u - 1.0) * e + 1.0
+    small = u < 0.25
+    if np.count_nonzero(small):
+        us = u[small]
+        m[small] = us * us * (us[:, None] ** np.arange(_M_SERIES.size) @ _M_SERIES)
+    return c * m, c * (u * u) * e
 
 
 def _time_split(env: _Env, tau: float, cyc, idx, bw, denom, price=None, floor=None):

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -32,18 +33,24 @@ from flmar.channel import shannon_rate
 from flmar.compute import cmos_energy, round_cycles
 import flmar.allocator
 from flmar.allocator import (
+    _EPS,
+    _LN2,
     _SQRT_EPS,
     _assemble,
     _brent_min,
     _budget_config,
+    _comm_marginal,
     _continuous_solve,
     _Env,
+    _floor_marginal,
+    _floor_split,
     _noma_split,
     _root,
     _sweep_core,
     _tau_lo,
     _time_split,
     _u_from_k,
+    _v1_inverse,
 )
 
 from conftest import make_device, make_scenario, equal_split_alloc
@@ -480,8 +487,9 @@ class TestFdmaMatchesBisectionReference:
 
         monkeypatch.setattr(flmar.allocator, "lambertw", counting)
         solve_comm_subproblem_fdma(scn, W, cpu, res, budget)
-        # a float-precision bisection on the price takes about 55
-        assert len(calls) <= 30
+        # two for the floors and the kinks, and four price probes; a
+        # float-precision bisection on the price takes about 55
+        assert len(calls) <= 8
 
 
 def upload_seconds(bits, bandwidth, noise_w, gain, power):
@@ -703,6 +711,182 @@ class TestTimeSplitLanes:
 
 def log_uniform(lo, hi):
     return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@st.composite
+def fdma_comm_cases(draw):
+    """1-12 FDMA devices on the wide box, p_min at 5-50 % of p_max on a
+    drawn subset of them, and deadlines of 1.01-100 times each device's
+    p_max upload time over an equal share of the band, so the floors fit."""
+    n = draw(st.integers(1, 12))
+    spec = ScenarioSpec(
+        n_devices=n, scheme="fdma", p_max_range=(0.1, 0.5), f_max_range=(0.5e9, 3e9),
+        total_bandwidth_hz=draw(log_uniform(0.3e6, 30e6)),
+        model_size_bits=draw(log_uniform(1e5, 1e7)),
+    )
+    scn = generate_scenario(spec, seed=draw(st.integers(0, 2**32 - 1)))
+    shares = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.05, 0.5)), min_size=n, max_size=n))
+    scn = replace(scn, devices=[replace(dv, p_min=share * dv.p_max)
+                                for dv, share in zip(scn.devices, shares)])
+    band = scn.total_bandwidth_hz / n
+    reach = [upload_seconds(scn.model_size_bits, band, scn.noise_psd * band, dv.gain, dv.p_max)
+             for dv in scn.devices]
+    slack = draw(st.lists(log_uniform(1.01, 100.0), min_size=n, max_size=n))
+    return scn, np.array(reach) * np.array(slack)
+
+
+class TestFdmaPriceSearch:
+    """The Newton search on the bandwidth price: it lands where the
+    bisection reference does, in few probes, and the p_min lanes scale."""
+
+    @settings(derandomize=True, max_examples=40, database=None, deadline=None)
+    @given(fdma_comm_cases())
+    def test_matches_the_bisection_reference(self, case):
+        scn, deadlines = case
+        TestFdmaMatchesBisectionReference.solve_and_compare(scn, *comm_inputs(scn, deadlines))
+
+    def test_median_probes_on_default_scenarios(self, monkeypatch):
+        # one principal-branch Lambert W call per probe; the Chandrupatla
+        # search on the price took a median of 13 on these solves
+        probes = []
+        real_lambertw, real_solve = flmar.allocator.lambertw, flmar.allocator._fdma_comm_solve
+
+        def counting(*args):
+            if len(args) == 1:
+                probes[-1] += 1
+            return real_lambertw(*args)
+
+        def solve(env, d):
+            probes.append(0)
+            return real_solve(env, d)
+
+        monkeypatch.setattr(flmar.allocator, "lambertw", counting)
+        monkeypatch.setattr(flmar.allocator, "_fdma_comm_solve", solve)
+        for seed in range(4):
+            scn = generate_scenario(ScenarioSpec(n_devices=40, scheme="fdma", master_seed=seed))
+            for w1, w2 in ((0.9, 0.1), (0.5, 0.5), (0.1, 0.9)):
+                optimize(scn, Weights(w1, w2, 0.5))
+        assert len(probes) > 300
+        assert np.median(probes) <= 7
+
+    def test_160_devices_at_their_power_floor(self):
+        # every device has p_min = 0.05 W; one scalar root per pinned device
+        # and price probe took 2.8 s here
+        scn = generate_scenario(ScenarioSpec(n_devices=160, scheme="fdma", p_min=0.05))
+        report = optimize(scn, W)
+        assert report.allocation.validate(scn) == []
+        assert report.objective == pytest.approx(2868.1269228887154, rel=1e-9)
+
+
+def central_slope(f, x, h=1e-5):
+    """d f / d ln x by central differences."""
+    return (f(x * math.exp(h)) - f(x * math.exp(-h))) / (2.0 * h)
+
+
+class TestDemandSlopes:
+    """The closed-form slopes of each device's demand in the price match
+    central differences."""
+
+    def test_deadline_branch(self):
+        # a = lam / c on the Lambert form (a >= 1e-4, where its stairs stay
+        # far below the differences) and on the branch-point series (a < 1e-8)
+        a = np.concatenate([np.geomspace(1e-12, 1e-9, 7), np.geomspace(1e-4, 1e6, 21)])
+        c, rho = 1.0 / a, np.full(a.size, 3e5)
+        b, slope, stair = _v1_inverse(1.0, c, rho)
+        np.testing.assert_allclose(slope, central_slope(lambda lam: _v1_inverse(lam, c, rho)[0], 1.0),
+                                   rtol=1e-6)
+        # each b meets v1(b) = lam, the marginal at b
+        m, _ = _comm_marginal(c, rho / b)
+        np.testing.assert_allclose(m, 1.0, rtol=1e-12)
+        assert np.all(stair[a < 1e-8] == 0.0) and np.all(stair[(a >= 1e-8) & (a < 0.5)] > 0.0)
+
+    def test_power_floor_log_slope(self):
+        env = _Env(make_scenario([1e-9]))
+        g, pmin = np.array([1e-9]), np.array([0.05])
+        # x = g p_min / (N0 b) from about 1e-3 to 1e9
+        for b in np.geomspace(1e1, 1e13, 25):
+            d_num = -central_slope(lambda y: math.log(_floor_marginal(env, y, g, pmin)[0][0]), b)
+            assert _floor_marginal(env, b, g, pmin)[1][0] == pytest.approx(d_num, rel=1e-6)
+
+    def test_log_slope_bounds(self):
+        # D in (1.79, 2] is what makes each floor-lane Newton step contract
+        env = _Env(make_scenario([1e-9]))
+        b = np.geomspace(1e-6, 1e17, 2000)
+        _, dv = _floor_marginal(env, b, np.full(b.size, 1e-9), np.full(b.size, 0.05))
+        assert np.all((dv > 1.79) & (dv <= 2.0 + 1e-9))
+
+    def test_power_floor_lanes(self):
+        # at this price lane 1 settles at B and lane 2 at its lower end;
+        # lanes 0, 3 and 4 search from starts below and above their roots
+        env = _Env(make_scenario([1e-9]))
+        g, pmin = np.array([1e-9, 1e-13, 1e-9, 1e-11, 1e-10]), np.full(5, 0.05)
+        lo = np.array([1e5, 1e5, 1.5e7, 1e5, 1e5])
+        v_lo, _ = _floor_marginal(env, lo, g, pmin)
+        v_hi, _ = _floor_marginal(env, env.bw, g, pmin)
+        lam, start = 5e-11, np.array([1e6, 1e6, 1e6, 2e7, 1.9e7])
+        b, slope = _floor_split(env, lam, g, pmin, lo, v_lo, v_hi, start)
+        assert b[1] == env.bw and b[2] == lo[2]
+        assert slope[1] == 0.0 and slope[2] == 0.0
+        inside = np.array([0, 3, 4])
+        v, dv = _floor_marginal(env, b[inside], g[inside], pmin[inside])
+        np.testing.assert_allclose(v, lam, rtol=1e-13)
+        # D comes from the last probe, at most sqrt(eps) away in ln b
+        np.testing.assert_allclose(slope[inside], -b[inside] / dv, rtol=1e-8)
+        numeric = central_slope(
+            lambda x: _floor_split(env, x, g, pmin, lo, v_lo, v_hi, start)[0], lam)
+        np.testing.assert_allclose(slope[inside], numeric[inside], rtol=1e-6)
+        # every searching lane ends on its root, from far below or above it
+        for lam in np.geomspace(3e-11, 1e-7, 30):
+            for start in (np.full(5, 1.5e5), np.full(5, 1.9e7)):
+                b, _ = _floor_split(env, lam, g, pmin, lo, v_lo, v_hi, start)
+                inside = (lam < v_lo) & (lam > v_hi)
+                v, _ = _floor_marginal(env, b[inside], g[inside], pmin[inside])
+                np.testing.assert_allclose(v, lam, rtol=1e-13)
+
+
+def exact_marginal_series(u):
+    """sum_{k>=2} (k - 1) u**k / k! for 0 < u < 8 in fractions, summed
+    until a term falls below 1e-30 of the sum; the terms past it then add
+    less than 1e-29."""
+    u = Fraction(u)
+    total, term, k = Fraction(0), u, 2
+    while True:
+        term = term * u / k
+        total += (k - 1) * term
+        if (k - 1) * term < total * Fraction(1, 10**30):
+            return total
+        k += 1
+
+
+class TestCommMarginal:
+    """M = c ((u - 1) e**u + 1) with u = x ln2, which cancels as u falls,
+    and its series below u = 0.25."""
+
+    @staticmethod
+    def relative_errors(x):
+        m, _ = _comm_marginal(np.ones(x.size), x)
+        u = x * _LN2
+        return np.array([float(Fraction(float(mi)) / exact_marginal_series(ui) - 1)
+                         for mi, ui in zip(m, u)])
+
+    def test_series_below_the_switch(self):
+        x = np.geomspace(1e-12, 0.25 / _LN2, 200, endpoint=False)
+        assert np.abs(self.relative_errors(x)).max() <= 4.0 * _EPS
+
+    def test_closed_form_above_the_switch(self):
+        x = np.geomspace(0.25 / _LN2, 0.5 / _LN2, 100, endpoint=False)
+        assert np.abs(self.relative_errors(x)).max() <= 24.0 * _EPS
+        x = np.geomspace(0.5 / _LN2, 8.0 / _LN2, 100)
+        assert np.abs(self.relative_errors(x)).max() <= 4.0 * _EPS
+
+    def test_closed_form_cancels_below_the_switch(self):
+        # what the series replaces: near u = 0.01 the closed form is off by
+        # hundreds of eps
+        x = np.geomspace(0.009, 0.011, 50) / _LN2
+        closed = (x * _LN2 - 1.0) * np.exp2(x) + 1.0
+        errors = [float(Fraction(float(c)) / exact_marginal_series(float(xi * _LN2)) - 1)
+                  for c, xi in zip(closed, x)]
+        assert np.abs(errors).max() > 100.0 * _EPS
 
 
 @st.composite
