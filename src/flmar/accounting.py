@@ -76,17 +76,10 @@ class Scenario:
             errors.append("scenario: device ids must be unique")
         for dev in self.devices:
             errors.extend(dev.validate())
-        if self.total_bandwidth_hz <= 0.0:
-            errors.append(
-                f"scenario: total_bandwidth_hz must be positive, "
-                f"got {self.total_bandwidth_hz}"
-            )
-        if self.noise_psd <= 0.0:
-            errors.append(f"scenario: noise_psd must be positive, got {self.noise_psd}")
-        if self.model_size_bits <= 0.0:
-            errors.append(
-                f"scenario: model_size_bits must be positive, got {self.model_size_bits}"
-            )
+        for name in ("total_bandwidth_hz", "noise_psd", "model_size_bits"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                errors.append(f"scenario: {name} must be positive and finite, got {value}")
         if self.global_rounds < 1:
             errors.append(
                 f"scenario: global_rounds must be at least 1, got {self.global_rounds}"
@@ -228,8 +221,8 @@ class Allocation:
                         f"allocation: bandwidth_hz must have shape ({n},), "
                         f"got {self.bandwidth_hz.shape}"
                     )
-                elif np.any(self.bandwidth_hz < 0.0):
-                    errors.append("allocation: bandwidths must be non-negative")
+                elif not np.all((self.bandwidth_hz >= 0.0) & (self.bandwidth_hz < math.inf)):
+                    errors.append("allocation: bandwidths must be non-negative and finite")
                 else:
                     total = float(self.bandwidth_hz.sum())
                     if total > scenario.total_bandwidth_hz * (1.0 + rel_tol):

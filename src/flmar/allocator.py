@@ -132,9 +132,6 @@ class _Env:
             return _fdma_floors(self, deadlines)[0]
         return _noma_powers(self, deadlines)[0]
 
-    def comm_feasible(self, deadlines) -> bool:
-        return self.comm_margin(deadlines) <= 0.0
-
 
 def _root(f, lo: float, hi: float):
     """Bracketed root search on [lo, hi] (Chandrupatla 1997).
@@ -747,34 +744,12 @@ def _budget_config(env: _Env, weights: Weights, tau: float, cyc, t_floor, loss_t
     return _Budget(value, p, b, f, t_com, e_com)
 
 
-def _tau_lo(env: _Env, t_floor):
-    """Smallest feasible round-time budget, and the step that bracketed it.
-
-    Steps double from a guess until base + step is feasible, base being the
-    compute floor max(t_floor); `_root` on the comm margin over
-    [base, base + step] then ends on the smallest feasible budget.
-    """
-    base = float(t_floor.max())
-    step = env.n * env.s / env.bw + 1e-9
-    for _ in range(80):
-        if env.comm_feasible(base + step - t_floor):
-            break
-        step *= 2.0
-    else:
-        raise InfeasibleScenarioError(
-            "no round-time budget satisfies the power and bandwidth limits"
-        )
-    _, tau_lo = _root(lambda tau: env.comm_margin(tau - t_floor), base, base + step)
-    return tau_lo, step
-
-
 def _continuous_solve(env: _Env, weights: Weights, resolution_px) -> _Budget:
     """Best continuous variables for fixed resolutions via a search over tau."""
     cyc = env.round_cycles(resolution_px)
     t_floor = cyc / env.dev.f_max
     base = float(t_floor.max())
     loss_term = weights.w3 * float((1.0 - env.accuracy(resolution_px)).sum())
-    tau_lo, step = _tau_lo(env, t_floor)
 
     best: list = [math.inf, None]
 
@@ -787,18 +762,31 @@ def _continuous_solve(env: _Env, weights: Weights, resolution_px) -> _Budget:
             best[1] = cfg
         return cfg.value
 
-    # Three-point bracket: march doubling steps until the value stops
-    # falling; the minimum then lies within the last three probes.  The
-    # march grid is anchored at the compute floor, not at tau_lo, so two
-    # scenarios that differ only in constraints slack at the optimum (say a
-    # higher power cap that never binds) probe identical budgets and return
+    def margin(tau: float) -> float:
+        return env.comm_margin(tau - t_floor)
+
+    # One march on the grid base + h 2**k.  Its first feasible point and the
+    # point before it (base for the first) bracket the smallest feasible
+    # budget tau_lo, which `_root` finds; from there the march goes on
+    # until the value stops falling, and the minimum then lies within the
+    # last three probes.  The grid depends only on n s / B and the compute
+    # floor, not on the power caps or on tau_lo, so two scenarios that
+    # differ only in constraints slack at the optimum (say a higher power
+    # cap that never binds) probe identical budgets and return
     # bit-identical solutions.
-    h = max(step, 0.05 * max(base, 1e-12))
-    # first march point above tau_lo: tau_lo <= base + step <= base + h
-    k0 = int(base + h <= tau_lo)
-    points = [(tau_lo, evaluate(tau_lo))]
-    for k in range(k0, k0 + 48):
+    h = max(env.n * env.s / env.bw + 1e-9, 0.05 * max(base, 1e-12))
+    points: list = []
+    prev_x = base
+    for k in range(128):
         x = base + h * (2.0**k)
+        if not points:
+            if not margin(x) <= 0.0:
+                prev_x = x
+                continue
+            _, tau_lo = _root(margin, prev_x, x)
+            points.append((tau_lo, evaluate(tau_lo)))
+            if x == tau_lo:
+                continue
         v = evaluate(x)
         prev_v = points[-1][1]
         points.append((x, v))
@@ -807,7 +795,7 @@ def _continuous_solve(env: _Env, weights: Weights, resolution_px) -> _Budget:
     # Brent's method on that bracket, from its middle probe when there is one
     if len(points) >= 3:
         _brent_min(evaluate, points[-3][0], points[-1][0], *points[-2])
-    else:
+    elif points:
         _brent_min(evaluate, points[0][0], points[-1][0])
     if best[1] is None:
         raise InfeasibleScenarioError(

@@ -8,6 +8,7 @@ the frame side length ``resolution_px``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,10 +30,10 @@ class AccuracyModel:
     decay: float = 6.5e-3
 
     def __post_init__(self):
-        if self.scale <= 0.0:
-            raise ValueError("scale must be positive")
-        if self.decay <= 0.0:
-            raise ValueError("decay must be positive")
+        if not 0.0 < self.scale < math.inf:
+            raise ValueError(f"scale must be positive and finite, got {self.scale}")
+        if not 0.0 < self.decay < math.inf:
+            raise ValueError(f"decay must be positive and finite, got {self.decay}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,21 +66,22 @@ class DeviceProfile:
         """Return a list of human-readable constraint violations (empty if ok)."""
         errors = []
         tag = f"device {self.id}"
-        if self.gain <= 0.0:
-            errors.append(f"{tag}: gain must be positive, got {self.gain}")
+        if not 0.0 < self.gain < math.inf:
+            errors.append(f"{tag}: gain must be positive and finite, got {self.gain}")
         if self.dataset_frames < 1:
             errors.append(
                 f"{tag}: dataset_frames must be at least 1, got {self.dataset_frames}"
             )
-        if self.cycles_per_pixel <= 0.0:
+        if not 0.0 < self.cycles_per_pixel < math.inf:
             errors.append(
-                f"{tag}: cycles_per_pixel must be positive, got {self.cycles_per_pixel}"
+                f"{tag}: cycles_per_pixel must be positive and finite, "
+                f"got {self.cycles_per_pixel}"
             )
-        if self.kappa <= 0.0:
-            errors.append(f"{tag}: kappa must be positive, got {self.kappa}")
-        if not 0.0 < self.f_min <= self.f_max:
+        if not 0.0 < self.kappa < math.inf:
+            errors.append(f"{tag}: kappa must be positive and finite, got {self.kappa}")
+        if not 0.0 < self.f_min <= self.f_max < math.inf:
             errors.append(
-                f"{tag}: need 0 < f_min <= f_max, got f_min={self.f_min}, "
+                f"{tag}: need 0 < f_min <= f_max < inf, got f_min={self.f_min}, "
                 f"f_max={self.f_max}"
             )
         if not 0.0 <= self.p_min <= self.p_max:
@@ -87,8 +89,8 @@ class DeviceProfile:
                 f"{tag}: need 0 <= p_min <= p_max, got p_min={self.p_min}, "
                 f"p_max={self.p_max}"
             )
-        if self.p_max <= 0.0:
-            errors.append(f"{tag}: p_max must be positive, got {self.p_max}")
+        if not 0.0 < self.p_max < math.inf:
+            errors.append(f"{tag}: p_max must be positive and finite, got {self.p_max}")
         if len(self.resolutions) == 0:
             errors.append(f"{tag}: resolutions must be non-empty")
         else:

@@ -9,6 +9,7 @@ other devices exist or in which order they are generated.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -75,15 +76,15 @@ class ScenarioSpec:
             ("frames_range", self.frames_range),
         ):
             lo, hi = rng
-            if not 0 < lo <= hi:
-                errors.append(f"spec: {name} must satisfy 0 < lo <= hi, got {rng}")
-        if self.p_min < 0.0:
-            errors.append(f"spec: p_min must be non-negative, got {self.p_min}")
+            if not 0 < lo <= hi < math.inf:
+                errors.append(f"spec: {name} must satisfy 0 < lo <= hi < inf, got {rng}")
+        if not 0.0 <= self.p_min < math.inf:
+            errors.append(f"spec: p_min must be non-negative and finite, got {self.p_min}")
         if self.p_max_range[0] < self.p_min:
             errors.append(
                 f"spec: p_max_range low end {self.p_max_range[0]} below p_min {self.p_min}"
             )
-        if self.f_min <= 0.0 or self.f_max_range[0] < self.f_min:
+        if not 0.0 < self.f_min <= self.f_max_range[0]:
             errors.append(
                 f"spec: need 0 < f_min <= f_max_range low end, got f_min={self.f_min}, "
                 f"f_max_range={self.f_max_range}"
@@ -211,7 +212,7 @@ def scenario_from_dict(data: dict) -> Scenario:
                 **{key: float(acc[key]) for key in ("scale", "decay") if key in acc}
             ),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioFormatError(f"malformed scenario JSON: {exc}") from exc
     return scenario
 

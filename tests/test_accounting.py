@@ -1,5 +1,7 @@
 """Round-level bookkeeping: per-device costs, system totals, the objective."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -174,6 +176,16 @@ class TestAllocationValidate:
         assert len(errors) >= 4
         joined = " ".join(errors)
         for frag in ("power", "cpu", "resolution", "bandwidth"):
+            assert frag in joined
+
+    def test_non_finite_values_reported(self):
+        scn, alloc = two_device_fdma()
+        alloc.power_w[0] = math.nan
+        alloc.cpu_hz[1] = math.inf
+        # a NaN bandwidth passed both the sign test and the sum test
+        alloc.bandwidth_hz[:] = (math.nan, 1e6)
+        joined = " ".join(alloc.validate(scn))
+        for frag in ("power nan", "cpu_hz inf", "bandwidths"):
             assert frag in joined
 
     def test_noma_pairing_must_cover_devices(self):

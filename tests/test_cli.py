@@ -62,6 +62,13 @@ class TestRun:
         assert run_cli("run", "--weights", text, "--solver", "random") == 1
         assert "--weights:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pmax", ["inf", "nan"])
+    def test_non_finite_pmax_is_config_error(self, pmax, capsys):
+        assert run_cli("run", "--pmax", pmax, "--solver", "random") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("flmar:") and "p_max_range" in err
+        assert "Traceback" not in err
+
     def test_invalid_config_content(self, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text("{not json")

@@ -97,6 +97,19 @@ class TestGeneration:
         assert any("n_devices" in e for e in errors)
         assert any("distance" in e for e in errors)
 
+    @pytest.mark.parametrize("kw", [
+        dict(p_max_range=(float("inf"), float("inf"))),
+        dict(p_max_range=(0.1, float("nan"))),
+        dict(f_max_range=(2e9, float("inf"))),
+        dict(distance_range_km=(0.05, float("inf"))),
+        dict(p_min=float("nan")),
+        dict(f_min=float("nan")),
+    ])
+    def test_spec_rejects_non_finite_values(self, kw):
+        [name] = kw
+        errors = small_spec(**kw).validate()
+        assert any(e.startswith(f"spec: {name}") or f" {name}=" in e for e in errors), errors
+
     def test_generate_rejects_bad_spec(self):
         with pytest.raises(ScenarioValidationError):
             generate_scenario(small_spec(n_devices=3, scheme="noma"))
@@ -172,3 +185,49 @@ class TestSerialization:
         joined = " ".join(exc.value.errors)
         assert "device 0" in joined and "p_min" in joined
         assert "device 1" in joined and "f_min" in joined
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["gain", "cycles_per_pixel", "kappa", "f_min",
+                                       "f_max", "p_min", "p_max"])
+    def test_non_finite_device_field_rejected(self, tmp_path, field, value):
+        # Python's json writes and reads NaN and Infinity; every float field
+        # refuses both
+        path = tmp_path / "scenario.json"
+        save_scenario(generate_scenario(small_spec()), path)
+        data = json.loads(path.read_text())
+        data["devices"][1][field] = value
+        path.write_text(json.dumps(data))
+        with pytest.raises(ScenarioValidationError) as exc:
+            load_scenario(path)
+        assert any("device 1" in e and field in e for e in exc.value.errors)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["total_bandwidth_hz", "noise_psd", "model_size_bits"])
+    def test_non_finite_scenario_field_rejected(self, tmp_path, field, value):
+        path = tmp_path / "scenario.json"
+        save_scenario(generate_scenario(small_spec()), path)
+        data = json.loads(path.read_text())
+        data[field] = value
+        path.write_text(json.dumps(data))
+        with pytest.raises(ScenarioValidationError) as exc:
+            load_scenario(path)
+        assert any(e.startswith(f"scenario: {field}") for e in exc.value.errors)
+
+    @pytest.mark.parametrize("key", ["scale", "decay"])
+    def test_non_finite_accuracy_model_is_a_format_error(self, tmp_path, key):
+        path = tmp_path / "scenario.json"
+        save_scenario(generate_scenario(small_spec()), path)
+        data = json.loads(path.read_text())
+        data["accuracy_model"][key] = float("nan")
+        path.write_text(json.dumps(data))
+        with pytest.raises(ScenarioFormatError, match=f"{key} must be positive and finite"):
+            load_scenario(path)
+
+    def test_infinite_frame_count_is_a_format_error(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        save_scenario(generate_scenario(small_spec()), path)
+        data = json.loads(path.read_text())
+        data["devices"][0]["dataset_frames"] = float("inf")
+        path.write_text(json.dumps(data))
+        with pytest.raises(ScenarioFormatError, match="infinity"):
+            load_scenario(path)
