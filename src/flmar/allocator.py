@@ -9,9 +9,12 @@ for both schemes; the communication subproblem is solved in closed form
 the log of the multiplier, with a Lambert-W inversion and closed-form
 demand slopes; NOMA: per-channel power fixed point),
 CPU frequencies follow by deadline inversion, and tau itself is located by
-a doubling march and Brent's minimisation.  Frame resolutions
-then improve through exact per-device coordinate moves, and the outer loop
-repeats until the sweep returns resolutions it has already solved.
+a doubling march and Brent's minimisation.  Every fit of one tau search but
+its first starts the price searches and the time split from the fit nearest
+in tau that the search has already made; those fits are never kept past the
+search.  Frame resolutions then improve through exact per-device coordinate
+moves, and the outer loop repeats until the sweep returns resolutions it has
+already solved.
 """
 
 from __future__ import annotations
@@ -118,11 +121,6 @@ class _Env:
             np.asarray(detection_accuracy(resolution_px, self.acc_model), dtype=float)
         )
 
-    def comm_solve(self, deadlines):
-        if self.scheme == "fdma":
-            return _fdma_comm_solve(self, deadlines)
-        return _noma_comm_solve(self, deadlines)
-
     def comm_margin(self, deadlines) -> float:
         """Signed infeasibility margin of the upload deadlines: they can be
         met iff it is <= 0, and it is +inf where one is <= 0."""
@@ -133,16 +131,18 @@ class _Env:
         return _noma_powers(self, deadlines)[0]
 
 
-def _root(f, lo: float, hi: float):
+def _root(f, lo: float, hi: float, f_lo=None, f_hi=None):
     """Bracketed root search on [lo, hi] (Chandrupatla 1997).
 
     ``f`` takes and returns floats; it is positive below the root and
-    negative above it.  Each step probes the first of: the inverse
-    quadratic through the last three points, where it is monotone on the
-    bracket; the secant through the two points on the newest point's side,
-    which lands on a root that sits at a corner of f; the midpoint.  It
-    takes the midpoint whenever the last two steps did not halve the
-    bracket, so the bracket halves at least every three steps.  Where the
+    negative above it.  ``f_lo`` and ``f_hi``, where given, are its values
+    at the ends, which the search then does not evaluate again.  Each step
+    probes the first of: the inverse quadratic through the last three
+    points, where it is monotone on the bracket; the secant through the two
+    points on the newest point's side, which lands on a root that sits at a
+    corner of f; the midpoint.  It takes the midpoint whenever the last two
+    steps did not halve the bracket, so the bracket halves at least every
+    three steps.  Where the
     ends share a sign the root lies outside the bracket, and the search
     settles at the nearer end without a probe.  It stops when f is exactly
     zero at a probe or when the bracket is no wider than one float spacing
@@ -151,7 +151,8 @@ def _root(f, lo: float, hi: float):
     f(lo) > 0 > f(hi), or lo == hi at a zero or a settled end.
     """
     lo, hi = float(lo), float(hi)
-    f_lo, f_hi = float(f(lo)), float(f(hi))
+    f_lo = float(f(lo) if f_lo is None else f_lo)
+    f_hi = float(f(hi) if f_hi is None else f_hi)
     if f_lo <= 0.0:
         return lo, lo
     if f_hi >= 0.0:
@@ -349,7 +350,7 @@ def _v1_inverse(lam: float, c, rho):
     return b, slope, stair
 
 
-def _fdma_comm_solve(env: _Env, deadlines):
+def _fdma_comm_solve(env: _Env, deadlines, start: float = -math.inf):
     """Minimum-energy powers and bandwidth split meeting per-device deadlines.
 
     For a deadline-binding device the energy E(b) = p_req(b) * d is convex
@@ -371,11 +372,13 @@ def _fdma_comm_solve(env: _Env, deadlines):
     g / (d N0) - 1, and -b / D for a pinned one strictly inside [b_kink, B];
     a device at either end adds 0.  The bracket's ends need no probe:
     demand is at least B at the low end, and at the high end every device
-    sits at its floor.  The search starts one spacing of t above the low
-    end.  It takes the Newton step where that lands inside the bracket and
-    the bracket halved over the last two probes, or the step is at most
-    half as long as the last one, or the probe is near the root (below);
-    else the secant through the bracket's ends where the Newton step left
+    sits at its floor.  The search starts at ``start``, the log-price on
+    which the nearest fit of the same round-time search ended, clamped one
+    spacing of t inside the bracket; from the default -inf that is one
+    spacing above the low end.  It takes the Newton step where that lands
+    inside the bracket and the bracket halved over the last two probes, or
+    the step is at most half as long as the last one, or the probe is near
+    the root (below); else the secant through the bracket's ends where the Newton step left
     the bracket, else the midpoint.  Every probe keeps one spacing of t
     from both ends.  A probe's grain is the demand that one spacing of t
     moves plus the stairs of `_v1_inverse`; the probe is the root once its
@@ -385,8 +388,8 @@ def _fdma_comm_solve(env: _Env, deadlines):
     ends on the high end's split, the floors or the last probe on that
     side, once its demand lies in the window or the bracket closes.
 
-    Returns ``(power, bandwidth, comm_time, comm_energy)`` or None when the
-    deadlines cannot be met.
+    Returns ``(power, bandwidth, comm_time, comm_energy, log_price)``, with
+    the t of the split it ended on, or None when the deadlines cannot be met.
     """
     dev = env.dev
     d = np.asarray(deadlines, dtype=float)
@@ -450,7 +453,7 @@ def _fdma_comm_solve(env: _Env, deadlines):
     spacing = math.ulp(max(abs(lo), abs(hi)))
     # demand at the ends: at least B at lo, and the floors at hi
     total_lo, total_hi, b_hi = math.inf, env.bw + margin, b_floor
-    t, b, target, half = lo, b_cap, env.bw, tol
+    t, b, target, half = start, b_cap, env.bw, tol
     width_2 = width_1 = step_1 = math.inf     # widths two and one probes back
     while hi - lo > spacing and abs(total_hi - target) > half:
         t = min(max(t, lo + spacing), hi - spacing)
@@ -478,7 +481,7 @@ def _fdma_comm_solve(env: _Env, deadlines):
         step_1, width_2, width_1 = abs(t_next - t), width_1, width
         t = t_next
     else:
-        b = b_hi
+        t, b = hi, b_hi
     # spread the leftover in proportion to b, but trim an excess from the
     # room above the floors, which it cannot exceed
     total = float(b.sum())
@@ -487,8 +490,8 @@ def _fdma_comm_solve(env: _Env, deadlines):
 
     p_req = power_for_rate(b, rho, env.noise * b, dev.gain)
     p = np.clip(p_req, dev.p_min, dev.p_max)
-    t = env.s / shannon_rate(b, dev.gain * p / (env.noise * b))
-    return p, b, t, p * t
+    t_com = env.s / shannon_rate(b, dev.gain * p / (env.noise * b))
+    return p, b, t_com, p * t_com, t
 
 
 def _noma_powers(env: _Env, d):
@@ -551,7 +554,9 @@ def _noma_comm_solve(env: _Env, deadlines):
 
 @dataclass
 class _Budget:
-    """Continuous variables fitted to one round-time budget tau."""
+    """Continuous variables fitted to one round-time budget tau, with the
+    split deadlines and, for FDMA, the log-prices of the first and the
+    second comm solve, from which a nearby fit starts its searches."""
 
     value: float
     power: np.ndarray
@@ -559,6 +564,8 @@ class _Budget:
     cpu: np.ndarray
     comm_time: np.ndarray
     comm_energy: np.ndarray
+    deadlines: np.ndarray
+    log_prices: tuple | None
 
 
 def _comm_marginal(c, x):
@@ -585,7 +592,8 @@ def _comm_marginal(c, x):
     return c * m, c * (u * u) * e
 
 
-def _time_split(env: _Env, tau: float, cyc, idx, bw, denom, price=None, floor=None):
+def _time_split(env: _Env, tau: float, cyc, idx, bw, denom, price=None, floor=None,
+                start=None):
     """Upload deadlines of the devices at ``idx`` that minimise each one's
     compute plus upload energy within budget tau, on a fixed link.
 
@@ -600,15 +608,17 @@ def _time_split(env: _Env, tau: float, cyc, idx, bw, denom, price=None, floor=No
     Compute and upload energy are both convex in the deadline d, so with M
     the upload marginal -dE/dd, price included, phi(d) = ln(2 kappa cyc^3 /
     ((tau - d)^3 M(d))) rises with d, and its root is the minimiser.  Each
-    device is one lane of a safeguarded Newton search on phi in log d, from
-    the geometric midpoint of its bracket.  A step goes to d exp(-phi / (d
-    phi')), clamped to one spacing inside the bracket, where the last probe
-    halved ln(hi / lo) or the step is at most half as long as the last one;
-    otherwise to the geometric midpoint, which halves ln(hi / lo).  The
-    spacing is one float spacing at hi's starting value.  Every probe lies
-    strictly inside the bracket, so each step shrinks it, and either the
-    bracket halves at least every other step or the steps shrink
-    geometrically: the search ends without a step cap.  A lane stops at its
+    device is one lane of a safeguarded Newton search on phi in log d.  A
+    lane starts at its deadline in ``start``, the split of the nearest fit
+    of the same round-time search, clamped one spacing inside its bracket;
+    without ``start``, at the geometric midpoint of its bracket.  A step
+    goes to d exp(-phi / (d phi')), clamped to one spacing inside the
+    bracket, where the last probe halved ln(hi / lo) or the step is at most
+    half as long as the last one; otherwise to the geometric midpoint, which
+    halves ln(hi / lo).  The spacing is one float spacing at hi's starting
+    value.  Every probe lies strictly inside the bracket, so each step
+    shrinks it, and either the bracket halves at least every other step or
+    the steps shrink geometrically: the search ends without a step cap.  A lane stops at its
     probe once the Newton step there is at most one spacing, or once its
     bracket is no wider than one spacing.  It then ends at hi if no probe
     fell above the root, which lies at or beyond hi, and else half a
@@ -640,7 +650,10 @@ def _time_split(env: _Env, tau: float, cyc, idx, bw, denom, price=None, floor=No
     # the price term of M, price * -dp/dd = price c 2**x ln2 x / d, is
     # lead dM with lead = price / (a ln2)
     lead = None if price is None else price[k] / (a * _LN2)
-    d = np.sqrt(lo * hi)
+    if start is None:
+        d = np.sqrt(lo * hi)
+    else:
+        d = np.fmin(np.fmax(start[idx][k], lo + spacing), hi - spacing)
     # hi / lo and the step length, one step back
     ratio_1 = step_1 = np.full(k.size, np.inf)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -680,16 +693,17 @@ def _time_split(env: _Env, tau: float, cyc, idx, bw, denom, price=None, floor=No
     return out
 
 
-def _noma_split(env: _Env, tau: float, cyc, d):
+def _noma_split(env: _Env, tau: float, cyc, d, start=None):
     """NOMA upload deadlines for budget tau: the weak users' split, then the
     strong users' against the weak power it leaves.
 
-    ``d`` holds the full-speed deadlines tau - cyc / f_max.  At its partner's
-    full-speed deadline d_s each watt of weak power costs the strong user
-    d_s (2**x_s - 1) g_w / g_s joules, which the weak split prices.  The
-    weak deadline is floored where the strong partner, at p_max and f_max,
-    can still meet tau against the weak interference, so for every feasible
-    tau the strong split has deadlines it can meet.
+    ``d`` holds the full-speed deadlines tau - cyc / f_max, and ``start``
+    the deadlines both splits start from, as `_time_split` takes them.  At
+    its partner's full-speed deadline d_s each watt of weak power costs the
+    strong user d_s (2**x_s - 1) g_w / g_s joules, which the weak split
+    prices.  The weak deadline is floored where the strong partner, at p_max
+    and f_max, can still meet tau against the weak interference, so for
+    every feasible tau the strong split has deadlines it can meet.
     """
     s_idx, w_idx = env.strong, env.weak
     g, bc = env.dev.gain, env.channel_bw
@@ -700,13 +714,14 @@ def _noma_split(env: _Env, tau: float, cyc, d):
         # the largest weak SNR under which the strong user meets d_s at p_max
         snr = env.dev.p_max[s_idx] / power_for_rate(bc, env.s / d[s_idx], noise, g[s_idx])
         floor = env.s / shannon_rate(bc, np.maximum(snr - 1.0, 0.0))
-    d[w_idx] = _time_split(env, tau, cyc, w_idx, bc, noise, price, floor)
+    d[w_idx] = _time_split(env, tau, cyc, w_idx, bc, noise, price, floor, start)
     _, p_w, _ = _noma_powers(env, d)
-    d[s_idx] = _time_split(env, tau, cyc, s_idx, bc, g[w_idx] * p_w + noise)
+    d[s_idx] = _time_split(env, tau, cyc, s_idx, bc, g[w_idx] * p_w + noise, start=start)
     return d
 
 
-def _budget_config(env: _Env, weights: Weights, tau: float, cyc, t_floor, loss_term):
+def _budget_config(env: _Env, weights: Weights, tau: float, cyc, t_floor, loss_term,
+                   near=None):
     """Fit powers, bandwidths and frequencies to budget tau; None if impossible.
 
     The upload deadlines come from a compute/upload time split on a fixed
@@ -716,24 +731,29 @@ def _budget_config(env: _Env, weights: Weights, tau: float, cyc, t_floor, loss_t
     rounding, and the fit then keeps the first solution.  NOMA splits the
     time by `_noma_split`, which always leaves deadlines that a feasible tau
     can meet.  The CPUs then slow to exactly fill tau minus the achieved
-    upload time.
+    upload time.  Each search starts from its counterpart in ``near``, a fit
+    to a nearby budget, when one is given.
     """
     d = tau - t_floor
     if np.any(d <= 0.0):
         return None
-    first = None
+    start = None if near is None else near.deadlines
     if env.scheme == "fdma":
-        first = env.comm_solve(d)
+        t_first, t_second = (-math.inf, -math.inf) if near is None else near.log_prices
+        first = _fdma_comm_solve(env, d, t_first)
         if first is None:
             return None
         b = first[1]
-        d = _time_split(env, tau, cyc, slice(None), b, env.noise * b)
+        d = _time_split(env, tau, cyc, slice(None), b, env.noise * b, start=start)
+        p, b, t_com, e_com, t_second = _fdma_comm_solve(env, d, t_second) or first
+        log_prices = (first[4], t_second)
     else:
-        d = _noma_split(env, tau, cyc, d)
-    sol = env.comm_solve(d) or first
-    if sol is None:
-        return None
-    p, b, t_com, e_com = sol
+        d = _noma_split(env, tau, cyc, d, start)
+        sol = _noma_comm_solve(env, d)
+        if sol is None:
+            return None
+        p, b, t_com, e_com = sol
+        log_prices = None
     f = np.clip(cyc / (tau - t_com), env.dev.f_min, env.dev.f_max)
     e_cmp = cmos_energy(env.dev.kappa, cyc, f)
     value = (
@@ -741,25 +761,29 @@ def _budget_config(env: _Env, weights: Weights, tau: float, cyc, t_floor, loss_t
         + weights.w2 * env.rounds * tau
         + loss_term
     )
-    return _Budget(value, p, b, f, t_com, e_com)
+    return _Budget(value, p, b, f, t_com, e_com, d, log_prices)
 
 
 def _continuous_solve(env: _Env, weights: Weights, resolution_px) -> _Budget:
-    """Best continuous variables for fixed resolutions via a search over tau."""
+    """Best continuous variables for fixed resolutions via a search over tau.
+
+    Each fit but the first starts its searches from the fit nearest in tau
+    that this search has made.  Those fits live only in this call, so the
+    result depends only on the resolutions.
+    """
     cyc = env.round_cycles(resolution_px)
     t_floor = cyc / env.dev.f_max
     base = float(t_floor.max())
     loss_term = weights.w3 * float((1.0 - env.accuracy(resolution_px)).sum())
 
-    best: list = [math.inf, None]
+    fits: list = []     # (tau, fit) of every budget that could be met
 
     def evaluate(tau: float) -> float:
-        cfg = _budget_config(env, weights, tau, cyc, t_floor, loss_term)
+        near = min(fits, key=lambda fit: abs(fit[0] - tau))[1] if fits else None
+        cfg = _budget_config(env, weights, tau, cyc, t_floor, loss_term, near)
         if cfg is None:
             return math.inf
-        if cfg.value < best[0]:
-            best[0] = cfg.value
-            best[1] = cfg
+        fits.append((tau, cfg))
         return cfg.value
 
     def margin(tau: float) -> float:
@@ -776,14 +800,15 @@ def _continuous_solve(env: _Env, weights: Weights, resolution_px) -> _Budget:
     # bit-identical solutions.
     h = max(env.n * env.s / env.bw + 1e-9, 0.05 * max(base, 1e-12))
     points: list = []
-    prev_x = base
+    prev_x, prev_m = base, None
     for k in range(128):
         x = base + h * (2.0**k)
         if not points:
-            if not margin(x) <= 0.0:
-                prev_x = x
+            m = margin(x)
+            if not m <= 0.0:
+                prev_x, prev_m = x, m
                 continue
-            _, tau_lo = _root(margin, prev_x, x)
+            _, tau_lo = _root(margin, prev_x, x, prev_m, m)
             points.append((tau_lo, evaluate(tau_lo)))
             if x == tau_lo:
                 continue
@@ -797,11 +822,12 @@ def _continuous_solve(env: _Env, weights: Weights, resolution_px) -> _Budget:
         _brent_min(evaluate, points[-3][0], points[-1][0], *points[-2])
     elif points:
         _brent_min(evaluate, points[0][0], points[-1][0])
-    if best[1] is None:
+    if not fits:
         raise InfeasibleScenarioError(
             "no round-time budget satisfies the power and bandwidth limits"
         )
-    return best[1]
+    # the first of the lowest values, as the search met them
+    return min((cfg for _, cfg in fits), key=lambda cfg: cfg.value)
 
 
 def _sweep_core(env: _Env, weights: Weights, resolution_px, cpu_hz, t_com):
@@ -969,7 +995,7 @@ def solve_comm_subproblem_fdma(
         raise InfeasibleBudgetError(
             f"deadlines unreachable within p_max and {env.bw} Hz total bandwidth"
         )
-    p, b, _, _ = sol
+    p, b, *_ = sol
     return p, b
 
 

@@ -68,9 +68,10 @@ class DeviceProfile:
         tag = f"device {self.id}"
         if not 0.0 < self.gain < math.inf:
             errors.append(f"{tag}: gain must be positive and finite, got {self.gain}")
-        if self.dataset_frames < 1:
+        frames = self.dataset_frames
+        if not (math.isfinite(frames) and frames == int(frames) and frames >= 1):
             errors.append(
-                f"{tag}: dataset_frames must be at least 1, got {self.dataset_frames}"
+                f"{tag}: dataset_frames must be an integer of at least 1, got {frames}"
             )
         if not 0.0 < self.cycles_per_pixel < math.inf:
             errors.append(

@@ -1,16 +1,23 @@
 """Local training cost model and the resolution/accuracy curve."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from flmar import (
     AccuracyModel,
     DeviceProfile,
+    ScenarioValidationError,
+    Weights,
     comp_energy,
     comp_time,
     cycles_per_frame,
     detection_accuracy,
+    optimize,
 )
+
+from conftest import make_scenario
 
 # 50-digit references for the defaults (scale=1.578, decay=6.5e-3)
 ACC_400_REF = 0.88279629357778114
@@ -136,6 +143,20 @@ class TestDeviceProfile:
         assert "device 7" in joined
         assert "kappa" in joined and "f_min" in joined
         assert "p_min" in joined and "resolutions" in joined
+
+    @pytest.mark.parametrize("frames", [float("inf"), float("nan"), 100.5, 0])
+    def test_dataset_frames_must_be_an_integer_of_at_least_one(self, frames):
+        dev = DeviceProfile(id=0, gain=1e-9, dataset_frames=frames)
+        assert [e for e in dev.validate() if "dataset_frames" in e]
+
+    def test_infinite_frame_count_fails_the_solve_by_name(self):
+        # it validated before, and the solve then warned of a division by
+        # zero and raised "no round-time budget"
+        scn = make_scenario([1e-9, 2e-9])
+        scn = replace(scn, devices=[replace(scn.devices[0], dataset_frames=float("inf")),
+                                    scn.devices[1]])
+        with pytest.raises(ScenarioValidationError, match="device 0: dataset_frames"):
+            optimize(scn, Weights(0.5, 0.5, 0.5))
 
     def test_empty_resolution_menu_rejected(self):
         dev = DeviceProfile(
