@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .channel import (
 )
 from .compute import (
     AccuracyModel,
+    DeviceTable,
     comp_energy,
     comp_time,
     cycles_per_frame,
@@ -48,11 +50,18 @@ class Weights:
             raise ValueError("weights must be finite and non-negative")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
-    """One federated-learning deployment: devices plus shared system knobs."""
+    """One federated-learning deployment: devices plus shared system knobs.
 
-    devices: list
+    Immutable; build a changed scenario with :func:`dataclasses.replace`.
+    ``devices`` takes any sequence of :class:`~flmar.compute.DeviceProfile`
+    rows and stores it as a :class:`~flmar.compute.DeviceTable`, the
+    scenario's one form of its devices, so the table, its validation and
+    its NOMA pairing are each made once per scenario.
+    """
+
+    devices: DeviceTable
     total_bandwidth_hz: float = 20e6
     noise_psd: float = 3.98e-21        # W/Hz (about -174 dBm/Hz)
     model_size_bits: float = 1e6
@@ -62,20 +71,27 @@ class Scenario:
     n_channels: int | None = None      # NOMA only; 2 users per channel
     accuracy_model: AccuracyModel = field(default_factory=AccuracyModel)
 
+    def __post_init__(self):
+        if not isinstance(self.devices, DeviceTable):
+            object.__setattr__(self, "devices", DeviceTable.from_rows(self.devices))
+
     @property
     def n_devices(self) -> int:
         return len(self.devices)
 
     def validate(self) -> list:
         """Collect every violated constraint instead of stopping at the first."""
+        return list(self._errors)
+
+    @cached_property
+    def _errors(self) -> tuple:
         errors = []
         if not self.devices:
             errors.append("scenario: needs at least one device")
-        ids = [d.id for d in self.devices]
+        ids = self.devices.ids
         if len(set(ids)) != len(ids):
             errors.append("scenario: device ids must be unique")
-        for dev in self.devices:
-            errors.extend(dev.validate())
+        errors.extend(self.devices.validate())
         for name in ("total_bandwidth_hz", "noise_psd", "model_size_bits"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
@@ -101,65 +117,28 @@ class Scenario:
                     f"{self.n_channels} channels need {2 * self.n_channels} "
                     f"devices, got {n}"
                 )
-        return errors
+        return tuple(errors)
+
+    @cached_property
+    def noma_pairing(self) -> ChannelPairing:
+        """The gain-sorted NOMA pairing of device ids on equal channels:
+        k-th strongest with k-th weakest, ties to the lower id.  Made once,
+        so every solve of the scenario shares it."""
+        table = self.devices
+        return ChannelPairing(
+            channels=tuple(gain_sorted_pairs(zip(table.ids, table.gain.tolist()))),
+            channel_bandwidth_hz=self.total_bandwidth_hz / self.n_channels,
+        )
 
     def device_index(self) -> dict:
-        """Map device id to its position in the device list."""
-        return {d.id: k for k, d in enumerate(self.devices)}
-
-
-@dataclass(frozen=True)
-class DeviceTable:
-    """A scenario's devices as parallel arrays, indexed by list position.
-
-    Built by :func:`device_table` once per public call and never cached on
-    the mutable :class:`Scenario`, which callers may edit between calls.
-    """
-
-    ids: tuple
-    gain: np.ndarray
-    p_min: np.ndarray
-    p_max: np.ndarray
-    f_min: np.ndarray
-    f_max: np.ndarray
-    kappa: np.ndarray
-    cycles_per_pixel: np.ndarray
-    frames: np.ndarray
-    resolutions: tuple          # each device's ascending menu, a tuple of ints
-
-    @property
-    def min_resolution(self) -> np.ndarray:
-        return np.array([menu[0] for menu in self.resolutions], dtype=int)
-
-    def positions(self, ids) -> np.ndarray:
-        """Positions of the given device ids."""
-        index = {uid: k for k, uid in enumerate(self.ids)}
-        return np.array([index[uid] for uid in ids], dtype=int)
-
-    def noma_pairing(self, channel_bandwidth_hz: float) -> ChannelPairing:
-        """The gain-sorted NOMA pairing of device ids: k-th strongest with
-        k-th weakest, ties to the lower id."""
-        return ChannelPairing(
-            channels=tuple(gain_sorted_pairs(zip(self.ids, self.gain.tolist()))),
-            channel_bandwidth_hz=channel_bandwidth_hz,
-        )
+        """Map device id to its position in the device table."""
+        return {uid: k for k, uid in enumerate(self.devices.ids)}
 
 
 def device_table(scenario: Scenario) -> DeviceTable:
-    """Unpack ``scenario.devices`` into a :class:`DeviceTable`.
-
-    The only place device profiles become arrays; every layer reads the
-    table instead.
-    """
-    devices = scenario.devices
-    ids = tuple(d.id for d in devices)
-    # one contiguous row per field, in DeviceTable's field order
-    columns = np.array(
-        [(d.gain, d.p_min, d.p_max, d.f_min, d.f_max, d.kappa, d.cycles_per_pixel,
-          d.dataset_frames) for d in devices],
-        dtype=float,
-    ).reshape(-1, 8).T.copy()
-    return DeviceTable(ids, *columns, tuple(d.resolutions for d in devices))
+    """The scenario's stored :class:`~flmar.compute.DeviceTable`, through
+    which every layer reads its devices."""
+    return scenario.devices
 
 
 @dataclass
@@ -194,24 +173,24 @@ class Allocation:
                 errors.append(f"allocation: {name} must have shape ({n},), got {arr.shape}")
         if errors:
             return errors
-        for k, dev in enumerate(scenario.devices):
-            slack_p = rel_tol * max(dev.p_max, 1.0)
-            if not dev.p_min - slack_p <= self.power_w[k] <= dev.p_max + slack_p:
-                errors.append(
-                    f"device {dev.id}: power {self.power_w[k]} outside "
-                    f"[{dev.p_min}, {dev.p_max}]"
-                )
-            slack_f = rel_tol * dev.f_max
-            if not dev.f_min - slack_f <= self.cpu_hz[k] <= dev.f_max + slack_f:
-                errors.append(
-                    f"device {dev.id}: cpu_hz {self.cpu_hz[k]} outside "
-                    f"[{dev.f_min}, {dev.f_max}]"
-                )
-            if int(self.resolution_px[k]) not in dev.resolutions:
-                errors.append(
-                    f"device {dev.id}: resolution {int(self.resolution_px[k])} not in "
-                    f"its menu {dev.resolutions}"
-                )
+        table = scenario.devices
+        slack_p = rel_tol * np.maximum(table.p_max, 1.0)
+        slack_f = rel_tol * table.f_max
+        resolution = self.resolution_px.tolist()
+        broken = (
+            ~((table.p_min - slack_p <= self.power_w) & (self.power_w <= table.p_max + slack_p)),
+            ~((table.f_min - slack_f <= self.cpu_hz) & (self.cpu_hz <= table.f_max + slack_f)),
+            np.array([r not in menu for r, menu in zip(resolution, table.resolutions)],
+                     dtype=bool),
+        )
+        for k in np.flatnonzero(np.any(broken, axis=0)).tolist():
+            dev = table[k]
+            messages = (
+                f"power {self.power_w[k]} outside [{dev.p_min}, {dev.p_max}]",
+                f"cpu_hz {self.cpu_hz[k]} outside [{dev.f_min}, {dev.f_max}]",
+                f"resolution {resolution[k]} not in its menu {dev.resolutions}",
+            )
+            errors.extend(f"device {dev.id}: {m}" for m, bad in zip(messages, broken) if bad[k])
         if scenario.scheme == "fdma":
             if self.bandwidth_hz is None:
                 errors.append("allocation: FDMA needs bandwidth_hz")
@@ -234,9 +213,8 @@ class Allocation:
             if self.pairing is None:
                 errors.append("allocation: NOMA needs a pairing")
             else:
-                idx = scenario.device_index()
                 ids = self.pairing.user_ids
-                if sorted(ids) != sorted(idx.keys()):
+                if sorted(ids) != sorted(table.ids):
                     errors.append("allocation: pairing must cover every device exactly once")
                 else:
                     expected = scenario.total_bandwidth_hz / len(self.pairing.channels)
@@ -245,14 +223,13 @@ class Allocation:
                             f"allocation: channel width {self.pairing.channel_bandwidth_hz} "
                             f"inconsistent with total bandwidth (expected {expected})"
                         )
-                    for s_id, w_id in self.pairing.channels:
-                        g_s = scenario.devices[idx[s_id]].gain
-                        g_w = scenario.devices[idx[w_id]].gain
-                        if g_s < g_w:
-                            errors.append(
-                                f"allocation: pair ({s_id}, {w_id}) lists the weaker "
-                                f"user first"
-                            )
+                    strong, weak = table.pair_positions(self.pairing.channels)
+                    for c in np.flatnonzero(table.gain[strong] < table.gain[weak]).tolist():
+                        s_id, w_id = self.pairing.channels[c]
+                        errors.append(
+                            f"allocation: pair ({s_id}, {w_id}) lists the weaker "
+                            f"user first"
+                        )
         return errors
 
 
@@ -277,10 +254,7 @@ class SystemMetrics:
 
 def uplink_rates(scenario: Scenario, allocation: Allocation) -> np.ndarray:
     """Per-device uplink rate in bit/s under the scenario's access scheme."""
-    return _uplink_rates(scenario, device_table(scenario), allocation)
-
-
-def _uplink_rates(scenario: Scenario, table: DeviceTable, allocation: Allocation):
+    table = scenario.devices
     gains = table.gain
     if scenario.scheme == "fdma":
         if allocation.bandwidth_hz is None:
@@ -291,8 +265,7 @@ def _uplink_rates(scenario: Scenario, table: DeviceTable, allocation: Allocation
         )
     if allocation.pairing is None:
         raise ValueError("NOMA allocation is missing a pairing")
-    strong = table.positions(s for s, _ in allocation.pairing.channels)
-    weak = table.positions(w for _, w in allocation.pairing.channels)
+    strong, weak = table.pair_positions(allocation.pairing.channels)
     rate_s, rate_w = noma_channel_rates(
         allocation.pairing.channel_bandwidth_hz,
         (gains[strong], allocation.power_w[strong]),
@@ -313,12 +286,12 @@ def system_metrics(scenario: Scenario, allocation: Allocation) -> SystemMetrics:
     Raises :class:`~flmar.channel.InfeasibleLinkError` when a device's
     uplink rate is zero (for instance zero power or zero FDMA bandwidth).
     """
-    table = device_table(scenario)
+    table = scenario.devices
     cyc = cycles_per_frame(allocation.resolution_px, table.cycles_per_pixel)
     iters = scenario.local_iterations
     t_cmp = comp_time(iters, cyc, table.frames, allocation.cpu_hz)
     e_cmp = comp_energy(table.kappa, iters, cyc, table.frames, allocation.cpu_hz)
-    rates = _uplink_rates(scenario, table, allocation)
+    rates = uplink_rates(scenario, allocation)
     t_com = comm_time(scenario.model_size_bits, rates)
     e_com = comm_energy(allocation.power_w, t_com)
     acc = detection_accuracy(allocation.resolution_px, scenario.accuracy_model)

@@ -30,7 +30,6 @@ from .accounting import (
     Scenario,
     SystemMetrics,
     Weights,
-    device_table,
     objective,
     system_metrics,
 )
@@ -74,16 +73,16 @@ class SolveReport:
 
 
 class _Env:
-    """Solver context: the scenario's device table, its shared knobs and
-    the NOMA pairing in use.  Raises :class:`ScenarioValidationError` for
+    """Solver context: the scenario's stored device table, its shared knobs
+    and the NOMA pairing in use.  Raises :class:`ScenarioValidationError` for
     an invalid scenario."""
 
     def __init__(self, scenario: Scenario):
         errors = scenario.validate()
         if errors:
             raise ScenarioValidationError(errors)
-        self.dev = device_table(scenario)
-        self.n = len(self.dev.ids)
+        self.dev = scenario.devices
+        self.n = len(self.dev)
         self.iters = float(scenario.local_iterations)
         self.rounds = float(scenario.global_rounds)
         self.s = float(scenario.model_size_bits)
@@ -91,24 +90,28 @@ class _Env:
         self.bw = float(scenario.total_bandwidth_hz)
         self.scheme = scenario.scheme
         self.acc_model = scenario.accuracy_model
-        # each menu padded with its own last entry to the widest one, so a
+        # one row per device: a menu all devices share is broadcast, else
+        # each is padded with its own last entry to the widest one, so a
         # padded lane repeats the entry before it and a first-index argmin
         # still gives ties to the smaller resolution
-        width = max(map(len, self.dev.resolutions))
-        self.menu = np.array(
-            [menu + menu[-1:] * (width - len(menu)) for menu in self.dev.resolutions],
-            dtype=float,
-        )
+        shared = self.dev.shared_menu
+        if shared is not None:
+            self.menu = np.broadcast_to(np.array(shared, dtype=float), (self.n, len(shared)))
+        else:
+            width = max(map(len, self.dev.resolutions))
+            self.menu = np.array(
+                [menu + menu[-1:] * (width - len(menu)) for menu in self.dev.resolutions],
+                dtype=float,
+            )
         self.menu_cycles = round_cycles(
             self.iters, self.dev.cycles_per_pixel[:, None], self.menu, self.dev.frames[:, None]
         )
         self.menu_loss = 1.0 - detection_accuracy(self.menu, self.acc_model)
         if self.scheme == "noma":
-            self.use_pairing(self.dev.noma_pairing(self.bw / scenario.n_channels))
+            self.use_pairing(scenario.noma_pairing)
 
     def use_pairing(self, pairing: ChannelPairing) -> None:
-        self.strong = self.dev.positions(s for s, _ in pairing.channels)
-        self.weak = self.dev.positions(w for _, w in pairing.channels)
+        self.strong, self.weak = self.dev.pair_positions(pairing.channels)
         self.channel_bw = pairing.channel_bandwidth_hz
         self.pairing = pairing
 

@@ -150,7 +150,7 @@ def _cmd_run(args) -> int:
             scenario = load_scenario(args.config)
         except (OSError, ValueError) as exc:
             raise _CliError(str(exc)) from exc
-        p_max = max(d.p_max for d in scenario.devices)
+        p_max = float(scenario.devices.p_max.max())
     else:
         scenario = _generated_scenario(args)
         p_max = args.pmax

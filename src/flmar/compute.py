@@ -1,5 +1,6 @@
 """Per-device training workload: cycle counts, compute time and energy under
-DVFS, and the analytic detection-accuracy curve.
+DVFS, the analytic detection-accuracy curve, and the device table that
+stores a scenario's devices as columns.
 
 A device trains on ``dataset_frames`` video frames per local iteration.  The
 cycle cost of one frame scales with its pixel count, i.e. quadratically in
@@ -9,6 +10,7 @@ the frame side length ``resolution_px``.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +40,8 @@ class AccuracyModel:
 
 @dataclass(frozen=True, slots=True)
 class DeviceProfile:
-    """Static description of one participating device.
+    """Static description of one participating device: one row of a
+    :class:`DeviceTable`.
 
     Use :meth:`validate` to collect constraint violations; construction does
     not raise so that loaders can report every problem in a file at once.
@@ -56,51 +59,165 @@ class DeviceProfile:
     resolutions: tuple = DEFAULT_RESOLUTIONS
 
     def __post_init__(self):
-        # a menu that is already a tuple of ints is kept, so devices drawn
-        # from one spec share its menu instead of each holding a copy
+        # a menu that is already a tuple of ints is kept, so the rows of one
+        # table share its menus instead of each holding a copy
         menu = self.resolutions
         if type(menu) is not tuple or any(type(r) is not int for r in menu):
             object.__setattr__(self, "resolutions", tuple(int(r) for r in menu))
 
     def validate(self) -> list:
-        """Return a list of human-readable constraint violations (empty if ok)."""
+        """Return a list of human-readable constraint violations (empty if
+        ok): the one-row case of :meth:`DeviceTable.validate`."""
+        return DeviceTable.from_rows([self]).validate()
+
+
+# DeviceTable's float columns, in field order; `frames` holds dataset_frames
+_COLUMNS = ("gain", "p_min", "p_max", "f_min", "f_max", "kappa", "cycles_per_pixel", "frames")
+
+
+def _row(uid, gain, p_min, p_max, f_min, f_max, kappa, cycles_per_pixel, frames, menu):
+    return DeviceProfile(
+        id=uid, gain=gain, dataset_frames=int(frames) if frames.is_integer() else frames,
+        cycles_per_pixel=cycles_per_pixel, kappa=kappa, f_min=f_min, f_max=f_max,
+        p_min=p_min, p_max=p_max, resolutions=menu,
+    )
+
+
+def _positive_finite(name: str):
+    return (lambda t: ~((0.0 < getattr(t, name)) & (getattr(t, name) < math.inf)),
+            lambda d: f"{name} must be positive and finite, got {getattr(d, name)}")
+
+
+def _menu_rule(test, message: str):
+    """A rule on each device's menu, tested once where all share one."""
+    def broken(t):
+        shared = t.shared_menu
+        if shared is not None:
+            return np.full(len(t), test(shared))
+        return np.array([test(menu) for menu in t.resolutions], dtype=bool)
+    return broken, lambda d: message
+
+
+# Each device rule as (where a table breaks it, its message from a failing
+# device's row), in report order.  NaN breaks every rule it enters.
+_DEVICE_RULES = (
+    _positive_finite("gain"),
+    (lambda t: ~(np.isfinite(t.frames) & (t.frames == np.floor(t.frames)) & (t.frames >= 1.0)),
+     lambda d: f"dataset_frames must be an integer of at least 1, got {d.dataset_frames}"),
+    _positive_finite("cycles_per_pixel"),
+    _positive_finite("kappa"),
+    (lambda t: ~((0.0 < t.f_min) & (t.f_min <= t.f_max) & (t.f_max < math.inf)),
+     lambda d: f"need 0 < f_min <= f_max < inf, got f_min={d.f_min}, f_max={d.f_max}"),
+    (lambda t: ~((0.0 <= t.p_min) & (t.p_min <= t.p_max)),
+     lambda d: f"need 0 <= p_min <= p_max, got p_min={d.p_min}, p_max={d.p_max}"),
+    _positive_finite("p_max"),
+    _menu_rule(lambda m: len(m) == 0, "resolutions must be non-empty"),
+    _menu_rule(lambda m: any(r <= 0 for r in m), "resolutions must be positive"),
+    _menu_rule(lambda m: any(a >= b for a, b in zip(m, m[1:])),
+               "resolutions must be strictly ascending"),
+)
+
+
+@dataclass(frozen=True, eq=False)
+class DeviceTable(Sequence):
+    """A scenario's devices as read-only parallel arrays, indexed by position.
+
+    The one stored form of a scenario's devices: :class:`~flmar.accounting.Scenario`
+    holds one, and every layer reads these columns.  It is also a read-only
+    sequence of :class:`DeviceProfile` rows: an index builds that device's
+    row, a slice gives the table of those devices, and iteration yields each
+    row in turn.
+    """
+
+    ids: tuple
+    gain: np.ndarray
+    p_min: np.ndarray
+    p_max: np.ndarray
+    f_min: np.ndarray
+    f_max: np.ndarray
+    kappa: np.ndarray
+    cycles_per_pixel: np.ndarray
+    frames: np.ndarray
+    resolutions: tuple          # each device's ascending menu, a tuple of ints
+
+    def __post_init__(self):
+        # each column a read-only array of its own; one whose values all have
+        # the same bits is stored once and broadcast, which under a fixed
+        # spec range (the default, and every grid cell) halves a drawn table
+        block = np.array([getattr(self, c) for c in _COLUMNS], dtype=float)
+        bits = block.view(np.int64)
+        constant = (bits == bits[:, :1]).all(axis=1).tolist()
+        for name, col, same in zip(_COLUMNS, block, constant):
+            col = col.copy() if not same or col.size == 0 else np.ndarray(
+                col.shape, float, col[:1].copy(), strides=(0,))    # broadcast
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
+
+    @classmethod
+    def from_rows(cls, rows) -> DeviceTable:
+        """The table of the given :class:`DeviceProfile` rows, in order."""
+        rows = list(rows)
+        columns = np.array(
+            [(d.gain, d.p_min, d.p_max, d.f_min, d.f_max, d.kappa, d.cycles_per_pixel,
+              d.dataset_frames) for d in rows],
+            dtype=float,
+        ).reshape(-1, len(_COLUMNS)).T
+        return cls(tuple(d.id for d in rows), *columns, tuple(d.resolutions for d in rows))
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return DeviceTable(
+                self.ids[key], *(getattr(self, c)[key] for c in _COLUMNS),
+                self.resolutions[key],
+            )
+        return _row(self.ids[key], *(getattr(self, c)[key].item() for c in _COLUMNS),
+                    self.resolutions[key])
+
+    def __iter__(self):
+        return map(_row, self.ids, *(getattr(self, c).tolist() for c in _COLUMNS),
+                   self.resolutions)
+
+    def __eq__(self, other):
+        if not isinstance(other, DeviceTable):
+            return NotImplemented
+        return (
+            self.ids == other.ids
+            and self.resolutions == other.resolutions
+            and all(np.array_equal(getattr(self, c), getattr(other, c)) for c in _COLUMNS)
+        )
+
+    @property
+    def min_resolution(self) -> np.ndarray:
+        return np.array([menu[0] for menu in self.resolutions], dtype=int)
+
+    @property
+    def shared_menu(self):
+        """The menu every device has, or None where the menus differ."""
+        menus = self.resolutions
+        if menus and menus.count(menus[0]) == len(menus):
+            return menus[0]
+        return None
+
+    def pair_positions(self, channels) -> tuple:
+        """Positions of the strong and of the weak user of each channel."""
+        index = {uid: k for k, uid in enumerate(self.ids)}
+        both = np.array([index[uid] for pair in channels for uid in pair], dtype=int)
+        return both[0::2], both[1::2]
+
+    def validate(self) -> list:
+        """Every device's constraint violations, devices in position order and
+        each device's in rule order.  The rules run as array predicates over
+        the columns; messages are built only for the devices that break one.
+        """
+        broken = [rule(self) for rule, _ in _DEVICE_RULES]
         errors = []
-        tag = f"device {self.id}"
-        if not 0.0 < self.gain < math.inf:
-            errors.append(f"{tag}: gain must be positive and finite, got {self.gain}")
-        frames = self.dataset_frames
-        if not (math.isfinite(frames) and frames == int(frames) and frames >= 1):
-            errors.append(
-                f"{tag}: dataset_frames must be an integer of at least 1, got {frames}"
-            )
-        if not 0.0 < self.cycles_per_pixel < math.inf:
-            errors.append(
-                f"{tag}: cycles_per_pixel must be positive and finite, "
-                f"got {self.cycles_per_pixel}"
-            )
-        if not 0.0 < self.kappa < math.inf:
-            errors.append(f"{tag}: kappa must be positive and finite, got {self.kappa}")
-        if not 0.0 < self.f_min <= self.f_max < math.inf:
-            errors.append(
-                f"{tag}: need 0 < f_min <= f_max < inf, got f_min={self.f_min}, "
-                f"f_max={self.f_max}"
-            )
-        if not 0.0 <= self.p_min <= self.p_max:
-            errors.append(
-                f"{tag}: need 0 <= p_min <= p_max, got p_min={self.p_min}, "
-                f"p_max={self.p_max}"
-            )
-        if not 0.0 < self.p_max < math.inf:
-            errors.append(f"{tag}: p_max must be positive and finite, got {self.p_max}")
-        if len(self.resolutions) == 0:
-            errors.append(f"{tag}: resolutions must be non-empty")
-        else:
-            if any(r <= 0 for r in self.resolutions):
-                errors.append(f"{tag}: resolutions must be positive")
-            if any(
-                a >= b for a, b in zip(self.resolutions, self.resolutions[1:])
-            ):
-                errors.append(f"{tag}: resolutions must be strictly ascending")
+        for k in np.flatnonzero(np.logical_or.reduce(broken)).tolist():
+            dev = self[k]
+            errors.extend(f"device {dev.id}: {message(dev)}"
+                          for (_, message), bad in zip(_DEVICE_RULES, broken) if bad[k])
         return errors
 
 

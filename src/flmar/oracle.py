@@ -34,7 +34,6 @@ from .accounting import (
     DeviceTable,
     Scenario,
     Weights,
-    device_table,
     objective,
     system_metrics,
 )
@@ -176,9 +175,9 @@ def _links(scenario: Scenario, table: DeviceTable, dgrids: list, grid: GridSpec)
             yield uploads, {"bandwidth_hz": split}
         return
     # one channel, two users, in the gain-sorted pairing
-    bc = scenario.total_bandwidth_hz / scenario.n_channels
-    pairing = table.noma_pairing(bc)
-    s_pos, w_pos = table.positions(pairing.channels[0]).tolist()
+    pairing = scenario.noma_pairing
+    bc = pairing.channel_bandwidth_hz
+    s_pos, w_pos = (int(pos[0]) for pos in table.pair_positions(pairing.channels))
     strong, weak = dgrids[s_pos], dgrids[w_pos]
     t_w, e_w = _upload(scenario, weak, bc)
     for j, p_w in enumerate(weak.p_grid):
@@ -207,7 +206,7 @@ def brute_force_oracle(
         raise ValueError(
             f"oracle supports at most {MAX_ORACLE_DEVICES} devices, got {n}"
         )
-    table = device_table(scenario)
+    table = scenario.devices
     dgrids = [_DeviceGrid(scenario, table, k, weights, grid) for k in range(n)]
     w2_rounds = weights.w2 * scenario.global_rounds
     best_val, alloc = np.inf, None

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .accounting import Scenario
-from .compute import DEFAULT_RESOLUTIONS, AccuracyModel, DeviceProfile
+from .compute import DEFAULT_RESOLUTIONS, AccuracyModel, DeviceProfile, DeviceTable
 
 SCHEMA_VERSION = 1
 
@@ -108,32 +108,28 @@ def generate_scenario(spec: ScenarioSpec, seed: int | None = None) -> Scenario:
         raise ScenarioValidationError(errors)
     if seed is None:
         seed = spec.master_seed
-    devices = []
-    # Equal draws share one float object.  Under a fixed p_max or f_max
-    # range, the default and every grid cell's case, that keeps a 640-device
-    # scenario a fifth smaller.
-    shared = {}
-    for k in range(spec.n_devices):
+    n = spec.n_devices
+    gain, p_max, f_max, frames = (np.empty(n) for _ in range(4))
+    for k in range(n):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, k))))
         d_km = rng.uniform(*spec.distance_range_km)
         fading = rng.exponential(1.0) if spec.rayleigh_fading else 1.0
-        p_max = rng.uniform(*spec.p_max_range)
-        f_max = rng.uniform(*spec.f_max_range)
-        frames = int(rng.integers(spec.frames_range[0], spec.frames_range[1] + 1))
-        devices.append(
-            DeviceProfile(
-                id=k,
-                gain=_device_gain(spec, d_km, fading),
-                dataset_frames=frames,
-                cycles_per_pixel=spec.cycles_per_pixel,
-                kappa=spec.kappa,
-                f_min=spec.f_min,
-                f_max=shared.setdefault(f_max, f_max),
-                p_min=spec.p_min,
-                p_max=shared.setdefault(p_max, p_max),
-                resolutions=spec.resolutions,
-            )
-        )
+        p_max[k] = rng.uniform(*spec.p_max_range)
+        f_max[k] = rng.uniform(*spec.f_max_range)
+        frames[k] = rng.integers(spec.frames_range[0], spec.frames_range[1] + 1)
+        gain[k] = _device_gain(spec, d_km, fading)
+    devices = DeviceTable(
+        ids=tuple(range(n)),
+        gain=gain,
+        p_min=np.full(n, spec.p_min, dtype=float),
+        p_max=p_max,
+        f_min=np.full(n, spec.f_min, dtype=float),
+        f_max=f_max,
+        kappa=np.full(n, spec.kappa, dtype=float),
+        cycles_per_pixel=np.full(n, spec.cycles_per_pixel, dtype=float),
+        frames=frames,
+        resolutions=(tuple(int(r) for r in spec.resolutions),) * n,
+    )
     scenario = Scenario(
         devices=devices,
         total_bandwidth_hz=spec.total_bandwidth_hz,

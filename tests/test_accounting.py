@@ -1,6 +1,7 @@
 """Round-level bookkeeping: per-device costs, system totals, the objective."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -212,13 +213,12 @@ class TestAllocationValidate:
 class TestScenarioValidate:
     def test_collects_multiple_errors(self):
         scn = make_scenario([1e-7, 1e-8])
-        scn.devices[1] = scn.devices[0]     # duplicate id
-        scn.global_rounds = 0
+        scn = replace(scn, devices=[scn.devices[0], scn.devices[0]],   # duplicate id
+                      global_rounds=0)
         errors = scn.validate()
         assert any("unique" in e for e in errors)
         assert any("global_rounds" in e for e in errors)
 
     def test_noma_needs_matching_channel_count(self):
-        scn = make_scenario([1e-7, 1e-8, 1e-9, 1e-10], scheme="noma")
-        scn.n_channels = 3
+        scn = replace(make_scenario([1e-7, 1e-8, 1e-9, 1e-10], scheme="noma"), n_channels=3)
         assert any("channels" in e for e in scn.validate())

@@ -559,7 +559,7 @@ class TestTimeSplit:
 
     def fdma_scenario(self):
         base = make_scenario([1e-9, 2e-11, 5e-12, 3e-12], frames=self.FRAMES)
-        return replace(base, devices=base.devices[:3] + [replace(base.devices[3], p_min=0.15)])
+        return replace(base, devices=[*base.devices[:3], replace(base.devices[3], p_min=0.15)])
 
     def noma_scenario(self):
         base = make_scenario([1e-10, 2e-11, 5e-12, 3e-12], scheme="noma", frames=self.FRAMES)
@@ -1329,7 +1329,7 @@ class TestSweepMatchesReference:
         # filling that time at a smaller resolution; once it drops, the two
         # devices after it fill a far shorter round
         scn = make_scenario([1e-9] * 3, f_min=1e7)
-        scn.devices[0] = make_device(id=0, f_min=1e9)
+        scn = replace(scn, devices=[make_device(id=0, f_min=1e9), *scn.devices[1:]])
         env = _Env(scn)
         r, f, t_com = np.array([500, 100, 100]), np.full(3, 1e9), np.array([1.0, 0.4, 0.3])
         before = self.totals(env, r, f, t_com)
@@ -1344,7 +1344,7 @@ class TestSweepMatchesReference:
         # device 1's two entries both lose all accuracy and finish inside
         # device 0's round time; with no energy weight they tie exactly
         scn = make_scenario([1e-9] * 2)
-        scn.devices[1] = make_device(id=1, resolutions=(30, 50))
+        scn = replace(scn, devices=[scn.devices[0], make_device(id=1, resolutions=(30, 50))])
         env = _Env(scn)
         assert env.menu[1].tolist() == [30, 50, 50, 50, 50]
         r, f, t_com = np.array([500, 50]), np.full(2, 1e9), np.array([1.0, 0.1])

@@ -1,21 +1,30 @@
 """Scenario generation, validation, and the JSON config round trip."""
 
+import hashlib
 import json
+from dataclasses import FrozenInstanceError, asdict, replace
 
+import numpy as np
 import pytest
 
 from flmar import (
     AccuracyModel,
     DeviceProfile,
+    Scenario,
     ScenarioFormatError,
     ScenarioSpec,
     ScenarioValidationError,
+    Weights,
     generate_scenario,
     load_scenario,
+    optimize,
+    random_baseline,
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
 )
+from flmar.accounting import device_table
+from flmar.experiments import scenario_for_cell
 from flmar.scenario import SCHEMA_VERSION
 
 # gain at 0.1 km with fading off: 10^(-(128.1 + 37.6*log10(0.1))/10)
@@ -76,10 +85,10 @@ class TestGeneration:
 
     def test_fixed_ranges_give_every_device_one_shared_value(self):
         scn = generate_scenario(small_spec(n_devices=5, p_max_range=(0.25, 0.25)))
-        first = scn.devices[0]
-        for dev in scn.devices:
-            assert dev.p_max == 0.25 and dev.p_max is first.p_max
-            assert dev.f_max == 2e9 and dev.f_max is first.f_max
+        for name, value in (("p_max", 0.25), ("f_max", 2e9)):
+            column = getattr(scn.devices, name)
+            # stored once and broadcast to every device
+            assert column.tolist() == [value] * 5 and column.strides == (0,)
 
     def test_noma_gets_half_as_many_channels(self):
         scn = generate_scenario(small_spec(n_devices=40, scheme="noma"))
@@ -113,6 +122,138 @@ class TestGeneration:
     def test_generate_rejects_bad_spec(self):
         with pytest.raises(ScenarioValidationError):
             generate_scenario(small_spec(n_devices=3, scheme="noma"))
+
+
+# sha256 of the gain, p_max, f_max and frames column bytes, recorded from the
+# per-device draw loop that built DeviceProfile objects, before the draws went
+# straight into columns.  The scheme does not enter the draws.
+GOLDEN_CELL_640 = {
+    0: (
+        "86a498ded9f7abffa940334ab6f4dcdefc30a0497dbcd046eb8a5522cd039630",
+        "7323c3139e715a12116fd420933f0da8806d21db384767f3cde2dcd77decb3b0",
+        "95080579791373870d140769b7c1b35795c2c390e4c222abda69dfeab794810b",
+        "4c116c74527eaacb0f0784a306a7c6dafbb037746711cf706c86b73348ce4335",
+    ),
+    1: (
+        "f131efe9e5b0af14fa4c59e7c4b7f9e8b3f448436283a3bd90c73d6ae48f90b7",
+        "7323c3139e715a12116fd420933f0da8806d21db384767f3cde2dcd77decb3b0",
+        "95080579791373870d140769b7c1b35795c2c390e4c222abda69dfeab794810b",
+        "5c1ab36ac1a68906c5dac97b60985902eb18e70afda86a6bbbe13a5bed564b30",
+    ),
+    2: (
+        "0687cb2258be916bec729f3dca3cf7a5d617f1e8bea1cb311337163f2800c21c",
+        "7323c3139e715a12116fd420933f0da8806d21db384767f3cde2dcd77decb3b0",
+        "95080579791373870d140769b7c1b35795c2c390e4c222abda69dfeab794810b",
+        "88443f04d5988b8b20ee662390e42245e069f06da98a14fdde24d830c09af610",
+    ),
+    3: (
+        "57e5221c7362db4145f89375e2161140cae642e81a705fe387aac8d0187289d9",
+        "7323c3139e715a12116fd420933f0da8806d21db384767f3cde2dcd77decb3b0",
+        "95080579791373870d140769b7c1b35795c2c390e4c222abda69dfeab794810b",
+        "db5c24156b5249187266eb630cde7bf28c2078726da1f6eb5c56813cd72f91e3",
+    ),
+}
+GOLDEN_RANGED_640 = {
+    True: (
+        "01fb79d031d6e56130a71221f10bc1ab6f687b173b23aad9d95da498b890c49c",
+        "15a1d3f96f44f91a87c7d8f2e537b4449381d0dda0329b16783fcc34668f1687",
+        "d0a020eb0efb378346e2edbea640fada5a6765fef55ef100c862be9581edb449",
+        "93becb8923eb6a7c0c6776a4dfe200f3e9b7afc3e187efe04729d020c66ea028",
+    ),
+    False: (
+        "83fe9991be1213103d359cd9bec0489b0ba5413008ecd2e107d01491b6bfbeae",
+        "3337309421424a1df3fffa538d8490dbfde5af78827f0755fc3a71b49adc1af8",
+        "bec7d4369d036583adeff3f7ebd4cf7feaf0e3b1aca7bbb0dd6b931a5456f6d3",
+        "b395e46a2a2f95d59df484784c3ed8799b39c723701e2160dcb6d88f99aabd9b",
+    ),
+}
+
+
+def column_digests(scn):
+    return tuple(
+        hashlib.sha256(getattr(scn.devices, c).tobytes()).hexdigest()
+        for c in ("gain", "p_max", "f_max", "frames")
+    )
+
+
+class TestGoldenDraws:
+    @pytest.mark.parametrize("scheme", ["fdma", "noma"])
+    @pytest.mark.parametrize("seed_index", range(4))
+    def test_grid_cell_draws_are_unchanged(self, scheme, seed_index):
+        scn = scenario_for_cell(ScenarioSpec(), scheme, 0.2, seed_index, 0, 640)
+        assert column_digests(scn) == GOLDEN_CELL_640[seed_index]
+
+    @pytest.mark.parametrize("fading", [True, False])
+    def test_ranged_draws_are_unchanged(self, fading):
+        spec = ScenarioSpec(n_devices=640, p_max_range=(0.1, 0.5), f_max_range=(0.5e9, 3e9),
+                            rayleigh_fading=fading)
+        assert column_digests(generate_scenario(spec)) == GOLDEN_RANGED_640[fading]
+
+
+def fresh_rows(scn):
+    """The scenario's devices as DeviceProfile objects built field by field."""
+    return [DeviceProfile(**asdict(d)) for d in scn.devices]
+
+
+def solve_both(scn):
+    w = Weights(0.5, 0.5, 0.5)
+    return optimize(scn, w), random_baseline(scn, w, seed=5)
+
+
+class TestDeviceRows:
+    """``Scenario.devices`` is a read-only view of the stored column table."""
+
+    @pytest.mark.parametrize("scheme", ["fdma", "noma"])
+    def test_replace_patterns_solve_like_equal_rows(self, scheme):
+        # the two ways the benchmark derives scenarios: a slice of the row
+        # view, and a list of rows each changed with dataclasses.replace
+        scn = generate_scenario(small_spec(n_devices=6, scheme=scheme,
+                                           p_max_range=(0.1, 0.5)))
+        n_channels = 2 if scheme == "noma" else None
+        shares = [0.05, 0.5, 0.2, 0.3, 0.1, 0.4]
+        pinned = [DeviceProfile(**{**asdict(d), "p_min": s * d.p_max})
+                  for d, s in zip(fresh_rows(scn), shares)]
+        cases = [
+            (replace(scn, devices=scn.devices[:4], n_channels=n_channels),
+             replace(scn, devices=fresh_rows(scn)[:4], n_channels=n_channels)),
+            (replace(scn, devices=[replace(d, p_min=s * d.p_max)
+                                   for d, s in zip(scn.devices, shares)]),
+             replace(scn, devices=pinned)),
+        ]
+        for derived, built in cases:
+            assert derived == built
+            for got, want in zip(solve_both(derived), solve_both(built)):
+                assert got.objective == want.objective
+                for name in ("power_w", "cpu_hz", "resolution_px"):
+                    np.testing.assert_array_equal(getattr(got.allocation, name),
+                                                  getattr(want.allocation, name))
+
+    def test_devices_are_read_only(self):
+        scn = generate_scenario(small_spec())
+        with pytest.raises(TypeError):
+            scn.devices[0] = scn.devices[1]
+        with pytest.raises(ValueError):
+            scn.devices.gain[0] = 1e-9
+        with pytest.raises(FrozenInstanceError):
+            scn.global_rounds = 1
+
+    def test_rows_read_back_the_columns(self):
+        scn = generate_scenario(small_spec(n_devices=5))
+        rows = list(scn.devices)
+        assert [d.id for d in rows] == list(range(5))
+        assert rows[2] == scn.devices[2] == scn.devices[-3]
+        assert [d.gain for d in rows] == scn.devices.gain.tolist()
+        assert all(type(d.dataset_frames) is int for d in rows)
+        assert Scenario(devices=rows) == scn
+        assert device_table(scn) is scn.devices
+
+    def test_file_round_trip_of_a_ranged_640_device_table(self, tmp_path):
+        # drawn and broadcast columns both, written row by row and read back
+        scn = generate_scenario(small_spec(n_devices=640, scheme="noma",
+                                           p_max_range=(0.1, 0.5)))
+        path = tmp_path / "scenario.json"
+        save_scenario(scn, path)
+        assert load_scenario(path) == scn
 
 
 class TestSerialization:
@@ -160,7 +301,7 @@ class TestSerialization:
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(data))
         scn = load_scenario(path)
-        assert scn.devices == [
+        assert list(scn.devices) == [
             DeviceProfile(id=d["id"], gain=d["gain"], dataset_frames=d["dataset_frames"])
             for d in data["devices"]
         ]
