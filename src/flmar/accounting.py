@@ -135,12 +135,6 @@ class Scenario:
         return {uid: k for k, uid in enumerate(self.devices.ids)}
 
 
-def device_table(scenario: Scenario) -> DeviceTable:
-    """The scenario's stored :class:`~flmar.compute.DeviceTable`, through
-    which every layer reads its devices."""
-    return scenario.devices
-
-
 @dataclass
 class Allocation:
     """Per-device decision variables, indexed like ``scenario.devices``.

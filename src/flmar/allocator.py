@@ -90,19 +90,14 @@ class _Env:
         self.bw = float(scenario.total_bandwidth_hz)
         self.scheme = scenario.scheme
         self.acc_model = scenario.accuracy_model
-        # one row per device: a menu all devices share is broadcast, else
-        # each is padded with its own last entry to the widest one, so a
-        # padded lane repeats the entry before it and a first-index argmin
-        # still gives ties to the smaller resolution
-        shared = self.dev.shared_menu
-        if shared is not None:
-            self.menu = np.broadcast_to(np.array(shared, dtype=float), (self.n, len(shared)))
-        else:
-            width = max(map(len, self.dev.resolutions))
-            self.menu = np.array(
-                [menu + menu[-1:] * (width - len(menu)) for menu in self.dev.resolutions],
-                dtype=float,
-            )
+        # each distinct menu padded with its own last entry to the widest
+        # one, so a padded lane repeats the entry before it and a first-index
+        # argmin still gives ties to the smaller resolution
+        menus, which = self.dev.distinct_menus
+        width = max(map(len, menus))
+        self.menu = np.array(
+            [menu + menu[-1:] * (width - len(menu)) for menu in menus], dtype=float
+        )[which]
         self.menu_cycles = round_cycles(
             self.iters, self.dev.cycles_per_pixel[:, None], self.menu, self.dev.frames[:, None]
         )

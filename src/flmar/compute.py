@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -89,12 +90,10 @@ def _positive_finite(name: str):
 
 
 def _menu_rule(test, message: str):
-    """A rule on each device's menu, tested once where all share one."""
+    """A rule on each device's menu, tested once per distinct menu."""
     def broken(t):
-        shared = t.shared_menu
-        if shared is not None:
-            return np.full(len(t), test(shared))
-        return np.array([test(menu) for menu in t.resolutions], dtype=bool)
+        menus, which = t.distinct_menus
+        return np.array([test(menu) for menu in menus], dtype=bool)[which]
     return broken, lambda d: message
 
 
@@ -126,7 +125,8 @@ class DeviceTable(Sequence):
     holds one, and every layer reads these columns.  It is also a read-only
     sequence of :class:`DeviceProfile` rows: an index builds that device's
     row, a slice gives the table of those devices, and iteration yields each
-    row in turn.
+    row in turn.  Rows are not stored, so every index or iteration builds
+    them anew from the columns; code that runs per solve reads the columns.
     """
 
     ids: tuple
@@ -193,13 +193,13 @@ class DeviceTable(Sequence):
     def min_resolution(self) -> np.ndarray:
         return np.array([menu[0] for menu in self.resolutions], dtype=int)
 
-    @property
-    def shared_menu(self):
-        """The menu every device has, or None where the menus differ."""
-        menus = self.resolutions
-        if menus and menus.count(menus[0]) == len(menus):
-            return menus[0]
-        return None
+    @cached_property
+    def distinct_menus(self) -> tuple:
+        """The distinct menus in order of first use, and each device's
+        position among them as an int array."""
+        index = {}
+        which = [index.setdefault(menu, len(index)) for menu in self.resolutions]
+        return tuple(index), np.array(which, dtype=np.intp)
 
     def pair_positions(self, channels) -> tuple:
         """Positions of the strong and of the weak user of each channel."""

@@ -23,7 +23,7 @@ from flmar import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from flmar.accounting import device_table
+from flmar.allocator import _Env
 from flmar.experiments import scenario_for_cell
 from flmar.scenario import SCHEMA_VERSION
 
@@ -245,7 +245,23 @@ class TestDeviceRows:
         assert [d.gain for d in rows] == scn.devices.gain.tolist()
         assert all(type(d.dataset_frames) is int for d in rows)
         assert Scenario(devices=rows) == scn
-        assert device_table(scn) is scn.devices
+
+    def test_each_device_gets_its_own_menu(self):
+        # menus are tested and padded once per distinct menu; equal menus held
+        # as separate tuples share an entry, and each device reads its own
+        base = fresh_rows(generate_scenario(small_spec()))
+        menus = [(100, 200), tuple(range(100, 201, 100)), (300, 100), (100, 200, 300)]
+        scn = Scenario(devices=[replace(d, resolutions=m) for d, m in zip(base, menus)])
+        distinct, which = scn.devices.distinct_menus
+        assert distinct == ((100, 200), (300, 100), (100, 200, 300))
+        assert which.tolist() == [0, 0, 1, 2]
+        assert scn.validate() == ["device 2: resolutions must be strictly ascending"]
+        menus[2] = (300,)
+        scn = Scenario(devices=[replace(d, resolutions=m) for d, m in zip(base, menus)])
+        np.testing.assert_array_equal(
+            _Env(scn).menu,
+            [[100, 200, 200], [100, 200, 200], [300, 300, 300], [100, 200, 300]],
+        )
 
     def test_file_round_trip_of_a_ranged_640_device_table(self, tmp_path):
         # drawn and broadcast columns both, written row by row and read back
