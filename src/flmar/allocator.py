@@ -1,26 +1,26 @@
 """Joint allocation of transmit power, bandwidth, CPU frequency and frame
 resolution for synchronous federated rounds.
 
-The solver runs a block-coordinate descent around an epigraph variable: for
-a candidate round-time budget tau each device's time is split between
-compute and upload by one convex 1-D search on a fixed link, written once
-for both schemes; the communication subproblem is solved in closed form
-(FDMA: minimum-energy bandwidth split via a safeguarded Newton search on
-the log of the multiplier, with a Lambert-W inversion and closed-form
-demand slopes; NOMA: per-channel power fixed point),
-CPU frequencies follow by deadline inversion, and tau itself is located by
-a doubling march and Brent's minimisation.  Every fit of one tau search but
-its first starts the price searches and the time split from the fit nearest
-in tau that the search has already made; those fits are never kept past the
-search.  Frame resolutions then improve through exact per-device coordinate
-moves, and the outer loop repeats until the sweep returns resolutions it has
-already solved.
+The solver fits the continuous variables to a candidate round-time budget
+tau and locates tau by a doubling march and Brent's minimisation.  FDMA
+fits every device's bandwidth and upload deadline at once, by one search
+on the bandwidth price in which each device's optimum is one lane of a
+vectorised Newton search (`_FdmaFit`), with no special function in it;
+NOMA splits each device's time between compute and upload by one convex
+1-D search on a fixed link, then meets those deadlines by a per-channel
+power fixed point.  CPU frequencies follow by deadline inversion.  Every
+fit of one tau search but its first starts its searches from the fit
+nearest in tau that the search has already made; those fits are never
+kept past the search.  Frame resolutions then improve through exact
+per-device coordinate moves, and the outer loop repeats until the sweep
+returns resolutions it has already solved.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import lambertw
@@ -41,6 +41,9 @@ _LN2 = math.log(2.0)
 _CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
 _EPS = float(np.finfo(float).eps)
 _SQRT_EPS = math.sqrt(_EPS)
+# the longest last step of an FDMA lane (`_lane_newton`), in ln u, once
+# the price search nears its root
+_LANE_TOL = 1e-9
 _U_SERIES = (38698 / 42525, -524 / 567, 386 / 405, -136 / 135, 10 / 9, -4 / 3, 2.0, 0.0)
 # (k - 1) / k! for k = 2 to 13: the series of `_comm_marginal` over u**2
 _M_SERIES = np.array([(k - 1) / math.factorial(k) for k in range(2, 14)])
@@ -104,6 +107,25 @@ class _Env:
         self.menu_loss = 1.0 - detection_accuracy(self.menu, self.acc_model)
         if self.scheme == "noma":
             self.use_pairing(scenario.noma_pairing)
+
+    @cached_property
+    def fdma_edges(self):
+        """Each FDMA device's N0 / g and the parameters of its two power
+        edges (`_FdmaFit`), rows p_max and p_min: the power, the power that
+        stays below the f_min bound, pb and bk with b = pb / (2**u - 1) and d
+        = bk (2**u - 1) / u, the efficiency u where b = B and its log; and
+        the p_max upload time over the whole band."""
+        dev = self.dev
+        cg = self.noise / dev.gain
+        power = np.array([dev.p_max, dev.p_min])
+        low = np.array([np.zeros(self.n), dev.p_min])
+        pb = power / cg
+        with np.errstate(divide="ignore"):
+            bk = cg * self.s / power
+            u_band = np.log1p(pb / self.bw) / _LN2
+            z_band = np.log(u_band)
+        return (cg, power, low, pb, bk, u_band, z_band,
+                bk[0] * np.expm1(u_band[0] * _LN2) / u_band[0])
 
     def use_pairing(self, pairing: ChannelPairing) -> None:
         self.strong, self.weak = self.dev.pair_positions(pairing.channels)
@@ -254,8 +276,9 @@ def _u_from_k(k: np.ndarray) -> np.ndarray:
 
 
 def _fdma_floors(env: _Env, deadlines):
-    """Per-device bandwidth floors at full power and the margin by which
-    they overrun B, as ``(margin, b_floor)``.
+    """Per-device bandwidth floors at full power, the margin by which they
+    overrun B and their spectral efficiency s / (b d), as ``(margin,
+    b_floor, u_floor)``.
 
     A device transmitting at p_max with bandwidth below its floor cannot
     meet its deadline, so a split is feasible iff the margin is <= 0.  A
@@ -264,232 +287,432 @@ def _fdma_floors(env: _Env, deadlines):
     rho = env.s / deadlines
     k_max = env.dev.gain * env.dev.p_max / (env.noise * rho)
     if np.any(k_max <= _LN2 * (1.0 + 1e-12)):
-        return math.inf, None
-    b_floor = rho / _u_from_k(k_max)
-    return float(b_floor.sum()) - env.bw, b_floor
+        return math.inf, None, None
+    u = _u_from_k(k_max)
+    b_floor = rho / u
+    return float(b_floor.sum()) - env.bw, b_floor, u
 
 
-def _floor_marginal(env: _Env, b, g, pmin):
-    """v2 = -dE/db for a device pinned at its power floor p_min, and its
-    negated log slope D = -d ln v2 / d ln b, as ``(v2, D)``.
+@dataclass
+class _FdmaLanes:
+    """Where an FDMA fit's price search ended, for a nearby fit to start
+    from: the budget, the log-price and each device's free and edge lane
+    ends."""
 
-    With x = g p_min / (N0 b), L = ln(1 + x) and q = L - x / (1 + x), v2 =
-    p_min s q ln2 / (b L)**2, and D = 2 + x**2 / ((1 + x)**2 q) - 2 x / ((1
-    + x) L), which is positive: v2 falls with b.
+    tau: float
+    log_price: float
+    z: np.ndarray
+
+
+def _lane_newton(f, z, lo, hi, args, tol):
+    """Roots of many falling functions at once, by one Newton search whose
+    lanes are the functions.
+
+    ``f(z, *args)`` returns, for each lane, its value r, positive below the
+    root, its slope dr/dz and dr/d ln lambda, the derivative in the price
+    the caller solves for.  Lane i searches [lo[i], hi[i]] from z[i]; a
+    root outside settles at the nearer end.  Every lane takes the Newton
+    step z - r / r', clamped into its bracket, and the search ends once no
+    lane steps further than ``tol``, on the points those steps reach.  While
+    every moving lane's Newton step, before the clamp, shrinks by a tenth
+    or more at each probe the steps converge; once one does not, the lanes
+    still moving go on by `_bracketed_newton`, whose safeguards end it
+    without a step cap.  Returns the end points and dz /
+    d ln lambda = -(dr/d ln lambda) / r' at each lane's last probe.
     """
-    x = g * pmin / (env.noise * b)
-    ln1x = np.log1p(x)
-    y = x / (1.0 + x)
-    q = ln1x - y
-    v2 = pmin * env.s * q * _LN2 / (b * ln1x) ** 2
-    return v2, 2.0 + y * y / q - 2.0 * y / ln1x
+    z = np.fmin(np.fmax(z, lo), hi)
+    last = math.inf
+    while True:
+        r, dr, dlam = f(z, *args)
+        step = r / dr
+        z_next = np.fmin(np.fmax(z - step, lo), hi)
+        size = np.abs(z_next - z)
+        moving = size > tol
+        if not moving.any():
+            dz = -dlam / dr
+            dz[~np.isfinite(dz)] = 0.0
+            return z_next, dz
+        step = np.abs(step)
+        if not np.all(step[moving] <= 0.9 * (last if np.ndim(last) == 0 else last[moving])):
+            break
+        last, z = step, z_next
+    k = np.flatnonzero(moving)
+    dz = -dlam / dr
+    dz[~np.isfinite(dz)] = 0.0
+    z_next[k], dz[k] = _bracketed_newton(f, z[k], lo[k], hi[k], tuple(a[k] for a in args),
+                                         tol)
+    return z_next, dz
 
 
-def _floor_split(env: _Env, lam: float, g, pmin, lo, v_lo, v_hi, start):
-    """Bandwidths b of devices pinned at p_min with v2(b) = lam on [lo, B],
-    and their slopes db/d ln lam, as ``(b, slope)``.
-
-    ``v_lo`` and ``v_hi`` hold v2 at lo and at B.  A root at or beyond an
-    end settles there with slope 0: at lo where lam >= v_lo, at B where lam
-    <= v_hi.  The other devices are lanes of one Newton search on ln v2 in
-    ln b, from ``start``, each probe clamped one spacing inside (lo, B).
-    D = -d ln v2 / d ln b lies in (1.79, 2] for every x, so each step
-    shrinks the distance to the root by a factor of at least 9, and a step
-    of length s in ln b leaves an error below 0.02 s**2.  A lane therefore
-    ends on the point its first step of at most sqrt(eps) reaches, with
-    slope -b / D.
-    """
-    b = np.where(lam >= v_lo, lo, env.bw)
-    slope = np.zeros(b.shape)
-    k = np.flatnonzero((lam < v_lo) & (lam > v_hi))
-    g, pmin = g[k], pmin[k]
-    low, high = np.nextafter(lo[k], np.inf), np.nextafter(env.bw, 0.0)
-    x = np.fmin(np.fmax(start[k], low), high)
+def _bracketed_newton(f, z, lo, hi, args, tol):
+    """`_lane_newton`'s safeguarded search.  After the first, each probe
+    lies one spacing of its ends inside the bracket, which the signs of r
+    shrink.  A step goes to z - r / r' where the last probe halved the
+    bracket or the step is at most half as long as the last one; otherwise
+    to the midpoint.  Every probe lies strictly inside the bracket, so each
+    shrinks it, and either the bracket halves at least every other step or
+    the steps shrink geometrically: the search ends without a step cap.  A
+    lane ends on the point its first step of at most ``tol`` reaches,
+    clamped into its bracket, or once the bracket is no wider than one
+    spacing on its end beyond the last probe, so that a root outside the
+    bracket settles on its end.  Finished lanes leave the search."""
+    z_end = np.empty(z.size)
+    dz = np.empty(z.size)
+    k = np.arange(z.size)
+    spacing = np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
+    width_1 = step_1 = np.full(z.size, np.inf)       # one step back
     while k.size:
-        v, dv = _floor_marginal(env, x, g, pmin)
-        step = np.log(v / lam) / dv
-        x = np.fmin(np.fmax(x * np.exp(step), low), high)
-        done = np.abs(step) <= _SQRT_EPS
+        r, dr, dlam = f(z, *args)
+        step = r / dr
+        size = np.abs(step)
+        above = r < 0.0
+        lo = np.where(above, lo, z)
+        hi = np.where(above, z, hi)
+        width = hi - lo
+        take = (width <= 0.5 * width_1) | (size <= 0.5 * step_1)
+        z_next = np.where(take, z - step, 0.5 * (lo + hi))
+        z_next = np.minimum(np.maximum(z_next, lo + spacing), hi - spacing)
+        width_1, step_1 = width, np.abs(z_next - z)
+        converged = size <= tol
+        done = converged | (width <= spacing)
         if np.count_nonzero(done):
-            b[k[done]] = x[done]
-            slope[k[done]] = -x[done] / dv[done]
+            i = k[done]
+            z_end[i] = np.where(converged, np.minimum(np.maximum(z - step, lo), hi),
+                                np.where(above, lo, hi))[done]
+            dz[i] = -dlam[done] / dr[done]
             go = ~done
-            k, x, low, g, pmin = k[go], x[go], low[go], g[go], pmin[go]
-    return b, slope
+            k, z_next, lo, hi, spacing, width_1, step_1 = (
+                v[go] for v in (k, z_next, lo, hi, spacing, width_1, step_1))
+            args = tuple(a[go] for a in args)
+        z = z_next
+    dz[~np.isfinite(dz)] = 0.0
+    return z_end, dz
 
 
-def _v1_inverse(lam: float, c, rho):
-    """Bandwidths b at which v1(b) = lam, their slopes db / d ln lam and
-    the demand that rounding moves, as ``(b, slope, stair)``, for uploads
-    of ``rho`` bit/s with c = d N0 / g.
+class _FdmaFit:
+    """The FDMA devices' own optima at a bandwidth price lambda, for one
+    budget tau: each device's bandwidth b and upload deadline d minimise its
+    upload plus compute energy plus lambda b.
 
-    With a = lam / c and v = u ln2, v1(b) = lam reads (v - 1) e**v + 1 = a,
-    whose root is v = W((a - 1) / e) + 1 (Lambert W, principal branch), and
-    db / d ln lam = -b a 2**-u / v**2.  a - 1 and its quotient by e each
-    round by up to eps |a - 1|, which moves ln lam by up to 2 eps |a - 1| /
-    a: near a = 0 b climbs in stairs that times its slope, as ``stair``
-    holds.  Below a = 1e-8 a stair would span most of b, and v comes from
-    its branch-point series p - p**2/3 + 11 p**3/72 in p = sqrt(2a) instead
-    (Corless et al. 1996), within 2e-13 and with no stair.  Where v rounds
-    to 0, b is inf.
+    With u = s / (b d) the upload energy is (N0 s / g) (2**u - 1) / u, and
+    stationarity in b gives d(u) = lambda g / (N0 m(u)), m(u) = (u ln2 - 1)
+    2**u + 1.  Along d(u), H(u) = C(d) - lambda s / (u d**2), with C(d) = 2
+    kappa c**3 / (tau - d)**3, is the derivative in d of the energy already
+    minimised over b, which is convex in d; d(u) falls in u, so H falls in u
+    and its root is the optimum.  There is no special function in it.
+
+    Each probe solves every device free, as one lane search of
+    `_lane_newton` on ln H in ln u, with d clipped to [d_lo, d_hi] (the
+    f_min and f_max bounds): a clipped lane solves d(u) = d_lo or d_hi,
+    the clip of ln H between ln(d(u) / d_hi) and ln(d(u) / d_lo), all
+    falling in u.  Where that optimum needs power within [p_min, p_max] it
+    is the device's; where it needs more than p_max, or less than p_min, the
+    problem being convex, the optimum lies on that power's edge, and a
+    second lane search solves those devices there (`_edge`).  Along the
+    edge of power P, d = (N0 s / (g P)) (2**u - 1) / u and b = g P / (N0
+    (2**u - 1)), and the derivative in d, G = P + C(d) - lambda (-db/dd),
+    rises in u.  d ends at d_hi, the p_max floor or the p_min kink, and b at
+    B; on the p_max edge d also ends at the f_min bound, and on the p_min
+    edge, where d is the upload time, the compute term leaves G below it.
+    Above v_top a device sits at its corner, the p_max floor at d_hi.
+
+    ``d_c`` holds the f_min bound tau - c / f_min (at least 0), ``kc`` 2
+    kappa c**3 and ``d_hi`` tau - c / f_max; d_lo is the later of the f_min
+    bound and the p_max upload time over the whole band.  With d_c = d_hi,
+    kc = 0 and tau = inf every deadline is pinned: a comm solve.  A lane
+    starts from its end at the last probe, moved along its slope to the new
+    price, or in a fit's first probe from its end in ``near``, a nearby
+    fit's `_FdmaLanes`, else from the middle of its bracket.
     """
-    a = lam / c
-    a1 = a - 1.0
-    v = np.real(lambertw(a1 / math.e)) + 1.0
-    tiny = a < 1e-8
-    if np.count_nonzero(tiny):
-        p = np.sqrt(2.0 * a[tiny])
-        v[tiny] = p * (1.0 - p * (1.0 / 3.0 - p * (11.0 / 72.0)))
-    u = v / _LN2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        b = np.where(v > 0.0, rho / u, np.inf)
-        slope = -b * a * np.exp2(-u) / (v * v)
-        stair = np.where(tiny, 0.0, 2.0 * _EPS * np.abs(slope * a1 / a))
-    return b, slope, stair
+
+    def __init__(self, env: _Env, tau: float, d_c, d_hi, kc, margin, b_floor, u_floor,
+                 near=None):
+        dev = env.dev
+        s, g, n = env.s, dev.gain, env.n
+        self.env, self.tau, self.d_hi, self.kc = env, tau, d_hi, kc
+        (self.cg, self.edge_power, self.edge_low, self.pb, self.bk, u_band, self.z_band,
+         d_band) = env.fdma_edges
+        # the efficiency where each edge meets d_hi: the floor, and the p_min
+        # kink below
+        self.z_top = np.empty((2, n))
+        self.z_top[0], self.z_top[1] = np.log(u_floor), np.inf
+        self.d_c = d_c
+        self.d_lo = np.minimum(np.maximum(d_c, d_band), d_hi)
+        self.clip_gap = np.log(d_hi / self.d_lo)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            m_f = _comm_marginal(1.0, u_floor)[0]
+            # v1 at the floor: above it every deadline needs more than p_max
+            self.v_floor = self.cg * d_hi * m_f
+            # the price above which p_max + C(d_hi) no longer pays for a
+            # shorter deadline along the edge; m 2**-u is u ln2 - 1 once 2**u
+            # overflows
+            m_2u = np.where(u_floor < 1000.0, m_f * np.exp2(-u_floor), u_floor * _LN2 - 1.0)
+            v_corner = (dev.p_max + kc / (tau - d_hi) ** 3) * d_hi * m_2u / (
+                b_floor * u_floor * _LN2)
+            # at and above this price a device sits at its corner
+            self.v_top = np.minimum(np.maximum(self.v_floor, v_corner), 1e300)
+            top = np.minimum(self.cg * d_hi * _comm_marginal(1.0, s / (env.bw * d_hi))[0],
+                             1e300)
+
+        # devices that can pin at p_min below B: the p_min kink at d_hi
+        k_min = g * dev.p_min * d_hi / (env.noise * s)
+        pin = np.flatnonzero(k_min > _LN2 * (1.0 + 1e-9))
+        if pin.size:
+            z_kink = np.minimum(np.log(_u_from_k(k_min[pin])), self.z_top[0, pin])
+            pin, z_kink = pin[z_kink > self.z_band[1, pin]], z_kink[z_kink > self.z_band[1, pin]]
+            self.z_top[1, pin] = z_kink
+            # demand is at least B below the p_min edge's marginal at B too
+            u = u_band[1, pin]
+            em1 = np.expm1(u * _LN2)
+            m = _comm_marginal(1.0, u)[0]
+            top[pin] = np.minimum(top[pin], dev.p_min[pin] * self.bk[1, pin] * m / (
+                self.pb[1, pin] * u * u * _LN2 * (em1 + 1.0)) * em1 * em1)
+        self.pinnable = np.zeros(n, dtype=bool)
+        self.pinnable[pin] = True
+        self.lam_lo = max(float(top.max()), np.finfo(float).tiny)
+        self.lam_hi = float(self.v_top.max())
+        self.total_hi = env.bw + margin
+
+        self.cold = near is None
+        # each device's demand row at its corner
+        self.corners = np.zeros((4, n))
+        self.corners[0], self.corners[1] = b_floor, d_hi
+        # the free and edge lane ends, and their slopes in ln lambda
+        self.z = np.full((2, n), np.nan) if near is None else near.z.copy()
+        self.dz = np.zeros((2, n))
+        self.log_lam = math.nan if near is None else near.log_price
+
+    def _free(self, z, lam_c, d_hi, clip_gap, kc):
+        """The free regime's lanes at z = ln u, with lam_c = lambda g / N0."""
+        u = np.exp(z)
+        m, dm = _comm_marginal(1.0, u)
+        q = dm / m
+        d = lam_c / m
+        gap = self.tau - d
+        t3 = 3.0 * d / gap
+        h = np.log(kc / gap**3 * u * d * d / (self.lam * self.env.s))
+        h[gap <= 0.0] = np.inf
+        a = np.log(d / d_hi)
+        inner = (h > a) & (h < a + clip_gap)
+        r = np.minimum(np.maximum(h, a), a + clip_gap)
+        return r, np.where(inner, 1.0 - q * (2.0 + t3), -q), np.where(inner, 1.0 + t3, 1.0)
+
+    def _edge(self, z, bk, pb, power, low, d_hi, d_c, kc):
+        """The edge lanes at z = ln u, negated to fall in u.
+
+        With D the log of everything in G's second term but lambda, g1 =
+        ln(P + C(d)) - D and g0 = ln(low) - D (-inf on the p_max edge) are
+        ln G's two pieces, with and without the compute term, and ell =
+        ln(d / d_c) switches between them; max(clip(ell, g0, g1), ln(d /
+        d_hi)), all rising in u, ends d at d_hi."""
+        u = np.exp(z)
+        ul = u * _LN2
+        em1 = np.expm1(ul)
+        m, dm = _comm_marginal(1.0, u)
+        d = bk * em1 / u
+        gap = self.tau - d
+        c_d = kc / gap**3
+        mr = m / em1                                # d ln d / d ln u
+        base = np.log(d * m * em1 / (self.lam * pb * ul * (em1 + 1.0)))
+        d_base = mr + dm / m + ul * (em1 + 1.0) / em1 - 1.0 - ul
+        g0 = np.log(low) + base
+        g1 = np.log(power + c_d) + base
+        ell = np.log(d / d_c)
+        e = np.log(d / d_hi)
+        inner = np.minimum(np.maximum(ell, g0), g1)
+        on_g = (ell <= g0) | (ell >= g1)
+        slope = np.where(ell <= g0, d_base, d_base + c_d / (power + c_d) * 3.0 * d / gap * mr)
+        top = e >= inner
+        on_g &= ~top
+        return (-np.maximum(inner, e), -np.where(on_g, slope, mr), np.where(on_g, 1.0, 0.0))
+
+    def _solve_free(self, shift, out, tol):
+        """Every device's optimum in the free regime: writes ``out`` and
+        returns the regime each one's optimum names."""
+        lam_c = self.lam / self.cg
+        z_hi = self.z_top[0]
+        # m(u) <= (u ln2)**2 for u ln2 <= 1, so d(u) >= d_hi below this
+        z_lo = np.minimum(np.log(np.minimum(np.sqrt(lam_c / self.d_hi), 1.0) / _LN2), z_hi)
+        z = self.z[0]
+        if self.cold:
+            z = np.where(np.isnan(z), 0.5 * (z_lo + z_hi), z)
+        z, dz = _lane_newton(self._free, z + self.dz[0] * shift, z_lo, z_hi,
+                             (lam_c, self.d_hi, self.clip_gap, self.kc), tol)
+        self.z[0], self.dz[0] = z, dz
+        u = np.exp(z)
+        m, dm = _comm_marginal(1.0, u)
+        out[1] = d = lam_c / m
+        out[0] = b = self.env.s / (u * d)
+        g_b = dm / m - 1.0                          # d ln b / d ln u
+        out[2] = b * (g_b * dz - 1.0)
+        out[3] = b * g_b * (1.0 + np.abs(z))
+        p_req = self.cg * b * np.expm1(u * _LN2)
+        to = (p_req > self.env.dev.p_max).astype(np.int8)
+        if self.pinnable.any():
+            to[(p_req < self.env.dev.p_min) & self.pinnable] = 2
+        return to
+
+    def _solve_edge(self, lanes, row, shift, out, tol):
+        """The optima of devices ``lanes`` on their edges, rows ``row`` of
+        the edge parameters: writes their columns of ``out``."""
+        args = (self.bk[row, lanes], self.pb[row, lanes], self.edge_power[row, lanes],
+                self.edge_low[row, lanes], self.d_hi[lanes], self.d_c[lanes], self.kc[lanes])
+        z_lo, z_hi = self.z_band[row, lanes], self.z_top[row, lanes]
+        z = self.z[1, lanes]
+        if self.cold:
+            z = np.where(np.isnan(z), 0.5 * (z_lo + z_hi), z)
+        z, dz = _lane_newton(self._edge, z + self.dz[1, lanes] * shift, z_lo, z_hi, args,
+                             tol)
+        self.z[1, lanes], self.dz[1, lanes] = z, dz
+        u = np.exp(z)
+        em1 = np.expm1(u * _LN2)
+        b = args[1] / em1
+        g_b = u * _LN2 * (em1 + 1.0) / em1          # -d ln b / d ln u
+        out[:, lanes] = b, args[0] * em1 / u, -b * g_b * dz, b * g_b * (1.0 + np.abs(z))
+
+    def demand(self, t: float, tol=_LANE_TOL):
+        """Each device's optimum at price e**t, its lanes ending on steps of
+        at most ``tol``, as ``(b, d, slope, stair, regime)``: bandwidth,
+        capped at B, deadline, db / dt, the demand that one rounding of ln u
+        moves, and the regime, 1 and 2 on the p_max and p_min edges.  Float
+        warnings are the caller's to silence."""
+        env = self.env
+        self.lam = math.exp(t)
+        shift = t - self.log_lam if math.isfinite(self.log_lam) else 0.0
+        self.log_lam = t
+        out = np.empty((4, env.n))
+        regime = self._solve_free(shift, out, tol)
+        # above v_floor every deadline needs more than p_max in the free
+        # regime, and above v_top a device sits at its corner
+        regime[self.lam >= self.v_floor] = 1
+        corner = self.lam >= self.v_top
+        lanes = np.flatnonzero((regime > 0) & ~corner)
+        if lanes.size:
+            self._solve_edge(lanes, regime[lanes] - 1, shift, out, tol)
+        out[:, corner] = self.corners[:, corner]
+        b, d, slope, stair = out
+        return np.minimum(b, env.bw), d, slope, stair, regime
 
 
-def _fdma_comm_solve(env: _Env, deadlines, start: float = -math.inf):
-    """Minimum-energy powers and bandwidth split meeting per-device deadlines.
+def _fdma_solve(env: _Env, tau: float, d_c, d_hi, kc, near=None):
+    """Minimum-energy FDMA bandwidths, powers and deadlines for budget tau,
+    each deadline in [d_c, d_hi] (`_FdmaFit`) and the bands sharing B.
 
-    For a deadline-binding device the energy E(b) = p_req(b) * d is convex
-    and decreasing in bandwidth, with marginal -dE/db equal to
+    Every device's optimum at one bandwidth price lambda (`_FdmaFit.demand`)
+    solves the whole problem once its demands fill B; leftover bandwidth is
+    then spread proportionally, which can only reduce energy further.  The
+    price comes from a safeguarded Newton search on t = ln lambda for
+    ln(demand / B), with the slope of every lane's root from the implicit
+    function theorem.  The bracket's ends need no probe: demand is at least
+    B at the bottom, and at the top every device sits at its corner, whose
+    floors fill B up to the margin.  The search starts on the log-price of
+    ``near``; with none, one spacing inside the end nearer the root: the top
+    where the floors fill B within 1e-3, as at the smallest feasible budget,
+    else the bottom.  It takes the Newton step, bent by the curvature of ln
+    S from the last two probes' slopes where that moves it by less than
+    half, where the step lands inside the bracket and the bracket halved
+    over the last two probes, or the step is at most half the last, or the
+    probe is near the root; else the secant through the ends where the
+    Newton step left the bracket and the bracket halved over the last two
+    probes; else the midpoint.  Every probe keeps one spacing of t from
+    both ends.  A probe's grain is the demand that one spacing of t moves
+    plus its stair, the demand that 4 roundings of each lane's ln u move;
+    the probe is the root once its demand lies within 16 float spacings of
+    B above, or within those and two grains below, and the Newton step aims
+    at the middle of that window; "near" means within four half-windows.
+    The search ends on the last probe or corners on the high side once their
+    demand lies in the window or the bracket closes, at the smallest
+    feasible budget without a probe.  A fit 1e-3 or more from ``near``'s
+    budget, or with none, probes with lanes that end on steps of 1e-4 until
+    a probe lands within 10 % of B; a loose probe within 1e-6 of B is made
+    again with tight lanes before it counts.
 
-        v1(b) = (d N0 / g) * ((u ln2 - 1) 2**u + 1),   u = rho / b,
-
-    which a Lambert-W evaluation inverts in closed form.  Once p_req drops
-    to p_min the power pins there and the marginal switches to the flatter
-    v2 curve of `_floor_marginal`, which `_floor_split` inverts for all the
-    pinned devices at once.  Equalising marginals across devices at one
-    bandwidth price lambda yields the optimal split; leftover bandwidth is
-    then spread proportionally, which can only reduce energy further.
-
-    The price comes from a safeguarded Newton search on t = ln lambda for
-    ln(demand / B).  Demand S falls with t, and each probe gives its slope
-    in closed form: db/dt = -b (c + 1) 2**-u / (u ln2)**2 for a device
-    whose v1 demand lies strictly inside its floor and cap, with c = lambda
-    g / (d N0) - 1, and -b / D for a pinned one strictly inside [b_kink, B];
-    a device at either end adds 0.  The bracket's ends need no probe:
-    demand is at least B at the low end, and at the high end every device
-    sits at its floor.  The search starts at ``start``, the log-price on
-    which the nearest fit of the same round-time search ended, clamped one
-    spacing of t inside the bracket; from the default -inf that is one
-    spacing above the low end.  It takes the Newton step where that lands
-    inside the bracket and the bracket halved over the last two probes, or
-    the step is at most half as long as the last one, or the probe is near
-    the root (below); else the secant through the bracket's ends where the Newton step left
-    the bracket, else the midpoint.  Every probe keeps one spacing of t
-    from both ends.  A probe's grain is the demand that one spacing of t
-    moves plus the stairs of `_v1_inverse`; the probe is the root once its
-    demand lies within 16 float spacings of B above, or within those and
-    two grains below, and the Newton step aims at the middle of that
-    window.  "Near" means within four such half-windows of it.  The search
-    ends on the high end's split, the floors or the last probe on that
-    side, once its demand lies in the window or the bracket closes.
-
-    Returns ``(power, bandwidth, comm_time, comm_energy, log_price)``, with
-    the t of the split it ended on, or None when the deadlines cannot be met.
+    Returns ``(power, bandwidth, comm_time, comm_energy, deadlines, lanes)``,
+    with the `_FdmaLanes` where the search ended, or None when the deadlines
+    d_hi cannot be met.
     """
-    dev = env.dev
-    d = np.asarray(deadlines, dtype=float)
-    rho = env.s / d
-    margin, b_floor = _fdma_floors(env, d)
+    margin, b_floor, u_floor = _fdma_floors(env, d_hi)
     if margin > 0.0:
         return None
+    fit = _FdmaFit(env, tau, d_c, d_hi, kc, margin, b_floor, u_floor, near)
+    # with no nearby fit, start one spacing inside the end nearer the root:
+    # the top when the floors fill B within 1e-3, as near the smallest
+    # feasible budget, else the bottom
+    start = near.log_price if near is not None else (
+        math.inf if -margin < 1e-3 * env.bw else -math.inf)
 
-    k_min = dev.gain * dev.p_min / (env.noise * rho)
-    b_kink = np.full(env.n, np.inf)
-    kinked = k_min > _LN2 * (1.0 + 1e-9)
-    if kinked.any():
-        b_kink[kinked] = rho[kinked] / _u_from_k(k_min[kinked])
-    b_kink = np.maximum(b_kink, b_floor)
-    b_cap = np.minimum(b_kink, env.bw)
-    # devices that can pin at p_min below B, with v2 at their kink and at B
-    pin = np.flatnonzero(b_kink < env.bw)
-    g_pin, pmin_pin, kink_pin = dev.gain[pin], dev.p_min[pin], b_kink[pin]
-    v_kink, _ = _floor_marginal(env, kink_pin, g_pin, pmin_pin)
-    v_top, _ = _floor_marginal(env, env.bw, g_pin, pmin_pin)
-    c_dev = d * env.noise / dev.gain
-
-    def demand(t: float, start):
-        """Each device's demand at price e**t, its slope in t and the demand
-        that rounding moves, as ``(b, slope, stair)``; pinned devices start
-        their search from ``start``."""
-        lam = math.exp(t)
-        b1, slope, stair = _v1_inverse(lam, c_dev, rho)
-        b = np.clip(b1, b_floor, b_cap)
-        free = (b1 > b_floor) & (b1 < b_cap)
-        slope = np.where(free, slope, 0.0)
-        stair = float(stair[free].sum())
-        floored = b1[pin] > kink_pin
-        if np.count_nonzero(floored):
-            i = pin[floored]
-            b[i], slope[i] = _floor_split(
-                env, lam, g_pin[floored], pmin_pin[floored], kink_pin[floored],
-                v_kink[floored], v_top[floored], start[i],
-            )
-        return b, slope, stair
-
-    # Price bracket.  At lam_hi, the highest marginal at the bandwidth
-    # floors, every device shrinks to its floor, and the floors fit.  At
-    # lam_lo, the highest marginal at b = B (v2 where the device is pinned
-    # there, v1 elsewhere), the device that sets it demands the whole band
-    # by itself, so demand is at least B.  On a budget so long that this
-    # marginal underflows to 0, the floor at the smallest normal float still
-    # has every device demand its cap.
-    with np.errstate(over="ignore", invalid="ignore"):
-        lam_hi = float(np.minimum(_comm_marginal(c_dev, rho / b_floor)[0], 1e300).max())
-        top = _comm_marginal(c_dev, rho / env.bw)[0]
-    top[pin] = v_top
-    lam_lo = max(float(top.max()), np.finfo(float).tiny)
-
-    # When every device sits at its kink, demand is flat in the price at the
-    # sum of the kinks.  The time split puts the kinks at the previous
-    # split, so that sum misses B only by the rounding of the searches
-    # behind it (up to 12 spacings on the wide parameter box), inside tol.
     tol = 16.0 * np.spacing(env.bw)
-    lo, hi = math.log(lam_lo), math.log(lam_hi)
+    lo, hi = math.log(fit.lam_lo), math.log(fit.lam_hi)
     spacing = math.ulp(max(abs(lo), abs(hi)))
     # demand at the ends: at least B at lo, and the floors at hi
-    total_lo, total_hi, b_hi = math.inf, env.bw + margin, b_floor
-    t, b, target, half = start, b_cap, env.bw, tol
+    total_lo, total_hi = math.inf, fit.total_hi
+    split_hi = (b_floor, d_hi, np.ones(env.n, dtype=np.int8))
+    t, target, half = start, env.bw, tol
     width_2 = width_1 = step_1 = math.inf     # widths two and one probes back
-    while hi - lo > spacing and abs(total_hi - target) > half:
-        t = min(max(t, lo + spacing), hi - spacing)
-        b, slope, stair = demand(t, b)
-        total, fall = float(b.sum()), -float(slope.sum())
-        grain = fall * spacing + stair
-        target, half = env.bw - grain, tol + grain
-        miss = abs(total - target)
-        if miss <= half:
-            break
-        if total > env.bw:
-            lo, total_lo = t, total
+    t_1 = slope_1 = math.nan                  # the last probe's t and d ln S / dt
+    # a fit far from its start probes first with loose lanes
+    lane_tol = _LANE_TOL if near is not None and abs(tau - near.tau) < 1e-3 * tau else 1e-4
+    # the lanes' float exceptions are handled where they arise
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while hi - lo > spacing and abs(total_hi - target) > half:
+            t = min(max(t, lo + spacing), hi - spacing)
+            b, d, slope, stair, regime = fit.demand(t, lane_tol)
+            total, fall = float(b.sum()), -float(slope.sum())
+            if lane_tol > _LANE_TOL and abs(total - env.bw) < 1e-6 * env.bw:
+                # too close to the root for the loose lanes' demand to tell
+                # which side of it the probe lies on
+                lane_tol = _LANE_TOL
+                b, d, slope, stair, regime = fit.demand(t, lane_tol)
+                total, fall = float(b.sum()), -float(slope.sum())
+            grain = fall * spacing + 4.0 * _EPS * float(stair.sum())
+            target, half = env.bw - grain, tol + grain
+            miss = abs(total - target)
+            if miss <= half:
+                break
+            if miss < 0.1 * env.bw:
+                lane_tol = _LANE_TOL
+            if total > env.bw:
+                lo, total_lo = t, total
+            else:
+                hi, total_hi, split_hi = t, total, (b, d, regime)
+            width = hi - lo
+            phi, phi_1 = math.log(total / target), -fall / total
+            newton = lo
+            if fall:
+                # Newton on ln S, bent by its curvature from the last two
+                # slopes where that changes the step by less than half
+                bend = 0.0 if t == t_1 else (
+                    (phi_1 - slope_1) / (t - t_1) * phi / (2.0 * phi_1 * phi_1))
+                newton = t - phi / phi_1 * (1.0 + (bend if abs(bend) <= 0.5 else 0.0))
+            t_1, slope_1 = t, phi_1
+            step = abs(newton - t)
+            take = lo < newton < hi and (
+                width <= 0.5 * width_2 or step <= 0.5 * step_1 or miss <= 4.0 * half
+            )
+            if not lo < newton < hi and total_lo < math.inf:
+                # the secant through the ends, which lies inside, where the
+                # bracket halved over the last two probes
+                newton = lo + (hi - lo) * (total_lo - target) / (total_lo - total_hi)
+                take = width <= 0.5 * width_2
+            t_next = newton if take else 0.5 * (lo + hi)
+            step_1, width_2, width_1 = abs(t_next - t), width_1, width
+            t = t_next
         else:
-            hi, total_hi, b_hi = t, total, b
-        width = hi - lo
-        newton = t + math.log(total / target) * total / fall if fall else lo
-        if not lo < newton < hi and total_lo < math.inf:
-            # the secant through the ends, which lies inside
-            newton = lo + (hi - lo) * (total_lo - target) / (total_lo - total_hi)
-        step = abs(newton - t)
-        take = lo < newton < hi and (
-            width <= 0.5 * width_2 or step <= 0.5 * step_1 or miss <= 4.0 * half
-        )
-        t_next = newton if take else 0.5 * (lo + hi)
-        step_1, width_2, width_1 = abs(t_next - t), width_1, width
-        t = t_next
-    else:
-        t, b = hi, b_hi
-    # spread the leftover in proportion to b, but trim an excess from the
-    # room above the floors, which it cannot exceed
+            t, (b, d, regime) = hi, split_hi
+    # spread the leftover in proportion to b, but trim an excess only from
+    # the room devices off their p_max floor have above the floor at d_hi
     total = float(b.sum())
-    room = b - b_floor if total > env.bw else b
-    b = b + (env.bw - total) * (room / float(room.sum()))
+    room = np.where(regime == 1, 0.0, b - b_floor) if total > env.bw else b
+    if room.any():
+        b = b + (env.bw - total) * (room / float(room.sum()))
 
-    p_req = power_for_rate(b, rho, env.noise * b, dev.gain)
-    p = np.clip(p_req, dev.p_min, dev.p_max)
+    # a device on an edge transmits at its power
+    dev = env.dev
+    p = np.clip(power_for_rate(b, env.s / d, env.noise * b, dev.gain), dev.p_min, dev.p_max)
+    p[regime == 1] = dev.p_max[regime == 1]
+    p[regime == 2] = dev.p_min[regime == 2]
     t_com = env.s / shannon_rate(b, dev.gain * p / (env.noise * b))
-    return p, b, t_com, p * t_com, t
+    return p, b, t_com, p * t_com, d.copy(), _FdmaLanes(tau, t, fit.z)
 
 
 def _noma_powers(env: _Env, d):
@@ -553,8 +776,8 @@ def _noma_comm_solve(env: _Env, deadlines):
 @dataclass
 class _Budget:
     """Continuous variables fitted to one round-time budget tau, with the
-    split deadlines and, for FDMA, the log-prices of the first and the
-    second comm solve, from which a nearby fit starts its searches."""
+    upload deadlines and, for FDMA, where the bandwidth price search ended
+    (`_FdmaLanes`), from which a nearby fit starts its searches."""
 
     value: float
     power: np.ndarray
@@ -563,7 +786,7 @@ class _Budget:
     comm_time: np.ndarray
     comm_energy: np.ndarray
     deadlines: np.ndarray
-    log_prices: tuple | None
+    lanes: _FdmaLanes | None
 
 
 def _comm_marginal(c, x):
@@ -722,36 +945,34 @@ def _budget_config(env: _Env, weights: Weights, tau: float, cyc, t_floor, loss_t
                    near=None):
     """Fit powers, bandwidths and frequencies to budget tau; None if impossible.
 
-    The upload deadlines come from a compute/upload time split on a fixed
-    link, then one comm solve meets them.  FDMA first solves the bandwidth
-    split at the full-speed deadlines tau - t_floor and splits the time on
-    those bandwidths; at tau_lo that split can miss feasibility by a
-    rounding, and the fit then keeps the first solution.  NOMA splits the
-    time by `_noma_split`, which always leaves deadlines that a feasible tau
-    can meet.  The CPUs then slow to exactly fill tau minus the achieved
-    upload time.  Each search starts from its counterpart in ``near``, a fit
-    to a nearby budget, when one is given.
+    FDMA fits every device's bandwidth and upload deadline at once, by one
+    search on the bandwidth price (`_fdma_solve`) in which each device finds
+    its own optimum over both, its deadline between the f_min and f_max
+    bounds of the rest of tau.  At the smallest feasible tau every device
+    sits at its p_max floor with its deadline at the f_max bound, and the fit
+    returns that point.  NOMA splits the time by `_noma_split`, which always
+    leaves deadlines that a feasible tau can meet, then one comm solve meets
+    them.  The CPUs then slow to exactly fill tau minus the achieved upload
+    time.  Each search starts from its counterpart in ``near``, a fit to a
+    nearby budget, when one is given.
     """
     d = tau - t_floor
     if np.any(d <= 0.0):
         return None
-    start = None if near is None else near.deadlines
     if env.scheme == "fdma":
-        t_first, t_second = (-math.inf, -math.inf) if near is None else near.log_prices
-        first = _fdma_comm_solve(env, d, t_first)
-        if first is None:
+        d_c = np.maximum(tau - cyc / env.dev.f_min, 0.0)
+        sol = _fdma_solve(env, tau, d_c, d, 2.0 * env.dev.kappa * cyc**3,
+                          None if near is None else near.lanes)
+        if sol is None:
             return None
-        b = first[1]
-        d = _time_split(env, tau, cyc, slice(None), b, env.noise * b, start=start)
-        p, b, t_com, e_com, t_second = _fdma_comm_solve(env, d, t_second) or first
-        log_prices = (first[4], t_second)
+        p, b, t_com, e_com, d, lanes = sol
     else:
-        d = _noma_split(env, tau, cyc, d, start)
+        d = _noma_split(env, tau, cyc, d, None if near is None else near.deadlines)
         sol = _noma_comm_solve(env, d)
         if sol is None:
             return None
         p, b, t_com, e_com = sol
-        log_prices = None
+        lanes = None
     f = np.clip(cyc / (tau - t_com), env.dev.f_min, env.dev.f_max)
     e_cmp = cmos_energy(env.dev.kappa, cyc, f)
     value = (
@@ -759,7 +980,7 @@ def _budget_config(env: _Env, weights: Weights, tau: float, cyc, t_floor, loss_t
         + weights.w2 * env.rounds * tau
         + loss_term
     )
-    return _Budget(value, p, b, f, t_com, e_com, d, log_prices)
+    return _Budget(value, p, b, f, t_com, e_com, d, lanes)
 
 
 def _continuous_solve(env: _Env, weights: Weights, resolution_px) -> _Budget:
@@ -988,7 +1209,7 @@ def solve_comm_subproblem_fdma(
     if scenario.scheme != "fdma":
         raise ValueError("scenario scheme must be 'fdma'")
     deadlines = _comm_deadlines(env, cpu_hz, resolution_px, round_time_budget)
-    sol = _fdma_comm_solve(env, deadlines)
+    sol = _fdma_solve(env, math.inf, deadlines, deadlines, np.zeros(env.n))
     if sol is None:
         raise InfeasibleBudgetError(
             f"deadlines unreachable within p_max and {env.bw} Hz total bandwidth"

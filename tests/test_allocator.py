@@ -11,7 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy.optimize import brentq, minimize
 
 from flmar import (
     Allocation,
@@ -44,16 +45,15 @@ from flmar.allocator import (
     _comm_marginal,
     _continuous_solve,
     _Env,
-    _fdma_comm_solve,
-    _floor_marginal,
-    _floor_split,
+    _FdmaFit,
+    _fdma_floors,
+    _fdma_solve,
     _noma_comm_solve,
     _noma_split,
     _root,
     _sweep_core,
     _time_split,
     _u_from_k,
-    _v1_inverse,
 )
 
 from conftest import make_device, make_scenario, equal_split_alloc
@@ -366,6 +366,31 @@ def kink_deadlines(scn, bandwidth):
     return scn.model_size_bits / rate
 
 
+def count_price_probes(monkeypatch):
+    """Count the price probes of each FDMA price search from here on: one
+    entry per `_fdma_solve` call, one count per `_FdmaFit.demand` call."""
+    probes = []
+    real_solve, real_demand = _fdma_solve, _FdmaFit.demand
+
+    def solve(*args):
+        probes.append(0)
+        return real_solve(*args)
+
+    def demand(fit, *args):
+        probes[-1] += 1
+        return real_demand(fit, *args)
+
+    monkeypatch.setattr(flmar.allocator, "_fdma_solve", solve)
+    monkeypatch.setattr(_FdmaFit, "demand", demand)
+    return probes
+
+
+def pinned_comm_solve(env, deadlines):
+    """The FDMA price search with every deadline pinned: the comm solve that
+    `solve_comm_subproblem_fdma` runs."""
+    return _fdma_solve(env, math.inf, deadlines, deadlines, np.zeros(env.n))
+
+
 def flat_demand_case(k):
     """Wide-box draw k at deadlines where every device sits at its p_min kink.
 
@@ -485,8 +510,8 @@ class TestFdmaMatchesBisectionReference:
         np.testing.assert_allclose(p, [dv.p_min for dv in scn.devices], rtol=1e-12)
 
     def test_pinned_single_device_takes_the_whole_band(self):
-        # its p_min marginal at B exceeds the price: the floor split's root
-        # lies at the top of its bracket
+        # its p_min marginal at B exceeds the price: the root of its p_min
+        # edge lies beyond b = B
         scn = make_scenario([1e-8], p_min=0.05)
         p, b = self.solve_and_compare(scn, *comm_inputs(scn, np.array([1.0])))
         assert b[0] == scn.total_bandwidth_hz and p[0] == 0.05
@@ -494,18 +519,10 @@ class TestFdmaMatchesBisectionReference:
     def test_flat_demand_price_search_stays_short(self, monkeypatch):
         scn, cpu, res, budget, _, _ = flat_demand_case(0)
         assert scn.n_devices == 2
-        calls = []
-        real = flmar.allocator.lambertw
-
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(flmar.allocator, "lambertw", counting)
+        probes = count_price_probes(monkeypatch)
         solve_comm_subproblem_fdma(scn, W, cpu, res, budget)
-        # two for the floors and the kinks, and four price probes; a
-        # float-precision bisection on the price takes about 55
-        assert len(calls) <= 8
+        # a float-precision bisection on the price takes about 55
+        assert len(probes) == 1 and probes[0] <= 6
 
 
 def upload_seconds(bits, bandwidth, noise_w, gain, power):
@@ -727,7 +744,8 @@ class TestTimeSplitLanes:
 
 class TestTimeSplitSteps:
     """Newton steps per `_time_split` call, one `_comm_marginal` call each,
-    in default 40-device FDMA solves."""
+    in default 40-device NOMA solves, whose weak and strong users each split
+    once per fit."""
 
     def test_median_steps_on_default_scenarios(self, monkeypatch):
         # each lane starts at the split of the nearest fit of its round-time
@@ -750,8 +768,8 @@ class TestTimeSplitSteps:
 
         monkeypatch.setattr(flmar.allocator, "_time_split", split)
         monkeypatch.setattr(flmar.allocator, "_comm_marginal", marginal)
-        solve_default_fdma_scenarios()
-        assert len(steps) > 150
+        solve_default_scenarios("noma")
+        assert len(steps) > 300
         assert np.median(steps) <= 5
 
 
@@ -781,11 +799,11 @@ def fdma_comm_cases(draw):
     return scn, np.array(reach) * np.array(slack)
 
 
-def solve_default_fdma_scenarios():
-    """`optimize` on default 40-device FDMA scenarios, master seeds 0-3, at
-    the grid's three weight pairs."""
+def solve_default_scenarios(scheme="fdma"):
+    """`optimize` on default 40-device scenarios, master seeds 0-3, at the
+    grid's three weight pairs."""
     for seed in range(4):
-        scn = generate_scenario(ScenarioSpec(n_devices=40, scheme="fdma", master_seed=seed))
+        scn = generate_scenario(ScenarioSpec(n_devices=40, scheme=scheme, master_seed=seed))
         for w1, w2 in ((0.9, 0.1), (0.5, 0.5), (0.1, 0.9)):
             optimize(scn, Weights(w1, w2, 0.5))
 
@@ -801,25 +819,11 @@ class TestFdmaPriceSearch:
         TestFdmaMatchesBisectionReference.solve_and_compare(scn, *comm_inputs(scn, deadlines))
 
     def test_median_probes_on_default_scenarios(self, monkeypatch):
-        # one principal-branch Lambert W call per probe; the Chandrupatla
-        # search on the price took a median of 13 on these solves, and the
-        # Newton search from the bottom of its bracket 6
-        probes = []
-        real_lambertw, real_solve = flmar.allocator.lambertw, flmar.allocator._fdma_comm_solve
-
-        def counting(*args):
-            if len(args) == 1:
-                probes[-1] += 1
-            return real_lambertw(*args)
-
-        def solve(env, d, *start):
-            probes.append(0)
-            return real_solve(env, d, *start)
-
-        monkeypatch.setattr(flmar.allocator, "lambertw", counting)
-        monkeypatch.setattr(flmar.allocator, "_fdma_comm_solve", solve)
-        solve_default_fdma_scenarios()
-        assert len(probes) > 300
+        # the Chandrupatla search on the price took a median of 13 probes on
+        # these solves, and the Newton search from the bottom of its bracket 6
+        probes = count_price_probes(monkeypatch)
+        solve_default_scenarios()
+        assert len(probes) > 150
         assert np.median(probes) <= 5
 
     def test_160_devices_at_their_power_floor(self):
@@ -828,73 +832,111 @@ class TestFdmaPriceSearch:
         scn = generate_scenario(ScenarioSpec(n_devices=160, scheme="fdma", p_min=0.05))
         report = optimize(scn, W)
         assert report.allocation.validate(scn) == []
-        assert report.objective == pytest.approx(2868.1269228887154, rel=1e-9)
+        assert report.objective == pytest.approx(2867.4507546327627, rel=1e-9)
+
+
+def fdma_fit(scn, deadlines=None, factor=None):
+    """An `_FdmaFit` for the budget ``factor`` times the smallest feasible
+    one at the minimum resolutions, or with every deadline pinned to
+    ``deadlines``, and the log-price on which the price search ends."""
+    env = _Env(scn)
+    if deadlines is not None:
+        tau, d_c = math.inf, np.asarray(deadlines, dtype=float)
+        d_hi, kc = d_c, np.zeros(env.n)
+    else:
+        cyc = env.round_cycles(env.dev.min_resolution)
+        tau = factor * smallest_budget(env, cyc / env.dev.f_max)
+        d_hi = tau - cyc / env.dev.f_max
+        d_c, kc = np.maximum(tau - cyc / env.dev.f_min, 0.0), 2.0 * env.dev.kappa * cyc**3
+    t = _fdma_solve(env, tau, d_c, d_hi, kc)[-1].log_price
+    return (lambda: _FdmaFit(env, tau, d_c, d_hi, kc, *_fdma_floors(env, d_hi))), t
+
+
+def demand_at(make_fit, t):
+    """`_FdmaFit.demand` of a fresh fit at log-price ``t``, at full precision."""
+    fit = make_fit()
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return fit, fit.demand(t)
 
 
 def central_slope(f, x, h=1e-5):
-    """d f / d ln x by central differences."""
-    return (f(x * math.exp(h)) - f(x * math.exp(-h))) / (2.0 * h)
+    """d f / d x by central differences."""
+    return (f(x + h) - f(x - h)) / (2.0 * h)
 
 
 class TestDemandSlopes:
-    """The closed-form slopes of each device's demand in the price match
-    central differences."""
+    """The slopes of each device's demand in the log-price, from the implicit
+    function theorem on its lane's root, match central differences."""
+
+    def check_slopes(self, make_fit, t):
+        fit, (b, _, slope, _, regime) = demand_at(make_fit, t)
+        numeric = central_slope(lambda x: demand_at(make_fit, x)[1][0], t)
+        np.testing.assert_allclose(slope, numeric, rtol=1e-6, atol=1e-9 * b.max())
+        return fit, b, regime
 
     def test_deadline_branch(self):
-        # a = lam / c on the Lambert form (a >= 1e-4, where its stairs stay
-        # far below the differences) and on the branch-point series (a < 1e-8)
-        a = np.concatenate([np.geomspace(1e-12, 1e-9, 7), np.geomspace(1e-4, 1e6, 21)])
-        c, rho = 1.0 / a, np.full(a.size, 3e5)
-        b, slope, stair = _v1_inverse(1.0, c, rho)
-        np.testing.assert_allclose(slope, central_slope(lambda lam: _v1_inverse(lam, c, rho)[0], 1.0),
-                                   rtol=1e-6)
-        # each b meets v1(b) = lam, the marginal at b
-        m, _ = _comm_marginal(c, rho / b)
-        np.testing.assert_allclose(m, 1.0, rtol=1e-12)
-        assert np.all(stair[a < 1e-8] == 0.0) and np.all(stair[(a >= 1e-8) & (a < 0.5)] > 0.0)
+        # pinned deadlines: each b meets v1(b) = (d N0 / g) m(u) = lambda
+        scn = generate_scenario(ScenarioSpec(n_devices=40, scheme="fdma"))
+        d = np.linspace(0.2, 0.8, 40)
+        fit, b, regime = self.check_slopes(*fdma_fit(scn, deadlines=d))
+        m, _ = _comm_marginal(d * scn.noise_psd / _Env(scn).dev.gain,
+                              scn.model_size_bits / (b * d))
+        np.testing.assert_allclose(m, fit.lam, rtol=1e-12)
+        assert not regime.any()
+
+    def test_free_deadlines(self):
+        # deadlines free within the f_min and f_max bounds of tau: the lanes
+        # of H(u), some of them clipped at d_hi
+        scn = generate_scenario(ScenarioSpec(n_devices=40, scheme="fdma"))
+        self.check_slopes(*fdma_fit(scn, factor=1.5))
 
     def test_power_floor_log_slope(self):
-        env = _Env(make_scenario([1e-9]))
-        g, pmin = np.array([1e-9]), np.array([0.05])
-        # x = g p_min / (N0 b) from about 1e-3 to 1e9
-        for b in np.geomspace(1e1, 1e13, 25):
-            d_num = -central_slope(lambda y: math.log(_floor_marginal(env, y, g, pmin)[0][0]), b)
-            assert _floor_marginal(env, b, g, pmin)[1][0] == pytest.approx(d_num, rel=1e-6)
+        # every device on its p_min edge, with free and with pinned deadlines
+        scn = make_scenario([1e-9, 2e-10, 5e-11, 1e-9], p_min=0.05)
+        for make_fit, t in (fdma_fit(scn, factor=30.0), fdma_fit(scn, deadlines=np.full(4, 30.0))):
+            assert np.all(self.check_slopes(make_fit, t)[2] == 2)
 
     def test_log_slope_bounds(self):
-        # D in (1.79, 2] is what makes each floor-lane Newton step contract
-        env = _Env(make_scenario([1e-9]))
-        b = np.geomspace(1e-6, 1e17, 2000)
-        _, dv = _floor_marginal(env, b, np.full(b.size, 1e-9), np.full(b.size, 0.05))
-        assert np.all((dv > 1.79) & (dv <= 2.0 + 1e-9))
+        # without a compute term ln G rises in ln u with slope at least 2
+        # along the p_min edge, so its Newton steps contract
+        make_fit, t = fdma_fit(make_scenario([1e-9], p_min=0.05), deadlines=np.ones(1))
+        fit = make_fit()
+        fit.lam = math.exp(t)
+        z = np.log(np.geomspace(1e-6, 50.0, 4000))
+        edge = (np.full(z.size, a[1, 0]) for a in (fit.bk, fit.pb, fit.edge_power, fit.edge_low))
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            # d_hi and d_c at inf keep every lane on ln G
+            r, dr, dlam = fit._edge(z, *edge, np.full(z.size, np.inf), np.full(z.size, np.inf),
+                                    np.zeros(z.size))
+        assert np.all(dlam == 1.0) and np.all(dr <= -2.0)
 
     def test_power_floor_lanes(self):
-        # at this price lane 1 settles at B and lane 2 at its lower end;
-        # lanes 0, 3 and 4 search from starts below and above their roots
-        env = _Env(make_scenario([1e-9]))
-        g, pmin = np.array([1e-9, 1e-13, 1e-9, 1e-11, 1e-10]), np.full(5, 0.05)
-        lo = np.array([1e5, 1e5, 1.5e7, 1e5, 1e5])
-        v_lo, _ = _floor_marginal(env, lo, g, pmin)
-        v_hi, _ = _floor_marginal(env, env.bw, g, pmin)
-        lam, start = 5e-11, np.array([1e6, 1e6, 1e6, 2e7, 1.9e7])
-        b, slope = _floor_split(env, lam, g, pmin, lo, v_lo, v_hi, start)
-        assert b[1] == env.bw and b[2] == lo[2]
-        assert slope[1] == 0.0 and slope[2] == 0.0
-        inside = np.array([0, 3, 4])
-        v, dv = _floor_marginal(env, b[inside], g[inside], pmin[inside])
-        np.testing.assert_allclose(v, lam, rtol=1e-13)
-        # D comes from the last probe, at most sqrt(eps) away in ln b
-        np.testing.assert_allclose(slope[inside], -b[inside] / dv, rtol=1e-8)
-        numeric = central_slope(
-            lambda x: _floor_split(env, x, g, pmin, lo, v_lo, v_hi, start)[0], lam)
-        np.testing.assert_allclose(slope[inside], numeric[inside], rtol=1e-6)
-        # every searching lane ends on its root, from far below or above it
-        for lam in np.geomspace(3e-11, 1e-7, 30):
-            for start in (np.full(5, 1.5e5), np.full(5, 1.9e7)):
-                b, _ = _floor_split(env, lam, g, pmin, lo, v_lo, v_hi, start)
-                inside = (lam < v_lo) & (lam > v_hi)
-                v, _ = _floor_marginal(env, b[inside], g[inside], pmin[inside])
-                np.testing.assert_allclose(v, lam, rtol=1e-13)
+        # on their p_min edges, from starts at the bottom and the top of
+        # their brackets: lanes end on their roots or, where those lie beyond
+        # an end, on that end
+        scn = make_scenario([1e-9, 1e-13, 1e-9, 1e-11, 1e-10], p_min=0.05)
+        make_fit, _ = fdma_fit(scn, deadlines=np.array([30.0, 30.0, 0.1, 30.0, 30.0]))
+        n = 5
+        lanes, row = np.arange(n), np.ones(n, dtype=int)
+        for t in np.linspace(math.log(3e-11), math.log(1e-7), 12):
+            for start in (0.0, 1.0):
+                fit = make_fit()
+                fit.lam = math.exp(t)
+                lo, hi = fit.z_band[1], fit.z_top[1]
+                fit.z[1] = lo + start * (np.minimum(hi, 10.0) - lo)
+                out = np.zeros((4, n))
+                with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                    fit._solve_edge(lanes, row, 0.0, out, 1e-9)
+                    z = fit.z[1]
+                    r, _, _ = fit._edge(z, fit.bk[1], fit.pb[1], fit.edge_power[1],
+                                        fit.edge_low[1], fit.d_hi, fit.d_c, fit.kc)
+                inside = (z > lo) & (z < hi)
+                np.testing.assert_allclose(r[inside], 0.0, atol=1e-12)
+                # a lane at an end has its root beyond it, or on it
+                assert np.all(r[z == lo] <= 1e-12) and np.all(r[z == hi] >= -1e-12)
+                if t == math.log(3e-11):
+                    # the cheapest price: lane 1 takes the whole band
+                    assert out[0, 1] == pytest.approx(scn.total_bandwidth_hz, rel=1e-12)
 
 
 def exact_marginal_series(u):
@@ -1027,61 +1069,257 @@ class TestTimeSplitProperty:
         self.check(d[s], strong, cyc[s], tau, bits, bc, weak.gain * p_w + noise_w)
 
 
-class TestFdmaSplitKnifeEdge:
-    """Just above the smallest feasible budget, the FDMA split's deadlines
-    can be met by the second comm solve.  Criterion 2's 2-device scenario
-    with master seed 106, and default 40-device scenarios, seeds 0-3."""
+def slsqp_fit(env, tau, cyc, start):
+    """Minimum compute plus upload energy at budget tau by SLSQP, written
+    apart from the library, as ``(energy, converged)``; SLSQP seldom reports
+    convergence at this tolerance.
 
-    def test_second_comm_solve_meets_the_split(self, monkeypatch):
-        solves = []
-        real = flmar.allocator._fdma_comm_solve
-        monkeypatch.setattr(flmar.allocator, "_fdma_comm_solve",
-                            lambda env, d, *start: solves.append(real(env, d, *start))
-                            or solves[-1])
-        scenarios = [generate_scenario(ScenarioSpec(n_devices=2, scheme="fdma", master_seed=106))]
-        scenarios += [generate_scenario(ScenarioSpec(n_devices=40, scheme="fdma"), seed=seed)
-                      for seed in range(4)]
-        for scn in scenarios:
-            env = _Env(scn)
-            r = env.dev.min_resolution
-            cyc = env.round_cycles(r)
-            t_floor = cyc / env.dev.f_max
-            tau_lo = smallest_budget(env, t_floor)
-            for w1, w2 in ((0.9, 0.1), (0.5, 0.5), (0.1, 0.9)):
-                w = Weights(w1, w2, 0.5)
-                loss = w.w3 * float((1.0 - env.accuracy(r)).sum())
-                for f in np.geomspace(1e-9, 1.0, 40):
-                    if f < 1e-6:
-                        continue
-                    solves.clear()
-                    # a split that ended on d_lo, or too close to it, failed
-                    # here at f = 8.4e-6 on seed 106 and kept the unsplit fit
-                    assert _budget_config(env, w, tau_lo * (1.0 + f), cyc, t_floor, loss)
-                    assert len(solves) == 2 and solves[1] is not None, (scn.n_devices, w1, f)
+    The variables are each device's bandwidth b, power p in [p_min, p_max]
+    and CPU frequency f in [f_min, f_max], each scaled by its bound; the
+    upload takes s / (b log2(1 + g p / (N0 b))), which with c / f must fit
+    in tau, and the bands fill B.  ``start`` holds ``(b, p, f)``.
+    """
+    dev, n = env.dev, env.n
+    g, s, n0, band = dev.gain, env.s, env.noise, env.bw
+    ln2 = math.log(2.0)
+    scale = np.concatenate([np.full(n, band), dev.p_max, dev.f_max])
+    lane = np.arange(n)
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the one-pass FDMA fit keeps "
-                       "its unsplit solve at tau_lo (1 + 1.4e-8) on seed 106")
+    def upload(x):
+        b, p, f = np.split(x * scale, 3)
+        snr = g * p / (n0 * b)
+        ln1 = np.log1p(snr)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            t = s * ln2 / (b * ln1)
+            dt_dp = -t * snr / (p * (1.0 + snr) * ln1)
+            dt_db = -(t / b) * (1.0 - snr / ((1.0 + snr) * ln1))
+        return b, p, f, t, dt_db, dt_dp
+
+    x0 = np.concatenate(start) / scale
+    e0 = 1.0
+
+    def energy(x):
+        b, p, f, t, _, _ = upload(x)
+        return float((p * t + dev.kappa * cyc * f * f).sum()) / e0
+
+    def gradient(x):
+        b, p, f, t, dt_db, dt_dp = upload(x)
+        return np.concatenate([p * dt_db, t + p * dt_dp, 2.0 * dev.kappa * cyc * f]) * scale / e0
+
+    def slack(x):
+        b, p, f, t, _, _ = upload(x)
+        return (tau - t - cyc / f) / tau
+
+    def slack_jacobian(x):
+        b, p, f, t, dt_db, dt_dp = upload(x)
+        jac = np.zeros((n, 3 * n))
+        jac[lane, lane] = -dt_db
+        jac[lane, n + lane] = -dt_dp
+        jac[lane, 2 * n + lane] = cyc / f**2
+        return jac * scale / tau
+
+    e0 = energy(x0)
+    total = np.concatenate([np.full(n, band), np.zeros(2 * n)])
+    res = minimize(energy, x0, jac=gradient, method="SLSQP",
+                   bounds=[(1e-12, 1.0)] * n
+                   + list(zip(np.maximum(dev.p_min / dev.p_max, 1e-9), np.ones(n)))
+                   + list(zip(dev.f_min / dev.f_max, np.ones(n))),
+                   constraints=[dict(type="eq", fun=lambda x: np.array([x @ total / band - 1.0]),
+                                     jac=lambda x: total[None, :] / band),
+                                dict(type="ineq", fun=slack, jac=slack_jacobian)],
+                   options=dict(ftol=1e-15, maxiter=3000))
+    return res.fun * e0, res.success
+
+
+def fit_energy(env, cfg, cyc):
+    return float((cfg.comm_energy + cmos_energy(env.dev.kappa, cyc, cfg.cpu)).sum())
+
+
+def assert_matches_slsqp(env, tau, cyc, cfg):
+    """SLSQP started at the fit moves its energy by at most 1e-9: a fit that
+    stops short of the minimum, as the one-pass fit of comm solve, time
+    split and second comm solve did by 0.4-1.7 % on default scenarios, lets
+    it descend.  From farther starts SLSQP often ends off the constraints."""
+    ref, _ = slsqp_fit(env, tau, cyc, (cfg.bandwidth, cfg.power, cfg.cpu))
+    assert fit_energy(env, cfg, cyc) == pytest.approx(ref, rel=1e-9)
+
+
+def knife_edge_cases():
+    """Criterion 2's 2-device scenario with master seed 106, and default
+    40-device scenarios, seeds 0-3, at their minimum resolutions."""
+    scenarios = [generate_scenario(ScenarioSpec(n_devices=2, scheme="fdma", master_seed=106))]
+    scenarios += [generate_scenario(ScenarioSpec(n_devices=40, scheme="fdma"), seed=seed)
+                  for seed in range(4)]
+    for scn in scenarios:
+        env = _Env(scn)
+        cyc = env.round_cycles(env.dev.min_resolution)
+        t_floor = cyc / env.dev.f_max
+        yield env, cyc, t_floor, smallest_budget(env, t_floor)
+
+
+class TestFdmaFitNearTauLo:
+    """At and just above the smallest feasible budget tau_lo, where the
+    bandwidth floors at full power and full speed fill B.  The one-pass fit
+    of comm solve, time split and second comm solve kept its unsplit first
+    solve here, as close as tau_lo (1 + 1.4e-8) on seed 106."""
+
+    F = np.geomspace(1e-9, 1.0, 40)
+
+    def test_fits_meet_every_deadline(self):
+        w = Weights(0.5, 0.5, 0.5)
+        assert self.F[5] == pytest.approx(1.425e-8, rel=1e-3)
+        for env, cyc, t_floor, tau_lo in knife_edge_cases():
+            lo = _budget_config(env, w, tau_lo, cyc, t_floor, 0.0)
+            # at tau_lo every device sits at its p_max floor and f_max
+            np.testing.assert_allclose(lo.bandwidth, _fdma_floors(env, tau_lo - t_floor)[1],
+                                       rtol=1e-9)
+            for f in (0.0, *self.F):
+                tau = tau_lo * (1.0 + f)
+                cfg = _budget_config(env, w, tau, cyc, t_floor, 0.0)
+                assert cfg is not None, (env.n, f)
+                dev = env.dev
+                assert np.all(cfg.comm_time + cyc / cfg.cpu <= tau * (1.0 + 1e-12))
+                assert np.all((dev.f_min <= cfg.cpu) & (cfg.cpu <= dev.f_max))
+                assert np.all((dev.p_min <= cfg.power) & (cfg.power <= dev.p_max))
+                assert cfg.bandwidth.sum() <= env.bw * (1.0 + 1e-12)
+                # a longer budget can only lower the energy
+                assert fit_energy(env, cfg, cyc) <= fit_energy(env, lo, cyc) * (1.0 + 1e-12)
+
     @pytest.mark.parametrize("w1, w2", [(0.9, 0.1), (0.5, 0.5), (0.1, 0.9)])
-    def test_second_comm_solve_closest_to_tau_lo(self, monkeypatch, w1, w2):
-        # the one point of the same grid below 1e-6 where the second solve
-        # fails, on seed 106 for every weight pair; the exact fit of ROADMAP
-        # item 2 replaces the second solve, and this then passes
-        solves = []
-        real = flmar.allocator._fdma_comm_solve
-        monkeypatch.setattr(flmar.allocator, "_fdma_comm_solve",
-                            lambda env, d, *start: solves.append(real(env, d, *start))
-                            or solves[-1])
-        env = _Env(generate_scenario(ScenarioSpec(n_devices=2, scheme="fdma", master_seed=106)))
-        r = env.dev.min_resolution
-        cyc = env.round_cycles(r)
+    def test_fit_closest_to_tau_lo(self, w1, w2):
+        # the one point of the grid below 1e-6 where the one-pass fit kept
+        # its unsplit first solve, on seed 106 for every weight pair
+        env, cyc, t_floor, tau_lo = next(knife_edge_cases())
+        assert env.n == 2
+        w = Weights(w1, w2, 0.5)
+        tau = tau_lo * (1.0 + self.F[5])
+        lo = _budget_config(env, w, tau_lo, cyc, t_floor, 0.0)
+        cfg = _budget_config(env, w, tau, cyc, t_floor, 0.0)
+        assert cfg is not None
+        assert fit_energy(env, cfg, cyc) <= fit_energy(env, lo, cyc)
+        assert_matches_slsqp(env, tau, cyc, cfg)
+
+    def test_fits_match_the_slsqp_reference(self):
+        w = Weights(0.5, 0.5, 0.5)
+        for env, cyc, t_floor, tau_lo in knife_edge_cases():
+            # every point of the grid on the 2-device scenario, a few on the
+            # 40-device ones, where SLSQP takes about a second each
+            grid = self.F if env.n == 2 else self.F[[5, 20, 39]]
+            for f in grid:
+                tau = tau_lo * (1.0 + f)
+                cfg = _budget_config(env, w, tau, cyc, t_floor, 0.0)
+                assert_matches_slsqp(env, tau, cyc, cfg)
+
+
+def reference_marginal(u):
+    """m(u) = (u ln2 - 1) 2**u + 1, from its Taylor series in v = u ln2
+    below v = 0.5, where the closed form cancels."""
+    v = u * math.log(2.0)
+    if v >= 0.5:
+        return (v - 1.0) * math.exp(v) + 1.0
+    term, total = v, 0.0
+    for k in range(2, 40):
+        term *= v / k
+        total += (k - 1) * term
+    return total
+
+
+def reference_lane(g, cyc, tau, lam, f_min, bits, n0, band, p_max, kappa):
+    """One free device's optimum (b, d) at price lam, by brentq alone: on d
+    over [d_lo, d_hi], H(d) = C(d) - lam s / (u d**2) with u the root of
+    m(u) = lam g / (N0 d) in ln u, which rises in d."""
+    f_max = 2e9
+    d_hi = tau - cyc / f_max
+    d_lo = max(tau - cyc / f_min, bits / (band * math.log2(1.0 + g * p_max / (n0 * band))))
+
+    def u_at(d):
+        a = lam * g / (n0 * d)
+        z = brentq(lambda z: math.log(reference_marginal(math.exp(z))) - math.log(a),
+                   -60.0, 6.9, xtol=1e-15, rtol=1e-15, maxiter=500)
+        return math.exp(z)
+
+    def h(d):
+        return 2.0 * kappa * cyc**3 / (tau - d) ** 3 - lam * bits / (u_at(d) * d * d)
+
+    if d_lo >= d_hi or h(d_hi) <= 0.0:
+        d = d_hi
+    elif h(d_lo) >= 0.0:
+        d = d_lo
+    else:
+        d = brentq(h, d_lo, d_hi, xtol=1e-300, rtol=1e-15, maxiter=500)
+    return bits / (u_at(d) * d), d
+
+
+@st.composite
+def free_lane_cases(draw):
+    """Gain 1e-14 to 1e-10, cycles 10^8.5 to 10^10.5, tau 1.1 to 32 times
+    the compute floor c / f_max, a price 1e-12 to 1e-4 and f_min 5 % to all
+    of f_max = 2 GHz, so that some lanes end at d_lo and some at d_hi."""
+    return (draw(log_uniform(1e-14, 1e-10)), draw(log_uniform(10**8.5, 10**10.5)),
+            draw(log_uniform(1.1, 32.0)), draw(log_uniform(1e-12, 1e-4)),
+            draw(st.floats(0.05, 1.0)))
+
+
+class TestFreeLaneRoot:
+    """Each free lane ends where a brentq search on H does, to 1e-9, on one
+    device whose p_max (1 kW) and band (1 THz) never bind."""
+
+    @settings(derandomize=True, max_examples=60, database=None, deadline=None)
+    @given(free_lane_cases())
+    @example((1e-11, 1e9, 4.0, 1e-9, 0.05))       # clipped at d_hi
+    @example((1e-11, 1e9, 4.0, 1e-9, 0.9))        # clipped at d_lo, f_min's bound
+    @example((1e-12, 1e10, 1.5, 1e-6, 0.5))
+    def test_matches_brentq(self, case):
+        g, cyc, factor, lam, share = case
+        scn = make_scenario([g], p_max=1e3, bandwidth=1e12, f_min=share * 2e9)
+        env = _Env(scn)
+        tau = factor * cyc / 2e9
+        kappa = env.dev.kappa[0]
+        d_hi = np.array([tau - cyc / 2e9])
+        d_c = np.maximum(tau - cyc / env.dev.f_min, 0.0)
+        fit = _FdmaFit(env, tau, d_c, d_hi, np.array([2.0 * kappa * cyc**3]),
+                       *_fdma_floors(env, d_hi))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            b, d, _, _, regime = fit.demand(math.log(lam))
+        if regime[0]:
+            # the free optimum needs more than p_max even at 1 kW
+            return
+        ref_b, ref_d = reference_lane(g, cyc, tau, lam, env.dev.f_min[0], scn.model_size_bits,
+                                      scn.noise_psd, scn.total_bandwidth_hz, 1e3, kappa)
+        assert d[0] == pytest.approx(ref_d, rel=1e-9)
+        if b[0] < scn.total_bandwidth_hz:
+            assert b[0] == pytest.approx(ref_b, rel=1e-9)
+
+
+class TestFitMatchesSlsqp:
+    """The fit at a fixed budget equals the SLSQP reference to 1e-9, on
+    default 40-device scenarios, with p_min on a third of their devices,
+    and on wide-box 2- and 3-device draws with and without p_min."""
+
+    @staticmethod
+    def check(scn, factors):
+        env = _Env(scn)
+        cyc = env.round_cycles(env.dev.min_resolution)
         t_floor = cyc / env.dev.f_max
         tau_lo = smallest_budget(env, t_floor)
-        w = Weights(w1, w2, 0.5)
-        loss = w.w3 * float((1.0 - env.accuracy(r)).sum())
-        f = np.geomspace(1e-9, 1.0, 40)[5]
-        assert f == pytest.approx(1.425e-8, rel=1e-3)
-        assert _budget_config(env, w, tau_lo * (1.0 + f), cyc, t_floor, loss)
-        assert len(solves) == 2 and solves[1] is not None
+        for factor in factors:
+            tau = tau_lo * factor
+            assert_matches_slsqp(env, tau, cyc,
+                                 _budget_config(env, W, tau, cyc, t_floor, 0.0))
+
+    def test_default(self):
+        self.check(generate_scenario(ScenarioSpec(n_devices=40, scheme="fdma")), (1.05, 2.0))
+
+    def test_p_min_on_a_third_of_the_devices(self):
+        base = generate_scenario(ScenarioSpec(n_devices=40, scheme="fdma", master_seed=1))
+        scn = replace(base, devices=[replace(dv, p_min=0.3 * dv.p_max if i % 3 == 0 else 0.0)
+                                     for i, dv in enumerate(base.devices)])
+        self.check(scn, (1.05, 2.0))
+
+    @pytest.mark.parametrize("pinned", [True, False])
+    def test_wide_box(self, pinned):
+        for k in (0, 2, 3, 5, 6, 8):
+            self.check(wide_box_draw(k, pinned), (1.001, 1.3, 5.0))
 
 
 class TestNomaSplit:
@@ -1597,7 +1835,7 @@ class TestSmallestBudget:
             assert margin(tau_lo - t_floor) <= 0.0
             assert margin(below - t_floor) > 0.0
             # the comm solve agrees with the margin on both sides
-            solve = _fdma_comm_solve if env.scheme == "fdma" else _noma_comm_solve
+            solve = pinned_comm_solve if env.scheme == "fdma" else _noma_comm_solve
             assert solve(env, tau_lo - t_floor) is not None
             assert solve(env, below - t_floor) is None
         # grid included; with a float-precision bisection this took 46-54
@@ -1661,17 +1899,15 @@ class TestWideBoxOracleGaps:
         w = Weights(w1, 1.0 - w1, w3)
         return optimize(scn, w).objective, brute_force_oracle(scn, w).objective
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the one-pass FDMA fit ends "
-                       "4.6 % above the oracle; an exact fit at the oracle's budget "
-                       "lands below it")
     def test_fdma_without_p_min(self):
+        # the one-pass fit ended 4.6 % above the oracle here
         joint, oracle = self.gap("fdma", 2825850.7343773106, 1790023.85481611, 2630983611,
                                  (0.0, 0.0), 0.6992590743089132, 32.6469190531469)
         assert joint <= 1.02 * oracle
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the one-pass FDMA fit ends "
-                       "12.3 % above the oracle with p_min on device 0")
     def test_fdma_with_p_min(self):
+        # the one-pass fit ended 12.3 % above the oracle here, with p_min on
+        # device 0
         joint, oracle = self.gap("fdma", 758915.0381508177, 2184955.673862047, 2738320143,
                                  (0.4998779700539054, 0.0), 0.7755573888699705,
                                  3.7767738412659)
@@ -1684,6 +1920,39 @@ class TestWideBoxOracleGaps:
         joint, oracle = self.gap("noma", 968600.4142161967, 671993.0011527399, 2925124134,
                                  (0.4114160157539099, 0.43547439598469656),
                                  0.8393739270746517, 983.6004613454498)
+        assert joint <= 1.02 * oracle
+
+
+@st.composite
+def oracle_draws(draw):
+    """A 2-device draw of the wide box with p_min at 5-50 % of p_max on both
+    devices, as `TestWideBoxOracleGaps.gap` takes it: scheme, B 0.3-30 MHz,
+    model size 1e5-1e7 bits, the scenario seed (p_max 0.1-0.5 W, f_max
+    0.5-3 GHz), the p_min shares, w1 0.1-0.9 and w3 0.1-1000."""
+    return (draw(st.sampled_from(["fdma", "noma"])), draw(log_uniform(0.3e6, 30e6)),
+            draw(log_uniform(1e5, 1e7)), draw(st.integers(0, 2**32 - 1)),
+            (draw(st.floats(0.05, 0.5)), draw(st.floats(0.05, 0.5))),
+            draw(st.floats(0.1, 0.9)), draw(log_uniform(0.1, 1000.0)))
+
+
+class TestOracleGapProperty:
+    """Criterion 2's 2 % bound against the grid oracle, on random 2-device
+    draws of the wide box.  400 draws of this strategy found none past it;
+    the draws pinned below are `TestWideBoxOracleGaps`'."""
+
+    @settings(derandomize=True, max_examples=80, database=None, deadline=None)
+    @given(oracle_draws())
+    @example(("fdma", 2825850.7343773106, 1790023.85481611, 2630983611, (0.0, 0.0),
+              0.6992590743089132, 32.6469190531469))
+    @example(("fdma", 758915.0381508177, 2184955.673862047, 2738320143,
+              (0.4998779700539054, 0.0), 0.7755573888699705, 3.7767738412659))
+    @example(("noma", 968600.4142161967, 671993.0011527399, 2925124134,
+              (0.4114160157539099, 0.43547439598469656), 0.8393739270746517,
+              983.6004613454498)).xfail(
+        reason="ROADMAP item 4: at w3 ~ 984 the first sweep keeps the minimum resolutions "
+               "and the solve stops 24.8 % above the oracle", raises=AssertionError)
+    def test_joint_within_two_percent(self, draw):
+        joint, oracle = TestWideBoxOracleGaps.gap(*draw)
         assert joint <= 1.02 * oracle
 
 
