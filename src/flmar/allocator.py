@@ -414,7 +414,11 @@ class _FdmaFit:
     rises in u.  d ends at d_hi, the p_max floor or the p_min kink, and b at
     B; on the p_max edge d also ends at the f_min bound, and on the p_min
     edge, where d is the upload time, the compute term leaves G below it.
-    Above v_top a device sits at its corner, the p_max floor at d_hi.
+    Above v_top a device sits at its corner, the p_max floor at d_hi.  When
+    every device sat on an edge at the last probe, the probe solves the
+    edges alone, and keeps them where each edge's multiplier, lambda g /
+    (N0 m(u)) - d, negated on the p_min edge, is not negative: the free
+    optimum then lies beyond the edge.
 
     ``d_c`` holds the f_min bound tau - c / f_min (at least 0), ``kc`` 2
     kappa c**3 and ``d_hi`` tau - c / f_max; d_lo is the later of the f_min
@@ -474,6 +478,7 @@ class _FdmaFit:
         self.total_hi = env.bw + margin
 
         self.cold = near is None
+        self.edges = None       # the regimes of the last probe, if all on edges
         # each device's demand row at its corner
         self.corners = np.zeros((4, n))
         self.corners[0], self.corners[1] = b_floor, d_hi
@@ -554,7 +559,8 @@ class _FdmaFit:
 
     def _solve_edge(self, lanes, row, shift, out, tol):
         """The optima of devices ``lanes`` on their edges, rows ``row`` of
-        the edge parameters: writes their columns of ``out``."""
+        the edge parameters: writes their columns of ``out`` and returns
+        whether each one's free optimum lies beyond its edge."""
         args = (self.bk[row, lanes], self.pb[row, lanes], self.edge_power[row, lanes],
                 self.edge_low[row, lanes], self.d_hi[lanes], self.d_c[lanes], self.kc[lanes])
         z_lo, z_hi = self.z_band[row, lanes], self.z_top[row, lanes]
@@ -568,7 +574,13 @@ class _FdmaFit:
         em1 = np.expm1(u * _LN2)
         b = args[1] / em1
         g_b = u * _LN2 * (em1 + 1.0) / em1          # -d ln b / d ln u
-        out[:, lanes] = b, args[0] * em1 / u, -b * g_b * dz, b * g_b * (1.0 + np.abs(z))
+        d = args[0] * em1 / u
+        out[:, lanes] = b, d, -b * g_b * dz, b * g_b * (1.0 + np.abs(z))
+        # whether the free optimum lies beyond the edge: the edge's
+        # multiplier, lambda g / (N0 m(u)) - d on the p_max edge and its
+        # negation on the p_min edge, is not negative
+        m, _ = _comm_marginal(1.0, u)
+        return (self.lam / m - self.cg[lanes] * d) * (1 - 2 * row) >= 0.0
 
     def demand(self, t: float, tol=_LANE_TOL):
         """Each device's optimum at price e**t, its lanes ending on steps of
@@ -581,15 +593,27 @@ class _FdmaFit:
         shift = t - self.log_lam if math.isfinite(self.log_lam) else 0.0
         self.log_lam = t
         out = np.empty((4, env.n))
-        regime = self._solve_free(shift, out, tol)
         # above v_floor every deadline needs more than p_max in the free
         # regime, and above v_top a device sits at its corner
-        regime[self.lam >= self.v_floor] = 1
+        floored = self.lam >= self.v_floor
         corner = self.lam >= self.v_top
+        lanes = np.flatnonzero(~corner)
+        if self.edges is not None:
+            # every device sat on an edge at the last probe: where each
+            # edge's multiplier still holds, its optimum lies there
+            regime = self.edges.copy()
+            regime[floored] = 1
+            if self._solve_edge(lanes, regime[lanes] - 1, shift, out, tol).all():
+                out[:, corner] = self.corners[:, corner]
+                b, d, slope, stair = out
+                return np.minimum(b, env.bw), d, slope, stair, regime
+        regime = self._solve_free(shift, out, tol)
+        regime[floored] = 1
         lanes = np.flatnonzero((regime > 0) & ~corner)
         if lanes.size:
             self._solve_edge(lanes, regime[lanes] - 1, shift, out, tol)
         out[:, corner] = self.corners[:, corner]
+        self.edges = regime if regime.all() else None
         b, d, slope, stair = out
         return np.minimum(b, env.bw), d, slope, stair, regime
 
