@@ -5,8 +5,10 @@ The solver fits the continuous variables to a candidate round-time budget
 tau and locates tau by a doubling march and Brent's minimisation.  FDMA
 fits every device's bandwidth and upload deadline at once, by one search
 on the bandwidth price in which each device's optimum is one lane of a
-vectorised Newton search (`_FdmaFit`), with no special function in it;
-NOMA splits each device's time between compute and upload by one convex
+vectorised Newton search (`_FdmaFit`), with no special function in it; its
+p_max floors and p_min kinks solve (2**u - 1) / u = k by a monotone Newton
+search of their own (`_u_from_k`), so the module needs numpy alone.  NOMA
+splits each device's time between compute and upload by one convex
 1-D search on a fixed link, then meets those deadlines by a per-channel
 power fixed point.  CPU frequencies follow by deadline inversion.  Every
 fit of one tau search but its first starts its searches from the fit
@@ -23,7 +25,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import lambertw
 
 from .accounting import (
     Allocation,
@@ -263,16 +264,35 @@ def _brent_min(f, a, b, x=None, fx=None):
 def _u_from_k(k: np.ndarray) -> np.ndarray:
     """Solve (2**u - 1) / u = k for u > 0; k must exceed ln 2.
 
-    With a = k / ln2 and v = u ln2 this is e**v = 1 + a v, whose positive
-    root is v = -W_{-1}(-e**(-1/a) / a) - 1/a (Corless et al. 1996).  That
-    argument nears the branch point as eps = a - 1 falls (scipy's W_{-1} is
-    exactly -1 below eps = 1e-4), so below eps = 1e-2 v comes from
-    `_U_SERIES`, the series inverse of (e**v - 1)/v = 1 + eps through eps**7.
+    With a = k / ln2 and v = u ln2 this is e**v = 1 + a v, the positive root
+    of g(v) = v - log1p(a v), which is convex with g(0) = 0 and g'(0) = 1 -
+    a < 0, so negative below the root and positive above it.  2 ln a lies
+    above the root, as a**2 >= 1 + 2 a ln a for a >= 1, and so does its
+    image under the increasing map v -> log1p(a v), which lies nearer.  From
+    there Newton's method falls monotonically onto the root, its relative
+    error at most about squaring at each step (v g'' / 2 g' < 1 at the
+    root), so the search ends once no lane steps by more than 1e-8 of its
+    start, with under 2e-16 of v left: 3 or 4 steps.  Near a = 1 the root is
+    ill-conditioned (g' = 1 - a e**-v falls to 0 there), so below eps = a -
+    1 = 1e-2 v comes from `_U_SERIES`, the series inverse of (e**v - 1)/v =
+    1 + eps through eps**7, and those lanes' Newton runs at eps = 1e-2.
     """
     a = k / _LN2
-    eps = np.minimum(a - 1.0, 1e-2)     # past the switch the series could overflow
-    v = -np.real(lambertw(-np.exp(-1.0 / a) / a, -1)) - 1.0 / a
-    return np.where(eps < 1e-2, np.polyval(_U_SERIES, eps), v) / _LN2
+    branch = float(a.min()) - 1.0 < 1e-2
+    if branch:
+        eps = np.minimum(a - 1.0, 1e-2)     # past the switch the series could overflow
+        a = np.maximum(a, 1.0 + 1e-2)
+    v = np.log1p(np.log(a) * (2.0 * a))
+    tol = 1e-8 * v
+    while True:
+        av = a * v
+        step = (v - np.log1p(av)) / (1.0 - a / (av + 1.0))
+        v -= step
+        if not (step > tol).any():
+            break
+    if branch:
+        v = np.where(eps < 1e-2, np.polyval(_U_SERIES, eps), v)
+    return v / _LN2
 
 
 def _fdma_floors(env: _Env, deadlines):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import brentq, minimize
+from scipy.special import lambertw
 
 from flmar import (
     Allocation,
@@ -235,6 +236,26 @@ def test_u_from_k_residual():
     assert np.all(np.diff(u) > 0.0)
     residual = np.abs(np.expm1(u * math.log(2.0)) / u - k) / k
     assert residual.max() <= 1e-13
+
+
+def test_u_from_k_matches_the_lambert_w_form():
+    # the closed form the Newton root replaced (Corless et al. 1996): with a
+    # = k/ln2, -W_{-1}(-e**(-1/a) / a) = u ln2 + 1/a.  It served above eps =
+    # a - 1 = 1e-2, so compare there, on the residual test's grid with its
+    # dense band across the switch, in the closed form's own variable: just
+    # above the switch u ln2 = -W - 1/a cancels two digits of the closed
+    # form, whose u is off by up to 1.1e-12 there against a 40-digit root
+    # (`_u_from_k` is within 2.2e-14).  From eps = 0.05 on u agrees too.
+    eps = np.concatenate([np.logspace(-10, 7, 1701), np.linspace(5e-3, 2e-2, 1501)])
+    k = np.unique(math.log(2.0) * (1.0 + eps))
+    a = k / math.log(2.0)
+    k, a = k[a - 1.0 >= 1e-2], a[a - 1.0 >= 1e-2]
+    w = -np.real(lambertw(-np.exp(-1.0 / a) / a, -1))
+    u = _u_from_k(k)
+    assert np.all(np.abs(u * math.log(2.0) + 1.0 / a - w) <= 1e-13 * w)
+    far = a - 1.0 >= 0.05
+    u_w = (w - 1.0 / a)[far] / math.log(2.0)
+    assert np.all(np.abs(u[far] - u_w) <= 1e-13 * u_w)
 
 
 def test_u_from_k_stays_finite_to_the_top_of_the_float_range():
@@ -1349,12 +1370,19 @@ class TestNomaSplit:
                 assert len(solves) == 1
 
 
-def test_import_leaves_scipy_optimize_out():
-    code = "import sys, flmar; print('scipy.optimize' in sys.modules)"
+def test_import_leaves_scipy_out():
+    # the runtime needs numpy alone: in a fresh interpreter neither the
+    # package nor its command line loads any scipy module
+    code = ("import sys\n"
+            "def loaded(): return [m for m in sys.modules if m.startswith('scipy')]\n"
+            "import flmar\n"
+            "print(loaded())\n"
+            "import flmar.cli\n"
+            "print(loaded())\n")
     src = str(Path(flmar.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines() == ["[]", "[]"]
 
 
 class TestNomaCommSubproblem:

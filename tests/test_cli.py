@@ -1,9 +1,14 @@
 """End-to-end checks of the command line entry points."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import flmar
 from flmar.cli import main
 from flmar import ScenarioSpec, generate_scenario, save_scenario
 from flmar.experiments import CSV_COLUMNS
@@ -151,3 +156,51 @@ class TestParsing:
 
     def test_unknown_subcommand_fails(self):
         assert run_cli("teleport") == 1
+
+
+# Runs the commands given as JSON in argv[1] through `main` in an interpreter
+# where importing scipy fails, and counts the p_min kinks the FDMA fits solve.
+WITHOUT_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None
+import flmar.allocator as allocator
+from flmar.cli import main
+
+kinks = []
+root = allocator._u_from_k
+
+
+def spy(k):
+    kinks.append(sys._getframe(1).f_code is allocator._FdmaFit.__init__.__code__)
+    return root(k)
+
+
+allocator._u_from_k = spy
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "kinks": sum(kinks)}))
+"""
+
+
+class TestWithoutScipy:
+    """The runtime needs numpy alone: each command runs and exits 0 with
+    scipy blocked, so a lazy scipy import on its path would fail here."""
+
+    def test_commands_exit_zero(self, tmp_path):
+        # p_min > 0 on every device, so the FDMA fits solve p_min kinks
+        cfg = tmp_path / "pmin.json"
+        save_scenario(generate_scenario(ScenarioSpec(n_devices=6, scheme="fdma", p_min=0.05)),
+                      cfg)
+        commands = [
+            ["run", "--config", str(cfg), "--out", str(tmp_path / "fdma.csv")],
+            ["run", "--scheme", "noma", "--n-devices", "6", "--out", str(tmp_path / "noma.csv")],
+            ["oracle", "--n-devices", "2", "--grid-points", "6",
+             "--out", str(tmp_path / "oracle.json")],
+            ["sweep", "--n-devices", "6", "--seeds", "1", "--out", str(tmp_path / "sweep.csv")],
+        ]
+        src = str(Path(flmar.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY, json.dumps(commands)],
+                              capture_output=True, text=True, check=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        result = json.loads(done.stdout.splitlines()[-1])
+        assert result["codes"] == [0, 0, 0, 0]
+        assert result["kinks"] > 0
