@@ -2,7 +2,8 @@
 resolution for synchronous federated rounds.
 
 The solver fits the continuous variables to a candidate round-time budget
-tau and locates tau by a doubling march and Brent's minimisation.  FDMA
+tau, each fit returning its value V and the exact slope dV/dtau, and
+locates tau by a doubling march and a root search on that slope.  FDMA
 fits every device's bandwidth and upload deadline at once, by one search
 on the bandwidth price in which each device's optimum is one lane of a
 vectorised Newton search (`_FdmaFit`), with no special function in it; its
@@ -12,8 +13,9 @@ splits each device's time between compute and upload by one convex
 1-D search on a fixed link, then meets those deadlines by a per-channel
 power fixed point.  CPU frequencies follow by deadline inversion.  Every
 fit of one tau search but its first starts its searches from the fit
-nearest in tau that the search has already made; those fits are never
-kept past the search.  Frame resolutions then improve through exact
+nearest in tau that the search has already made, NOMA's deadlines moved
+along their slopes to the new budget; those fits are never kept past the
+search.  Frame resolutions then improve through exact
 per-device coordinate moves, and the outer loop repeats until the sweep
 returns resolutions it has already solved.
 """
@@ -39,7 +41,6 @@ from .compute import cmos_energy, detection_accuracy, round_cycles
 from .scenario import ScenarioValidationError
 
 _LN2 = math.log(2.0)
-_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0
 _EPS = float(np.finfo(float).eps)
 _SQRT_EPS = math.sqrt(_EPS)
 # the longest last step of an FDMA lane (`_lane_newton`), in ln u, once
@@ -152,7 +153,7 @@ class _Env:
         return _noma_powers(self, deadlines)[0]
 
 
-def _root(f, lo: float, hi: float, f_lo=None, f_hi=None):
+def _root(f, lo: float, hi: float, f_lo=None, f_hi=None, xtol=0.0, enough=None):
     """Bracketed root search on [lo, hi] (Chandrupatla 1997).
 
     ``f`` takes and returns floats; it is positive below the root and
@@ -166,10 +167,12 @@ def _root(f, lo: float, hi: float, f_lo=None, f_hi=None):
     three steps.  Where the
     ends share a sign the root lies outside the bracket, and the search
     settles at the nearer end without a probe.  It stops when f is exactly
-    zero at a probe or when the bracket is no wider than one float spacing
-    at its larger end; every probe keeps that spacing from both ends, so
-    each step shrinks the bracket.  Returns the final ``(lo, hi)``:
-    f(lo) > 0 > f(hi), or lo == hi at a zero or a settled end.
+    zero at a probe or when the bracket is no wider than its resolution:
+    ``xtol`` times its larger end, and at least one float spacing there;
+    every probe keeps that resolution from both ends, so each step shrinks
+    the bracket.  ``enough(lo, hi)``, where given, ends it sooner, once it
+    holds on the bracket.  Returns the final ``(lo, hi)``: f(lo) > 0 >
+    f(hi), or lo == hi at a zero or a settled end.
     """
     lo, hi = float(lo), float(hi)
     f_lo = float(f(lo) if f_lo is None else f_lo)
@@ -186,8 +189,10 @@ def _root(f, lo: float, hi: float, f_lo=None, f_hi=None):
     width_2 = width_1 = math.inf   # widths two and one steps back
     while True:
         width = abs(b - a)
-        spacing = math.ulp(max(abs(a), abs(b)))
-        if fa == 0.0 or not width > spacing:
+        big = max(abs(a), abs(b))
+        spacing = max(math.ulp(big), xtol * big)
+        if fa == 0.0 or not width > spacing or (
+                enough is not None and enough(*((b, a) if fa < 0.0 else (a, b)))):
             return (b if fa < 0.0 else a), (b if fa > 0.0 else a)
         if width > 0.5 * width_2:
             t = 0.5
@@ -212,53 +217,6 @@ def _root(f, lo: float, hi: float, f_lo=None, f_hi=None):
         else:
             t_sec = fa / (fc - fa) * (a - c) / (b - a) if fc != fa else 0.5
             t = t_sec if 0.0 < t_sec < 1.0 else 0.5
-
-
-def _brent_min(f, a, b, x=None, fx=None):
-    """Minimise f on a bracket 0 < a < b by Brent's method (Brent 1973, ch. 5).
-
-    Each step probes the vertex of the parabola through the three best
-    points, where it falls inside the bracket and moves less than half the
-    step before last; else the golden-section point of the larger side of
-    the best point x.  Every probe lies at least tol = sqrt(eps) |x| from
-    x, the spacing to which float arithmetic can place a minimum.
-    The search starts from ``(x, fx)`` when given, else from the golden
-    point, and stops once the bracket lies within 2 tol of x.  Values may
-    be inf.  Returns the best point and its value.
-    """
-    if x is None:
-        x = a + _CGOLD * (b - a)
-        fx = f(x)
-    w = v = x
-    fw = fv = fx
-    d = e = 0.0             # the last step and the one before it
-    while True:
-        m, tol = 0.5 * (a + b), _SQRT_EPS * abs(x)
-        if max(x - a, b - x) <= 2.0 * tol:
-            return x, fx
-        p = q = r = 0.0
-        if abs(e) > tol:
-            r, q = (x - w) * (fx - fv), (x - v) * (fx - fw)
-            p, q = (x - v) * q - (x - w) * r, 2.0 * (q - r)
-            p, q, r, e = (-p if q > 0.0 else p), abs(q), e, d
-        if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
-            d = p / q
-            if min(x + d - a, b - x - d) < 2.0 * tol:
-                d = tol if x <= m else -tol
-        else:
-            e = (a if x >= m else b) - x
-            d = _CGOLD * e
-        u = x + (d if abs(d) >= tol else tol if d >= 0.0 else -tol)
-        fu = f(u)
-        if fu <= fx:
-            a, b = (x, b) if u >= x else (a, x)
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            a, b = (u, b) if u < x else (a, u)
-            if fu <= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
 
 
 def _u_from_k(k: np.ndarray) -> np.ndarray:
@@ -671,9 +629,9 @@ def _fdma_solve(env: _Env, tau: float, d_c, d_hi, kc, near=None):
     a probe lands within 10 % of B; a loose probe within 1e-6 of B is made
     again with tight lanes before it counts.
 
-    Returns ``(power, bandwidth, comm_time, comm_energy, deadlines, lanes)``,
-    with the `_FdmaLanes` where the search ended, or None when the deadlines
-    d_hi cannot be met.
+    Returns ``(power, bandwidth, comm_time, comm_energy, slope, lanes)``,
+    with the energy's slope in tau (`_fdma_slope`) and the `_FdmaLanes`
+    where the search ended, or None when the deadlines d_hi cannot be met.
     """
     margin, b_floor, u_floor = _fdma_floors(env, d_hi)
     if margin > 0.0:
@@ -756,7 +714,32 @@ def _fdma_solve(env: _Env, tau: float, d_c, d_hi, kc, near=None):
     p[regime == 1] = dev.p_max[regime == 1]
     p[regime == 2] = dev.p_min[regime == 2]
     t_com = env.s / shannon_rate(b, dev.gain * p / (env.noise * b))
-    return p, b, t_com, p * t_com, d.copy(), _FdmaLanes(tau, t, fit.z)
+    slope = _fdma_slope(env, math.exp(t), p, b, d, regime)
+    return p, b, t_com, p * t_com, slope, _FdmaLanes(tau, t, fit.z)
+
+
+def _fdma_slope(env: _Env, lam: float, p, b, d, regime) -> float:
+    """dE/dtau of the fitted energy E at price ``lam``, by the envelope
+    theorem (Milgrom and Segal 2002).
+
+    Measured in the compute time tau - d, each device's bounds do not move
+    with tau and its upload deadline d moves one to one.  A free device's
+    upload energy depends on b d alone, so its marginal in d is b / d times
+    the one in b, -lambda; one on a power edge P spends P more per second
+    and frees -db/dd = (P g / N0)**2 ln2 2**u u**2 / (s (2**u - 1)**2 m(u))
+    of band, u = s / (b d).
+    """
+    saved = lam * b / d         # -dE/dtau, device by device
+    edge = regime > 0
+    if edge.any():
+        u = env.s / (b[edge] * d[edge])
+        pb = p[edge] / env.fdma_edges[0][edge]
+        with np.errstate(over="ignore"):
+            em1 = np.expm1(u * _LN2)
+            freed = pb * pb / env.s * _LN2 * u * u * (1.0 + 1.0 / em1) / (
+                em1 * _comm_marginal(1.0, u)[0])
+        saved[edge] = lam * freed - p[edge]
+    return -float(saved.sum())
 
 
 def _noma_powers(env: _Env, d):
@@ -818,19 +801,33 @@ def _noma_comm_solve(env: _Env, deadlines):
 
 
 @dataclass
+class _NomaLanes:
+    """Where a NOMA fit's time splits ended, for a nearby fit to start
+    from: the budget, the deadlines and their slopes in tau."""
+
+    tau: float
+    deadlines: np.ndarray
+    slopes: np.ndarray
+
+    def start(self, tau: float) -> np.ndarray:
+        """The deadlines moved along their slopes to budget ``tau``."""
+        return self.deadlines + self.slopes * (tau - self.tau)
+
+
+@dataclass
 class _Budget:
     """Continuous variables fitted to one round-time budget tau, with the
-    upload deadlines and, for FDMA, where the bandwidth price search ended
-    (`_FdmaLanes`), from which a nearby fit starts its searches."""
+    value's slope in tau and where the scheme's searches ended
+    (`_FdmaLanes`, `_NomaLanes`), from which a nearby fit starts its own."""
 
     value: float
+    slope: float
     power: np.ndarray
     bandwidth: np.ndarray | None
     cpu: np.ndarray
     comm_time: np.ndarray
     comm_energy: np.ndarray
-    deadlines: np.ndarray
-    lanes: _FdmaLanes | None
+    lanes: _FdmaLanes | _NomaLanes
 
 
 def _comm_marginal(c, x):
@@ -858,13 +855,15 @@ def _comm_marginal(c, x):
 
 
 def _time_split(env: _Env, tau: float, cyc, idx, bw, denom, price=None, floor=None,
-                start=None):
+                start=None, slopes=(0.0, 0.0, 0.0)):
     """Upload deadlines of the devices at ``idx`` that minimise each one's
-    compute plus upload energy within budget tau, on a fixed link.
+    compute plus upload energy within budget tau, on a fixed link, and
+    their slopes in tau, as ``(d, dd)``.
 
     The devices upload on ``bw`` hertz against ``denom`` watts of noise plus
     interference.  ``price`` charges that many joules per watt of upload
-    power, and ``floor`` is a lowest deadline.  Each device's bracket [lo,
+    power, and ``floor`` is a lowest deadline; ``slopes`` holds the slopes
+    of denom, price and floor in tau.  Each device's bracket [lo,
     hi] starts at the latest of the upload time at p_max, the deadline that
     leaves f_min the rest of tau and the floor; it ends where f_max fills
     the rest of tau and, where p_min > 0, at the upload time at p_min (no
@@ -890,45 +889,92 @@ def _time_split(env: _Env, tau: float, cyc, idx, bw, denom, price=None, floor=No
     spacing above lo, never on lo itself: where the root lies at or below
     lo, the deadline keeps a rounding's room above the p_max upload time
     for the comm solve.  An empty bracket ends at hi.
+
+    A lane that ends on its root moves with tau as the implicit function
+    theorem on phi gives; one that ends on a bound moves with that bound:
+    one to one on the f_max and f_min bounds, with denom on the upload
+    times at p_max and p_min, and with the floor on it.  Where bounds meet,
+    each end takes the slope to the right of tau, of the bound that a
+    larger tau makes the end.
     """
     dev = env.dev
     g = dev.gain[idx]
-    d_feas = env.s / shannon_rate(bw, g * dev.p_max[idx] / denom)
-    d_hi = tau - cyc[idx] / dev.f_max[idx]
-    d_lo = np.maximum(tau - cyc[idx] / dev.f_min[idx], d_feas)
-    if floor is not None:
-        d_lo = np.maximum(d_lo, floor)
-    pinned = dev.p_min[idx] > 0.0
-    if pinned.any():
-        # the p_min upload time; inf where p_min = 0 leaves d_hi as it is
-        rate = shannon_rate(bw, g * dev.p_min[idx] / denom)
-        d_pin = np.divide(env.s, rate, out=np.full(pinned.shape, np.inf), where=pinned)
-        d_hi = np.minimum(d_hi, np.maximum(d_pin, d_lo))
+    d_denom, d_price, d_floor = slopes
+    moving = isinstance(d_denom, np.ndarray)
+    rel_denom = d_denom / denom if moving else 0.0     # d ln denom / dtau
 
-    out = d_hi.copy()
-    k = np.flatnonzero(d_lo < d_hi)
-    lo, hi = d_lo[k], d_hi[k]
-    spacing = np.spacing(hi)
-    c = np.broadcast_to(denom / g, out.shape)[k]
-    a = np.broadcast_to(env.s / bw, out.shape)[k]
-    two_k_cyc3 = (2.0 * dev.kappa[idx] * cyc[idx] ** 3)[k]
-    # the price term of M, price * -dp/dd = price c 2**x ln2 x / d, is
-    # lead dM with lead = price / (a ln2)
-    lead = None if price is None else price[k] / (a * _LN2)
-    if start is None:
-        d = np.sqrt(lo * hi)
-    else:
-        d = np.fmin(np.fmax(start[idx][k], lo + spacing), hi - spacing)
-    # hi / lo and the step length, one step back
-    ratio_1 = step_1 = np.full(k.size, np.inf)
+    def upload_time(power):
+        """The upload time at ``power`` (inf at power 0) and its slope in tau."""
+        snr = g * power / denom
+        t = env.s / shannon_rate(bw, snr)
+        if not moving:
+            return t, 0.0
+        slope = t * t * bw * snr / (env.s * (1.0 + snr) * _LN2) * rel_denom
+        return t, np.where(t < np.inf, slope, 0.0)
+
+    def later(bound, other):
+        """The later of two bounds, each (value, slope in tau); the slope is
+        that of the one a larger tau makes the later, judged a step h on,
+        so that where they meet it is the slope to the right."""
+        (v, dv), (w, dw) = bound, other
+        return np.maximum(v, w), np.where(w + dw * h > v + dv * h, dw, dv)
+
+    def earlier(bound, other):
+        """The earlier of two bounds, as `later` picks the later."""
+        (v, dv), (w, dw) = bound, other
+        return np.minimum(v, w), np.where(w + dw * h < v + dv * h, dw, dv)
+
+    def marginal(d, c, a, lead):
+        """M, its slope dM in -ln d and the unpriced part of dM at d."""
+        x = a / d
+        m, dm = m_up, dm_up = _comm_marginal(c, x)
+        if lead is not None:
+            # -d dw/dd = w (x ln2 + 2) for the price term w
+            w = lead * dm
+            m, dm = m + w, dm + w * (x * _LN2 + 2.0)
+        return m, dm, dm_up
+
+    # the float exceptions of lanes at p_min = 0 or past overflow are
+    # handled where they arise
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # the bounds as (value, slope in tau): the latest lower one, and the
+        # earlier of the f_max bound and the p_min upload time, where p_min >
+        # 0 (no slower upload exists), but not below the lower one.  Bounds
+        # that meet to rounding are told apart a step h on, which outruns
+        # the rounding and stays clear of kinks further on
+        h = 1e-12 * tau
+        d_lo, s_lo = later((tau - cyc[idx] / dev.f_min[idx], 1.0), upload_time(dev.p_max[idx]))
+        if floor is not None:
+            d_lo, s_lo = later((d_lo, s_lo), (floor, d_floor))
+        d_hi, s_hi = tau - cyc[idx] / dev.f_max[idx], np.ones(d_lo.shape)
+        if np.any(dev.p_min[idx] > 0.0):
+            d_hi, s_hi = earlier((d_hi, s_hi), later(upload_time(dev.p_min[idx]), (d_lo, s_lo)))
+
+        c_all = c = np.broadcast_to(denom / g, d_hi.shape)
+        a_all = a = np.broadcast_to(env.s / bw, d_hi.shape)
+        kc3_all = two_k_cyc3 = 2.0 * dev.kappa[idx] * cyc[idx] ** 3
+        # the price term of M, price * -dp/dd = price c 2**x ln2 x / d, is
+        # lead dM with lead = price / (a ln2)
+        lead_all = lead = None if price is None else price / (a * _LN2)
+
+        out = d_hi.copy()
+        # where each lane ended: 0 on its root, 1 on d_hi, 2 on d_lo, 3 on a
+        # bracket that is one point
+        ends = np.full(out.shape, 3, dtype=np.int8)
+        k = np.flatnonzero(d_lo < d_hi)
+        lo, hi = d_lo[k], d_hi[k]
+        spacing = np.spacing(hi)
+        c, a, two_k_cyc3 = c[k], a[k], two_k_cyc3[k]
+        if lead is not None:
+            lead = lead[k]
+        if start is None:
+            d = np.sqrt(lo * hi)
+        else:
+            d = np.fmin(np.fmax(start[idx][k], lo + spacing), hi - spacing)
+        # hi / lo and the step length, one step back
+        ratio_1 = step_1 = np.full(k.size, np.inf)
         while k.size:
-            x = a / d
-            m, dm = _comm_marginal(c, x)
-            if lead is not None:
-                # -d dw/dd = w (x ln2 + 2) for the price term w
-                w = lead * dm
-                m, dm = m + w, dm + w * (x * _LN2 + 2.0)
+            m, dm, _ = marginal(d, c, a, lead)
             t = tau - d
             phi = np.log(two_k_cyc3 / (t * t * t * m))
             newton = d * np.exp(-phi / (3.0 * d / t + dm / m))
@@ -944,9 +990,12 @@ def _time_split(env: _Env, tau: float, cyc, idx, bw, denom, price=None, floor=No
             d_next = np.fmin(np.fmax(d_next, lo + spacing), hi - spacing)
             step_1, ratio_1 = np.abs(d_next - d), ratio
             if np.count_nonzero(stop):
+                i = k[stop]
                 inside = np.maximum(lo + 0.5 * spacing, np.nextafter(lo, np.inf))
-                end = np.where(hi == d_hi[k], hi, inside)
-                out[k[stop]] = np.where(converged, d, end)[stop]
+                at_hi = hi == d_hi[k]
+                out[i] = np.where(converged, d, np.where(at_hi, hi, inside))[stop]
+                ends[i] = np.where(converged, 0, np.where(
+                    at_hi, 1, np.where(lo == d_lo[k], 2, 0)))[stop]
                 go = ~stop
                 k, d_next, lo, hi, spacing, ratio_1, step_1 = (
                     v[go] for v in (k, d_next, lo, hi, spacing, ratio_1, step_1)
@@ -955,12 +1004,25 @@ def _time_split(env: _Env, tau: float, cyc, idx, bw, denom, price=None, floor=No
                 if lead is not None:
                     lead = lead[go]
             d = d_next
-    return out
+
+        # the slopes: on a root, -(dphi/dtau) / (dphi/dd), with denom and
+        # price moving; on a bound, that bound's; on a one-point bracket, as
+        # where bounds meet at the smallest feasible tau, a larger tau opens
+        # it, and the deadline goes with the end phi points to
+        m, dm, dm_up = marginal(out, c_all, a_all, lead_all)
+        t = tau - out
+        lift = rel_denom if price is None else rel_denom + d_price / (a_all * _LN2) * dm_up / m
+        root = out * (3.0 / t + lift) / (3.0 * out / t + dm / m)
+        low = (ends == 2) | ((ends == 3) & (kc3_all > t * t * t * m)
+                             & (d_lo + s_lo * h < d_hi + s_hi * h))
+        slope = np.where(ends == 0, root, np.where(low, s_lo, s_hi))
+    return out, slope
 
 
 def _noma_split(env: _Env, tau: float, cyc, d, start=None):
-    """NOMA upload deadlines for budget tau: the weak users' split, then the
-    strong users' against the weak power it leaves.
+    """NOMA upload deadlines for budget tau, the weak users' split, then the
+    strong users' against the weak power it leaves, and their slopes in tau,
+    as ``(d, dd)``.
 
     ``d`` holds the full-speed deadlines tau - cyc / f_max, and ``start``
     the deadlines both splits start from, as `_time_split` takes them.  At
@@ -968,21 +1030,78 @@ def _noma_split(env: _Env, tau: float, cyc, d, start=None):
     strong user d_s (2**x_s - 1) g_w / g_s joules, which the weak split
     prices.  The weak deadline is floored where the strong partner, at p_max
     and f_max, can still meet tau against the weak interference, so for
-    every feasible tau the strong split has deadlines it can meet.
+    every feasible tau the strong split has deadlines it can meet.  The
+    price and the floor move with d_s, so with tau, and the weak split
+    takes their slopes; the strong split takes the slope of the weak power
+    it hears.
     """
     s_idx, w_idx = env.strong, env.weak
     g, bc = env.dev.gain, env.channel_bw
     noise = env.noise * bc
     d = d.copy()
-    with np.errstate(over="ignore", divide="ignore"):
-        price = d[s_idx] * power_for_rate(bc, env.s / d[s_idx], g[w_idx], g[s_idx])
+    dd = np.empty(d.shape)
+    d_s = d[s_idx]
+    x_s = env.s / (bc * d_s)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        price = d_s * power_for_rate(bc, env.s / d_s, g[w_idx], g[s_idx])
+        d_price = -g[w_idx] / g[s_idx] * _comm_marginal(1.0, x_s)[0]
         # the largest weak SNR under which the strong user meets d_s at p_max
-        snr = env.dev.p_max[s_idx] / power_for_rate(bc, env.s / d[s_idx], noise, g[s_idx])
+        snr = env.dev.p_max[s_idx] / power_for_rate(bc, env.s / d_s, noise, g[s_idx])
         floor = env.s / shannon_rate(bc, np.maximum(snr - 1.0, 0.0))
-    d[w_idx] = _time_split(env, tau, cyc, w_idx, bc, noise, price, floor, start)
+        # the floor falls as d_s, and with it the SNR, grows
+        d_floor = -floor * floor * bc / env.s * x_s / (-np.expm1(-x_s * _LN2) * d_s)
+        d_floor[~(floor < np.inf)] = 0.0
+    d[w_idx], dd[w_idx] = _time_split(env, tau, cyc, w_idx, bc, noise, price, floor, start,
+                                      (0.0, d_price, d_floor))
     _, p_w, _ = _noma_powers(env, d)
-    d[s_idx] = _time_split(env, tau, cyc, s_idx, bc, g[w_idx] * p_w + noise, start=start)
-    return d
+    with np.errstate(over="ignore", invalid="ignore"):
+        dp_w = _power_slope(env, w_idx, d[w_idx], dd[w_idx], p_w, noise, 0.0)[1]
+    d[s_idx], dd[s_idx] = _time_split(env, tau, cyc, s_idx, bc, g[w_idx] * p_w + noise,
+                                      start=start, slopes=(g[w_idx] * dp_w, 0.0, 0.0))
+    return d, dd
+
+
+def _power_slope(env: _Env, idx, t, dd, p, denom, d_denom):
+    """The slopes in tau of the upload times ``t`` and powers ``p`` of the
+    NOMA devices at ``idx``, whose deadlines move by ``dd`` and whose noise
+    plus interference ``denom`` by ``d_denom``, as ``(dt, dp)``.  A device
+    above p_min meets its deadline, t, and so does one at p_min whose
+    deadline shrinks, as at the smallest feasible tau, where the weak user
+    sits on its floor at p_min; any other at p_min uploads in t at that
+    power, which moves with denom alone.  Float warnings are the caller's to
+    silence."""
+    g = env.dev.gain[idx]
+    a = env.s / env.channel_bw
+    x = a / t
+    snr = g * p / denom
+    rel = d_denom / denom
+    bind = (p > env.dev.p_min[idx]) | (dd < 0.0)
+    dt = np.where(bind, dd, t * t * snr / (a * (1.0 + snr) * _LN2) * rel)
+    dp = np.where(bind, p * rel - denom / g * np.exp2(x) * _LN2 * x / t * dt, 0.0)
+    return dt, dp
+
+
+def _noma_slope(env: _Env, tau: float, cyc, p, t, dd) -> float:
+    """dE/dtau of a NOMA fit's energy E, by the chain rule through each
+    deadline's slope ``dd`` and, for a strong user, the weak power it hears
+    as interference; ``p`` and ``t`` are the fit's powers and upload times.
+    Each device spends p t on upload and kappa cyc f**2 on compute, with f =
+    cyc / (tau - t) clipped to [f_min, f_max]; the slope is the one to the
+    right, so f at a bound moves only where the rest of tau leads it back
+    inside."""
+    s_idx, w_idx = env.strong, env.weak
+    g = env.dev.gain
+    noise = env.noise * env.channel_bw
+    dt, dp = np.empty(env.n), np.empty(env.n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dt[w_idx], dp[w_idx] = _power_slope(env, w_idx, t[w_idx], dd[w_idx], p[w_idx], noise,
+                                            0.0)
+        dt[s_idx], dp[s_idx] = _power_slope(env, s_idx, t[s_idx], dd[s_idx], p[s_idx],
+                                            g[w_idx] * p[w_idx] + noise, g[w_idx] * dp[w_idx])
+    f = cyc / (tau - t)
+    inside = np.where(f >= env.dev.f_max, dt < 1.0, (f > env.dev.f_min) | (dt > 1.0))
+    d_cmp = np.where(inside, -2.0 * env.dev.kappa * f**3 * (1.0 - dt), 0.0)
+    return float((p * dt + t * dp + d_cmp).sum())
 
 
 def _budget_config(env: _Env, weights: Weights, tau: float, cyc, t_floor, loss_term,
@@ -999,6 +1118,12 @@ def _budget_config(env: _Env, weights: Weights, tau: float, cyc, t_floor, loss_t
     them.  The CPUs then slow to exactly fill tau minus the achieved upload
     time.  Each search starts from its counterpart in ``near``, a fit to a
     nearby budget, when one is given.
+
+    The fit's slope in tau is w2 R plus w1 R times that of its energy: for
+    FDMA by the envelope theorem at the bandwidth price (`_fdma_slope`);
+    for NOMA, whose weak split prices the strong user's cost of its power
+    only at the full-speed deadline, by the chain rule through every
+    deadline's slope (`_noma_slope`).
     """
     d = tau - t_floor
     if np.any(d <= 0.0):
@@ -1009,14 +1134,15 @@ def _budget_config(env: _Env, weights: Weights, tau: float, cyc, t_floor, loss_t
                           None if near is None else near.lanes)
         if sol is None:
             return None
-        p, b, t_com, e_com, d, lanes = sol
+        p, b, t_com, e_com, slope, lanes = sol
     else:
-        d = _noma_split(env, tau, cyc, d, None if near is None else near.deadlines)
+        d, dd = _noma_split(env, tau, cyc, d, None if near is None else near.lanes.start(tau))
         sol = _noma_comm_solve(env, d)
         if sol is None:
             return None
         p, b, t_com, e_com = sol
-        lanes = None
+        slope = _noma_slope(env, tau, cyc, p, t_com, dd)
+        lanes = _NomaLanes(tau, d, dd)
     f = np.clip(cyc / (tau - t_com), env.dev.f_min, env.dev.f_max)
     e_cmp = cmos_energy(env.dev.kappa, cyc, f)
     value = (
@@ -1024,15 +1150,18 @@ def _budget_config(env: _Env, weights: Weights, tau: float, cyc, t_floor, loss_t
         + weights.w2 * env.rounds * tau
         + loss_term
     )
-    return _Budget(value, p, b, f, t_com, e_com, d, lanes)
+    slope = env.rounds * (weights.w1 * slope + weights.w2)
+    return _Budget(value, slope, p, b, f, t_com, e_com, lanes)
 
 
 def _continuous_solve(env: _Env, weights: Weights, resolution_px) -> _Budget:
     """Best continuous variables for fixed resolutions via a search over tau.
 
-    Each fit but the first starts its searches from the fit nearest in tau
-    that this search has made.  Those fits live only in this call, so the
-    result depends only on the resolutions.
+    The search finds the root of dV/dtau, which every fit returns with its
+    value, and keeps the first of the lowest values among its fits.  Each
+    fit but the first starts its searches from the fit nearest in tau that
+    this search has made.  Those fits live only in this call, so the result
+    depends only on the resolutions.
     """
     cyc = env.round_cycles(resolution_px)
     t_floor = cyc / env.dev.f_max
@@ -1041,28 +1170,30 @@ def _continuous_solve(env: _Env, weights: Weights, resolution_px) -> _Budget:
 
     fits: list = []     # (tau, fit) of every budget that could be met
 
-    def evaluate(tau: float) -> float:
-        near = min(fits, key=lambda fit: abs(fit[0] - tau))[1] if fits else None
+    def fit(tau: float) -> tuple:
+        """The value and -dV/dtau of the fit at tau, inf and inf where the
+        budget cannot be met; -dV/dtau is positive below the minimum."""
+        near = min(fits, key=lambda made: abs(made[0] - tau))[1] if fits else None
         cfg = _budget_config(env, weights, tau, cyc, t_floor, loss_term, near)
         if cfg is None:
-            return math.inf
+            return math.inf, math.inf
         fits.append((tau, cfg))
-        return cfg.value
+        return cfg.value, -cfg.slope
 
     def margin(tau: float) -> float:
         return env.comm_margin(tau - t_floor)
 
     # One march on the grid base + h 2**k.  Its first feasible point and the
     # point before it (base for the first) bracket the smallest feasible
-    # budget tau_lo, which `_root` finds; from there the march goes on
-    # until the value stops falling, and the minimum then lies within the
-    # last three probes.  The grid depends only on n s / B and the compute
-    # floor, not on the power caps or on tau_lo, so two scenarios that
-    # differ only in constraints slack at the optimum (say a higher power
-    # cap that never binds) probe identical budgets and return
-    # bit-identical solutions.
+    # budget tau_lo, which `_root` finds; from there the march goes on while
+    # the value falls, by its slope and by more than 1e-9 of itself, and the
+    # minimum then lies between its last two probes.  The grid depends only
+    # on n s / B and the compute floor, not on the power caps or on tau_lo,
+    # so two scenarios that differ only in constraints slack at the optimum
+    # (say a higher power cap that never binds) probe identical budgets and
+    # return bit-identical solutions.
     h = max(env.n * env.s / env.bw + 1e-9, 0.05 * max(base, 1e-12))
-    points: list = []
+    points: list = []   # (tau, value, -dV/dtau) of the march
     prev_x, prev_m = base, None
     for k in range(128):
         x = base + h * (2.0**k)
@@ -1072,19 +1203,45 @@ def _continuous_solve(env: _Env, weights: Weights, resolution_px) -> _Budget:
                 prev_x, prev_m = x, m
                 continue
             _, tau_lo = _root(margin, prev_x, x, prev_m, m)
-            points.append((tau_lo, evaluate(tau_lo)))
+            points.append((tau_lo, *fit(tau_lo)))
+            if not points[-1][2] > 0.0:
+                break
             if x == tau_lo:
                 continue
-        v = evaluate(x)
-        prev_v = points[-1][1]
-        points.append((x, v))
-        if not v < prev_v - max(1e-12, 1e-9 * abs(prev_v)):
+        points.append((x, *fit(x)))
+        (_, prev_v, _), (_, v, falling) = points[-2:]
+        if not (falling > 0.0 and v < prev_v - max(1e-12, 1e-9 * abs(prev_v))):
             break
-    # Brent's method on that bracket, from its middle probe when there is one
-    if len(points) >= 3:
-        _brent_min(evaluate, points[-3][0], points[-1][0], *points[-2])
-    elif points:
-        _brent_min(evaluate, points[0][0], points[-1][0])
+    # the root of dV/dtau between the march's last two probes.  Where V is
+    # convex the tangents at the bracket's ends bound it below, lowest
+    # where they cross; the search ends once that bound lies within 1e-12
+    # of the best value at the ends, or once the bracket is 2 sqrt(eps) tau
+    # wide, the resolution at which floats can place a smooth minimum.
+    # Where V kinks, as where a p_min or the NOMA weak floor starts to bind,
+    # the slope jumps there and the crossing, near the kink, is fitted too.
+    # Where the value still fell at the march's last probe the search
+    # settles there unprobed.
+    if len(points) >= 2:
+        made = {}       # fit by budget
+
+        def loose(lo: float, hi: float):
+            """The tangents' crossing where the bound there lies more than
+            1e-12 below the ends' best value, lo where an end has no fit,
+            else None."""
+            made.update(fits)
+            a, b = made.get(lo), made.get(hi)
+            if a is None or b is None:
+                return lo
+            x = (b.value - a.value + a.slope * lo - b.slope * hi) / (a.slope - b.slope)
+            low = min(a.value, b.value)
+            return x if low - (a.value + a.slope * (x - lo)) > 1e-12 * abs(low) else None
+
+        (lo, _, f_lo), (hi, _, f_hi) = points[-2:]
+        lo, hi = _root(lambda tau: fit(tau)[1], lo, hi, f_lo, f_hi, xtol=2.0 * _SQRT_EPS,
+                       enough=lambda lo, hi: loose(lo, hi) is None)
+        x = loose(lo, hi) if lo < hi else None
+        if x is not None and lo < x < hi:
+            fit(x)
     if not fits:
         raise InfeasibleScenarioError(
             "no round-time budget satisfies the power and bandwidth limits"

@@ -129,7 +129,7 @@ class DeviceTable(Sequence):
     them anew from the columns; code that runs per solve reads the columns.
     """
 
-    ids: tuple
+    ids: Sequence              # a tuple, or a range for the ids 0..n-1 of a drawn table
     gain: np.ndarray
     p_min: np.ndarray
     p_max: np.ndarray
@@ -183,8 +183,10 @@ class DeviceTable(Sequence):
     def __eq__(self, other):
         if not isinstance(other, DeviceTable):
             return NotImplemented
+        same_ids = (self.ids == other.ids if type(self.ids) is type(other.ids)
+                    else tuple(self.ids) == tuple(other.ids))
         return (
-            self.ids == other.ids
+            same_ids
             and self.resolutions == other.resolutions
             and all(np.array_equal(getattr(self, c), getattr(other, c)) for c in _COLUMNS)
         )

@@ -119,7 +119,7 @@ def generate_scenario(spec: ScenarioSpec, seed: int | None = None) -> Scenario:
         frames[k] = rng.integers(spec.frames_range[0], spec.frames_range[1] + 1)
         gain[k] = _device_gain(spec, d_km, fading)
     devices = DeviceTable(
-        ids=tuple(range(n)),
+        ids=range(n),      # no int object per device
         gain=gain,
         p_min=np.full(n, spec.p_min, dtype=float),
         p_max=p_max,

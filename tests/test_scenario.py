@@ -272,6 +272,24 @@ class TestDeviceRows:
         assert load_scenario(path) == scn
 
 
+    def test_drawn_ids_are_a_range(self):
+        # the ids 0..n-1 of a drawn table hold no int object per device (a
+        # tuple of 640 keeps 384 of them, those from 256 up), and compare,
+        # slice and pair like the tuple of the same table built from rows
+        scn = generate_scenario(small_spec(n_devices=640, scheme="noma"))
+        table, rows = scn.devices, fresh_rows(scn)
+        built = Scenario(devices=rows, scheme="noma").devices
+        assert type(table.ids) is range and type(built.ids) is tuple
+        assert table == built and built == table
+        assert table[300:303] == built[300:303] and table[300:303].ids == range(300, 303)
+        assert table != built[::-1] and table[:3] != built[1:4]
+        relabelled = Scenario(devices=[replace(d, id=d.id + 1) for d in rows]).devices
+        assert table != relabelled
+        channels = scn.noma_pairing.channels
+        for got, want in zip(table.pair_positions(channels), built.pair_positions(channels)):
+            np.testing.assert_array_equal(got, want)
+
+
 class TestSerialization:
     def test_dict_round_trip(self):
         scn = generate_scenario(small_spec(n_devices=6, scheme="noma"))
