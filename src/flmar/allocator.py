@@ -9,15 +9,16 @@ on the bandwidth price in which each device's optimum is one lane of a
 vectorised Newton search (`_FdmaFit`), with no special function in it; its
 p_max floors and p_min kinks solve (2**u - 1) / u = k by a monotone Newton
 search of their own (`_u_from_k`), so the module needs numpy alone.  NOMA
-splits each device's time between compute and upload by one convex
-1-D search on a fixed link, then meets those deadlines by a per-channel
-power fixed point.  CPU frequencies follow by deadline inversion.  Every
-fit of one tau search but its first starts its searches from the fit
-nearest in tau that the search has already made, NOMA's deadlines moved
-along their slopes to the new budget; those fits are never kept past the
-search.  Frame resolutions then improve through exact
-per-device coordinate moves, and the outer loop repeats until the sweep
-returns resolutions it has already solved.
+splits each device's time between compute and upload on a fixed link,
+each device one lane of the same Newton search on a convex 1-D problem
+(`_time_split`), then meets those deadlines by a per-channel power fixed
+point.  CPU frequencies follow by deadline inversion.  Every fit of one
+tau search but its first starts its searches from the fit nearest in tau
+that the search has already made, NOMA's deadlines moved along their
+slopes to the new budget; those fits are never kept past the search.
+Frame resolutions then improve through exact per-device coordinate moves,
+and the outer loop repeats until the sweep returns resolutions it has
+already solved.
 """
 
 from __future__ import annotations
@@ -43,8 +44,9 @@ from .scenario import ScenarioValidationError
 _LN2 = math.log(2.0)
 _EPS = float(np.finfo(float).eps)
 _SQRT_EPS = math.sqrt(_EPS)
-# the longest last step of an FDMA lane (`_lane_newton`), in ln u, once
-# the price search nears its root
+# the longest last step of a lane of `_lane_newton`, in the log of its
+# variable: of every time-split lane, and of an FDMA lane once the price
+# search nears its root
 _LANE_TOL = 1e-9
 _U_SERIES = (38698 / 42525, -524 / 567, 386 / 405, -136 / 135, 10 / 9, -4 / 3, 2.0, 0.0)
 # (k - 1) / k! for k = 2 to 13: the series of `_comm_marginal` over u**2
@@ -287,16 +289,17 @@ def _lane_newton(f, z, lo, hi, args, tol):
     lanes are the functions.
 
     ``f(z, *args)`` returns, for each lane, its value r, positive below the
-    root, its slope dr/dz and dr/d ln lambda, the derivative in the price
-    the caller solves for.  Lane i searches [lo[i], hi[i]] from z[i]; a
-    root outside settles at the nearer end.  Every lane takes the Newton
-    step z - r / r', clamped into its bracket, and the search ends once no
-    lane steps further than ``tol``, on the points those steps reach.  While
-    every moving lane's Newton step, before the clamp, shrinks by a tenth
-    or more at each probe the steps converge; once one does not, the lanes
-    still moving go on by `_bracketed_newton`, whose safeguards end it
-    without a step cap.  Returns the end points and dz /
-    d ln lambda = -(dr/d ln lambda) / r' at each lane's last probe.
+    root, its slope dr/dz and the derivative of r in the parameter whose
+    slope the caller wants, such as the log-price ln lambda of an FDMA fit.
+    Lane i searches [lo[i], hi[i]] from z[i]; a root outside settles at the
+    nearer end.  Every lane takes the Newton step z - r / r', clamped into
+    its bracket, and the search ends once no lane steps further than
+    ``tol``, on the points those steps reach.  While every moving lane's
+    Newton step, before the clamp, shrinks by a tenth or more at each probe
+    the steps converge; once one does not, the lanes still moving go on by
+    `_bracketed_newton`, whose safeguards end it without a step cap.  Returns the end points and the slope of each in
+    that parameter, as dz / d ln lambda = -(dr/d ln lambda) / r', at each
+    lane's last probe.
     """
     z = np.fmin(np.fmax(z, lo), hi)
     last = math.inf
@@ -872,23 +875,15 @@ def _time_split(env: _Env, tau: float, cyc, idx, bw, denom, price=None, floor=No
     Compute and upload energy are both convex in the deadline d, so with M
     the upload marginal -dE/dd, price included, phi(d) = ln(2 kappa cyc^3 /
     ((tau - d)^3 M(d))) rises with d, and its root is the minimiser.  Each
-    device is one lane of a safeguarded Newton search on phi in log d.  A
-    lane starts at its deadline in ``start``, the split of the nearest fit
-    of the same round-time search, clamped one spacing inside its bracket;
-    without ``start``, at the geometric midpoint of its bracket.  A step
-    goes to d exp(-phi / (d phi')), clamped to one spacing inside the
-    bracket, where the last probe halved ln(hi / lo) or the step is at most
-    half as long as the last one; otherwise to the geometric midpoint, which
-    halves ln(hi / lo).  The spacing is one float spacing at hi's starting
-    value.  Every probe lies strictly inside the bracket, so each step
-    shrinks it, and either the bracket halves at least every other step or
-    the steps shrink geometrically: the search ends without a step cap.  A lane stops at its
-    probe once the Newton step there is at most one spacing, or once its
-    bracket is no wider than one spacing.  It then ends at hi if no probe
-    fell above the root, which lies at or beyond hi, and else half a
-    spacing above lo, never on lo itself: where the root lies at or below
-    lo, the deadline keeps a rounding's room above the p_max upload time
-    for the comm solve.  An empty bracket ends at hi.
+    device is one lane of `_lane_newton` on -phi in ln d, over [ln lo+, ln
+    hi], where lo+ lies half a spacing of hi above lo, or one of its own
+    where that rounds to lo: where the root lies at or below lo, the
+    deadline keeps a rounding's room above the p_max upload time for the
+    comm solve.  A lane starts at the log of its deadline in ``start``, the
+    split of the nearest fit of the same round-time search, or without it
+    at the middle of its bracket.  A lane ending on ln hi ends on hi, one
+    ending on ln lo+ on lo+ and any other on its root, e**z clipped to [lo+,
+    hi].  An empty bracket ends at hi.
 
     A lane that ends on its root moves with tau as the implicit function
     theorem on phi gives; one that ends on a bound moves with that bound:
@@ -934,6 +929,15 @@ def _time_split(env: _Env, tau: float, cyc, idx, bw, denom, price=None, floor=No
             m, dm = m + w, dm + w * (x * _LN2 + 2.0)
         return m, dm, dm_up
 
+    def neg_phi(z, c, a, two_k_cyc3, lead=None):
+        """-phi at d = e**z and its slope in z, returned twice: the search
+        needs the slope, and its own slope output goes unused."""
+        d = np.exp(z)
+        m, dm, _ = marginal(d, c, a, lead)
+        t = tau - d
+        slope = -(3.0 * d / t + dm / m)
+        return -np.log(two_k_cyc3 / (t * t * t * m)), slope, slope
+
     # the float exceptions of lanes at p_min = 0 or past overflow are
     # handled where they arise
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -950,70 +954,38 @@ def _time_split(env: _Env, tau: float, cyc, idx, bw, denom, price=None, floor=No
         if np.any(dev.p_min[idx] > 0.0):
             d_hi, s_hi = earlier((d_hi, s_hi), later(upload_time(dev.p_min[idx]), (d_lo, s_lo)))
 
-        c_all = c = np.broadcast_to(denom / g, d_hi.shape)
-        a_all = a = np.broadcast_to(env.s / bw, d_hi.shape)
-        kc3_all = two_k_cyc3 = 2.0 * dev.kappa[idx] * cyc[idx] ** 3
+        c = np.broadcast_to(denom / g, d_hi.shape)
+        a = np.broadcast_to(env.s / bw, d_hi.shape)
+        two_k_cyc3 = 2.0 * dev.kappa[idx] * cyc[idx] ** 3
         # the price term of M, price * -dp/dd = price c 2**x ln2 x / d, is
         # lead dM with lead = price / (a ln2)
-        lead_all = lead = None if price is None else price / (a * _LN2)
+        lead = None if price is None else price / (a * _LN2)
 
         out = d_hi.copy()
         # where each lane ended: 0 on its root, 1 on d_hi, 2 on d_lo, 3 on a
         # bracket that is one point
         ends = np.full(out.shape, 3, dtype=np.int8)
         k = np.flatnonzero(d_lo < d_hi)
-        lo, hi = d_lo[k], d_hi[k]
-        spacing = np.spacing(hi)
-        c, a, two_k_cyc3 = c[k], a[k], two_k_cyc3[k]
-        if lead is not None:
-            lead = lead[k]
-        if start is None:
-            d = np.sqrt(lo * hi)
-        else:
-            d = np.fmin(np.fmax(start[idx][k], lo + spacing), hi - spacing)
-        # hi / lo and the step length, one step back
-        ratio_1 = step_1 = np.full(k.size, np.inf)
-        while k.size:
-            m, dm, _ = marginal(d, c, a, lead)
-            t = tau - d
-            phi = np.log(two_k_cyc3 / (t * t * t * m))
-            newton = d * np.exp(-phi / (3.0 * d / t + dm / m))
-            above = phi < 0.0
-            lo = np.where(above, d, lo)
-            hi = np.where(above, hi, d)
-            step = np.abs(newton - d)
-            converged = step <= spacing
-            stop = converged | (hi - lo <= spacing)
-            ratio = hi / lo
-            take = (ratio * ratio <= ratio_1) | (step <= 0.5 * step_1)
-            d_next = np.where(take, newton, np.sqrt(lo * hi))
-            d_next = np.fmin(np.fmax(d_next, lo + spacing), hi - spacing)
-            step_1, ratio_1 = np.abs(d_next - d), ratio
-            if np.count_nonzero(stop):
-                i = k[stop]
-                inside = np.maximum(lo + 0.5 * spacing, np.nextafter(lo, np.inf))
-                at_hi = hi == d_hi[k]
-                out[i] = np.where(converged, d, np.where(at_hi, hi, inside))[stop]
-                ends[i] = np.where(converged, 0, np.where(
-                    at_hi, 1, np.where(lo == d_lo[k], 2, 0)))[stop]
-                go = ~stop
-                k, d_next, lo, hi, spacing, ratio_1, step_1 = (
-                    v[go] for v in (k, d_next, lo, hi, spacing, ratio_1, step_1)
-                )
-                c, a, two_k_cyc3 = c[go], a[go], two_k_cyc3[go]
-                if lead is not None:
-                    lead = lead[go]
-            d = d_next
+        hi = d_hi[k]
+        lo = np.maximum(d_lo[k] + 0.5 * np.spacing(hi), np.nextafter(d_lo[k], np.inf))
+        z_lo, z_hi = np.log(lo), np.log(hi)
+        z = 0.5 * (z_lo + z_hi) if start is None else np.log(start[idx][k])
+        args = (c[k], a[k], two_k_cyc3[k]) + (() if lead is None else (lead[k],))
+        z, _ = _lane_newton(neg_phi, z, z_lo, z_hi, args, _LANE_TOL)
+        # the ends told by z, as exp(log x) can miss x by a spacing
+        out[k] = np.where(z == z_hi, hi,
+                          np.where(z == z_lo, lo, np.fmin(np.fmax(np.exp(z), lo), hi)))
+        ends[k] = np.where(z == z_hi, 1, np.where(z == z_lo, 2, 0))
 
         # the slopes: on a root, -(dphi/dtau) / (dphi/dd), with denom and
         # price moving; on a bound, that bound's; on a one-point bracket, as
         # where bounds meet at the smallest feasible tau, a larger tau opens
         # it, and the deadline goes with the end phi points to
-        m, dm, dm_up = marginal(out, c_all, a_all, lead_all)
+        m, dm, dm_up = marginal(out, c, a, lead)
         t = tau - out
-        lift = rel_denom if price is None else rel_denom + d_price / (a_all * _LN2) * dm_up / m
+        lift = rel_denom if price is None else rel_denom + d_price / (a * _LN2) * dm_up / m
         root = out * (3.0 / t + lift) / (3.0 * out / t + dm / m)
-        low = (ends == 2) | ((ends == 3) & (kc3_all > t * t * t * m)
+        low = (ends == 2) | ((ends == 3) & (two_k_cyc3 > t * t * t * m)
                              & (d_lo + s_lo * h < d_hi + s_hi * h))
         slope = np.where(ends == 0, root, np.where(low, s_lo, s_hi))
     return out, slope
