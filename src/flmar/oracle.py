@@ -20,12 +20,31 @@ over every candidate time theta and letting each device take its cheapest
 option within theta is exactly the grid minimum: any config realised this
 way has true objective <= J(theta), and evaluating J at the true optimum's
 round time recovers its value.
+
+Two cuts make this cheap and change no result, not even by a rounding:
+
+* The staircase.  min{a_d : t_d <= theta} changes only at a device's
+  steps: the candidates, in a stable sort by time, strictly cheaper than
+  every one before them.  Between two consecutive step times of all the
+  devices every sum term is constant and w2 G theta grows, and each float
+  add is monotone in its first operand, so J at a time that is no step is
+  at least J at the latest step time below it.  The first minimiser over
+  every candidate time is therefore a step time, with the same picks, and
+  only the union of the devices' step times is evaluated.
+* Column pruning.  A candidate's time fl(t_com + t_cmp) and cost
+  fl(w1 G e_com + c) are monotone in its (frequency, resolution) column's
+  compute time t_cmp and upload-free cost c.  A column that an earlier
+  column matches or beats in both is therefore, at every power, preceded
+  in the sort by a candidate no dearer, and is never a step; each device
+  drops such columns once, before any table is built.  On the wide
+  parameter box that leaves a mean of 29 of 200 columns, at most 116.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,47 +78,69 @@ class GridSpec:
                 raise ValueError(f"{name} must be at least 2")
 
 
-def _prefix_argmin(values: np.ndarray):
-    """Running minimum of ``values`` plus the earliest index achieving it."""
-    running = np.minimum.accumulate(values)
-    improved = np.empty(values.size, dtype=bool)
-    improved[0] = True
-    improved[1:] = values[1:] < running[:-1]
-    idx = np.maximum.accumulate(np.where(improved, np.arange(values.size), 0))
-    return running, idx
+def _undominated(t_cmp: np.ndarray, cost: np.ndarray) -> np.ndarray:
+    """Mask of the columns that no earlier column matches or beats in both
+    compute time and upload-free cost."""
+    beats = (t_cmp[:, None] <= t_cmp[None, :]) & (cost[:, None] <= cost[None, :])
+    return ~np.triu(beats, 1).any(axis=0)
 
 
-def _min_over_grid(times: list, costs: list, w2_rounds: float):
-    """Exact minimum of sum(costs) + w2_rounds * max(times) over one pick per list.
+class _Stair(NamedTuple):
+    """The steps of one candidate table's cheapest cost within a round time."""
 
-    Returns ``(value, picks)`` with original candidate indices, or None when
-    no pick has a finite value.  Ties go to the smallest round time, then per
-    device to the faster of equal-cost candidates.
+    times: np.ndarray       # step times, ascending
+    costs: np.ndarray       # costs[i]: the cheapest cost once i steps fit; costs[0] = inf
+    picks: np.ndarray       # each step's candidate, as an index into the table
+    last: float             # the table's largest time
+
+
+def _staircase(times: np.ndarray, costs: np.ndarray) -> _Stair:
+    """Steps of the prefix minimum of ``costs`` over a stable sort by ``times``.
+
+    A step is a candidate strictly cheaper than every one before it, so ties
+    go to the faster candidate, then to the smaller index.  A NaN cost (0 *
+    inf at w1 = 0) starts a step too, since the full table's prefix minimum
+    is NaN from there on.
     """
-    orders, t_sorted, run_vals, run_idx = [], [], [], []
-    for t, c in zip(times, costs):
-        order = np.argsort(t, kind="stable")
-        orders.append(order)
-        t_sorted.append(t[order])
-        rv, ri = _prefix_argmin(c[order])
-        run_vals.append(rv)
-        run_idx.append(ri)
-    thetas = np.unique(np.concatenate(t_sorted))
+    order = np.argsort(times, kind="stable")
+    running = np.minimum.accumulate(costs[order])
+    step = np.empty(order.size, dtype=bool)
+    step[0] = True
+    np.not_equal(running[1:], running[:-1], out=step[1:])
+    picks = order[step]
+    return _Stair(
+        times[picks], np.concatenate(([np.inf], running[step])), picks,
+        float(times[order[-1]]),
+    )
+
+
+def _min_over_steps(stairs: list, w2_rounds: float):
+    """Exact minimum of sum(costs) + w2_rounds * max(times) over one
+    candidate per table, from the tables' staircases.
+
+    Returns ``(value, picks)`` with the tables' candidate indices, or None
+    when no pick has a finite value.  Ties go to the smallest round time,
+    then per table to the step's candidate.  Each table's largest time is
+    evaluated beside the steps: there J is NaN when w2 = 0 and that time is
+    infinite, and a NaN anywhere rejects the link as a search over every
+    candidate time would.
+    """
+    thetas = np.sort(np.concatenate([s.times for s in stairs] + [[s.last for s in stairs]]))
     total = w2_rounds * thetas
-    positions = []
-    for ts, rv in zip(t_sorted, run_vals):
-        pos = np.searchsorted(ts, thetas, side="right") - 1
-        positions.append(pos)
-        total = total + np.where(pos >= 0, rv[np.maximum(pos, 0)], np.inf)
+    fits = []
+    for s in stairs:
+        n_fit = np.searchsorted(s.times, thetas, side="right")
+        fits.append(n_fit)
+        total = total + s.costs[n_fit]
     best = int(np.argmin(total))
     if not np.isfinite(total[best]):
         return None
-    picks = [int(o[ri[pos[best]]]) for o, ri, pos in zip(orders, run_idx, positions)]
-    return float(total[best]), picks
+    return float(total[best]), [int(s.picks[n[best] - 1]) for s, n in zip(stairs, fits)]
 
 
 class _DeviceGrid:
-    """One device's grids and the upload-free part of its candidate table."""
+    """One device's grids and the upload-free part of its candidate table,
+    over the (frequency, resolution) columns that can be steps."""
 
     def __init__(
         self, scenario: Scenario, table: DeviceTable, k: int, weights: Weights,
@@ -116,28 +157,30 @@ class _DeviceGrid:
             self.r_grid.astype(float),
             table.frames[k],
         )
-        self.t_cmp = (cyc[None, :] / self.f_grid[:, None]).ravel()
+        t_cmp = (cyc[None, :] / self.f_grid[:, None]).ravel()
         e_cmp = cmos_energy(table.kappa[k], cyc[None, :], self.f_grid[:, None]).ravel()
         loss = 1.0 - detection_accuracy(self.r_grid, scenario.accuracy_model)
         self.w1_rounds = weights.w1 * scenario.global_rounds
-        self.base_cost = (
+        base_cost = (
             self.w1_rounds * e_cmp
             + weights.w3 * np.broadcast_to(loss, (grid.freq_points, loss.size)).ravel()
         )
-        self.n_res = self.r_grid.size
+        self.columns = np.flatnonzero(_undominated(t_cmp, base_cost))
+        self.t_cmp = t_cmp[self.columns]
+        self.base_cost = base_cost[self.columns]
 
-    def candidates(self, t_com: np.ndarray, e_com: np.ndarray):
-        """Candidate (times, costs) over power x frequency x resolution, from
+    def staircase(self, t_com: np.ndarray, e_com: np.ndarray) -> _Stair:
+        """Staircase of the candidate table over power x kept column, from
         the upload time and energy at each power."""
-        return (
+        return _staircase(
             (t_com[:, None] + self.t_cmp[None, :]).ravel(),
             (self.w1_rounds * e_com[:, None] + self.base_cost[None, :]).ravel(),
         )
 
     def decode(self, pick: int, powers: np.ndarray):
         """Candidate index -> (power_w, cpu_hz, resolution)."""
-        p, fr = divmod(pick, self.t_cmp.size)
-        f, r = divmod(fr, self.n_res)
+        p, j = divmod(pick, self.columns.size)
+        f, r = divmod(int(self.columns[j]), self.r_grid.size)
         return float(powers[p]), float(self.f_grid[f]), int(self.r_grid[r])
 
 
@@ -211,8 +254,8 @@ def brute_force_oracle(
     w2_rounds = weights.w2 * scenario.global_rounds
     best_val, alloc = np.inf, None
     for uploads, link in _links(scenario, table, dgrids, grid):
-        tables = [d.candidates(t, e) for d, (_, t, e) in zip(dgrids, uploads)]
-        hit = _min_over_grid([t for t, _ in tables], [c for _, c in tables], w2_rounds)
+        stairs = [d.staircase(t, e) for d, (_, t, e) in zip(dgrids, uploads)]
+        hit = _min_over_steps(stairs, w2_rounds)
         if hit is None or hit[0] >= best_val:
             continue
         best_val = hit[0]

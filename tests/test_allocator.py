@@ -56,7 +56,9 @@ from flmar.allocator import (
     _u_from_k,
 )
 
-from conftest import make_device, make_scenario, equal_split_alloc
+from conftest import (
+    equal_split_alloc, make_device, make_scenario, wide_box_draw, wide_box_weights,
+)
 
 N0 = 3.98e-21
 W = Weights(0.5, 0.5, 0.5)
@@ -272,27 +274,6 @@ def reference_fdma_split(scn, deadlines):
     b = demand(math.exp(log_lam))
     b = b * (band / b.sum())
     return np.clip(p_req(b), p_min, p_max), b, floor
-
-
-def wide_box_draw(k, pinned=True):
-    """Instance k of the benchmark's wide parameter box, rebuilt here from
-    its draws; ``pinned`` raises p_min to 5-50 % of p_max."""
-    n, scheme = ((2, "fdma"), (2, "noma"), (3, "fdma"))[k % 3]
-    rng = np.random.default_rng((8324, k))
-    log_uniform = lambda lo, hi: math.exp(rng.uniform(math.log(lo), math.log(hi)))  # noqa: E731
-    bandwidth = log_uniform(0.3e6, 30e6)
-    model_bits = log_uniform(1e5, 1e7)
-    rng.uniform(0.1, 0.9)           # w1
-    log_uniform(0.1, 1000.0)        # w3
-    share = rng.uniform(0.05, 0.5, size=n)
-    spec = ScenarioSpec(n_devices=n, scheme=scheme, p_max_range=(0.1, 0.5),
-                        f_max_range=(0.5e9, 3e9), total_bandwidth_hz=bandwidth,
-                        model_size_bits=model_bits)
-    scn = generate_scenario(spec, seed=int(rng.integers(2**62)))
-    if not pinned:
-        return scn
-    return replace(scn, devices=[replace(dv, p_min=float(x) * dv.p_max)
-                                 for dv, x in zip(scn.devices, share)])
 
 
 def smallest_budget(env, t_floor):
@@ -1847,23 +1828,40 @@ class TestKinkedMinimum:
     benchmark draws for it: V kinks at its minimum, where the weak user's
     floor starts to bind, and dV/dtau jumps there from -37.8 to +9.0."""
 
-    @staticmethod
-    def weights(k):
-        rng = np.random.default_rng((8324, k))
-        draw = lambda lo, hi: math.exp(rng.uniform(math.log(lo), math.log(hi)))  # noqa: E731
-        draw(0.3e6, 30e6)           # bandwidth
-        draw(1e5, 1e7)              # model size
-        w1 = rng.uniform(0.1, 0.9)
-        return Weights(w1, 1.0 - w1, draw(0.1, 1000.0))
-
     def test_the_tangents_crossing_is_fitted(self):
         # the root search closes in on the kink only to 2 sqrt(eps) tau,
         # which left the best fit 6.6e-9 above Brent's; the crossing of the
         # tangents at the bracket's ends lands on the kink
-        report = optimize(wide_box_draw(10), self.weights(10))
+        report = optimize(wide_box_draw(10), wide_box_weights(10))
         brent = 291.25153247033813
         assert report.objective <= brent
         assert report.objective == pytest.approx(291.25153222593536, rel=1e-12)
+
+
+ITEM_11 = ("ROADMAP item 11: the priced NOMA split's fitted V is not convex, and the "
+           "root search on dV/dtau stops where Brent's value search marched on")
+
+
+class TestPinnedNomaRegression:
+    """Three pinned wide-box 2-device NOMA draws, at the weights the
+    benchmark draws for them, that rose when a root search on dV/dtau
+    replaced Brent's value search.  At k = 346 the fit at tau_lo returns a
+    positive slope, so the search ends there at 433.158, although the fitted
+    V falls to about 400.9 further on; Brent's search reached 400.842.
+    Pinned at Brent's values and at criterion 2's 2 % oracle bound."""
+
+    @pytest.mark.xfail(strict=True, reason=ITEM_11)
+    @pytest.mark.parametrize("k, before", [(346, 400.84239691629335),
+                                           (241, 2074.2736547767854),
+                                           (514, 581.2077122276829)])
+    def test_no_higher_than_the_value_search(self, k, before):
+        report = optimize(wide_box_draw(k), wide_box_weights(k))
+        assert report.objective <= before * (1.0 + 1e-9)
+
+    @pytest.mark.xfail(strict=True, reason=ITEM_11)
+    def test_within_two_percent_of_the_oracle(self):
+        scn, w = wide_box_draw(346), wide_box_weights(346)
+        assert optimize(scn, w).objective <= 1.02 * brute_force_oracle(scn, w).objective
 
 
 class TestNearestFitStart:

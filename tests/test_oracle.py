@@ -10,14 +10,18 @@ the two implementations share nothing beyond the problem statement.
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from flmar import GridSpec, Weights, brute_force_oracle, objective, system_metrics
-from flmar.oracle import _min_over_grid
+from flmar import (
+    Allocation, GridSpec, Weights, brute_force_oracle, objective, system_metrics,
+)
+from flmar.compute import cmos_energy, detection_accuracy, round_cycles
+from flmar.oracle import _DeviceGrid, _links, _min_over_steps, _staircase, _undominated
 
-from conftest import make_scenario, equal_split_alloc
+from conftest import equal_split_alloc, make_scenario, wide_box_draw, wide_box_weights
 
 N0 = 3.98e-21
 S_BITS = 2e6            # make_scenario default model size
@@ -63,6 +67,36 @@ def device_candidates(dev, power_points, freq_points):
     return list(itertools.product(powers, freqs, dev.resolutions))
 
 
+def dense_min_over_grid(times, costs, w2_rounds):
+    """The search over every candidate of every table and every candidate
+    time that the staircases replace: the running minimum of each table's
+    costs in time order, evaluated at each distinct time."""
+    orders, t_sorted, run_vals, run_idx = [], [], [], []
+    for t, c in zip(times, costs):
+        order = np.argsort(t, kind="stable")
+        orders.append(order)
+        t_sorted.append(t[order])
+        values = c[order]
+        running = np.minimum.accumulate(values)
+        improved = np.empty(values.size, dtype=bool)
+        improved[0] = True
+        improved[1:] = values[1:] < running[:-1]
+        run_vals.append(running)
+        run_idx.append(np.maximum.accumulate(np.where(improved, np.arange(values.size), 0)))
+    thetas = np.unique(np.concatenate(t_sorted))
+    total = w2_rounds * thetas
+    positions = []
+    for ts, rv in zip(t_sorted, run_vals):
+        pos = np.searchsorted(ts, thetas, side="right") - 1
+        positions.append(pos)
+        total = total + np.where(pos >= 0, rv[np.maximum(pos, 0)], np.inf)
+    best = int(np.argmin(total))
+    if not np.isfinite(total[best]):
+        return None
+    picks = [int(o[ri[pos[best]]]) for o, ri, pos in zip(orders, run_idx, positions)]
+    return float(total[best]), picks
+
+
 class TestMinOverGrid:
     def test_matches_naive_enumeration(self):
         rng = np.random.default_rng(17)
@@ -74,7 +108,8 @@ class TestMinOverGrid:
             if trial % 5 == 0:
                 times[:, 0] = times[:, -1]     # force ties
             w2g = float(rng.uniform(0.0, 3.0))
-            value, picks = _min_over_grid(times, costs, w2g)
+            value, picks = _min_over_steps(
+                [_staircase(t, c) for t, c in zip(times, costs)], w2g)
             best = math.inf
             for combo in itertools.product(range(m), repeat=n):
                 t = max(times[d, k] for d, k in enumerate(combo))
@@ -84,6 +119,53 @@ class TestMinOverGrid:
             chosen = w2g * max(times[d, picks[d]] for d in range(n)) + sum(
                 costs[d, picks[d]] for d in range(n))
             assert chosen == pytest.approx(best, rel=1e-12)
+
+    def test_pruned_steps_match_the_dense_search(self):
+        # power x column tables as the oracle builds them, with duplicated
+        # columns, times and costs on a coarse lattice so that many tie, and
+        # now and then an unreachable power (infinite upload time and energy)
+        # at w1 = 0, whose 0 * inf costs are NaN, or at w2 = 0
+        rng = np.random.default_rng(23)
+        found = 0
+        for trial in range(300):
+            n = int(rng.integers(1, 4))
+            w1 = 0.0 if trial % 7 == 0 else float(rng.uniform(0.0, 2.0))
+            w2 = 0.0 if trial % 11 == 0 else float(rng.uniform(0.0, 3.0))
+            full, pruned, columns = [], [], []
+            for _ in range(n):
+                m = int(rng.integers(1, 12))
+                t_cmp = rng.integers(1, 6, size=m) * 0.5
+                base = rng.integers(0, 6, size=m) * 0.25
+                dup = rng.integers(0, m, size=int(rng.integers(0, 4)))
+                t_cmp, base = np.append(t_cmp, t_cmp[dup]), np.append(base, base[dup])
+                p = int(rng.integers(1, 6))
+                t_com = rng.integers(1, 6, size=p) * 0.5
+                e_com = rng.integers(0, 6, size=p) * 0.5
+                if trial % 13 == 0:
+                    t_com[-1] = e_com[-1] = np.inf
+                with np.errstate(invalid="ignore"):
+                    table = ((t_com[:, None] + t_cmp).ravel(),
+                             (w1 * e_com[:, None] + base).ravel())
+                    keep = np.flatnonzero(_undominated(t_cmp, base))
+                    pruned.append(_staircase((t_com[:, None] + t_cmp[keep]).ravel(),
+                                             (w1 * e_com[:, None] + base[keep]).ravel()))
+                full.append(table)
+                columns.append((t_cmp.size, keep))
+            with np.errstate(invalid="ignore"):
+                dense = dense_min_over_grid([t for t, _ in full], [c for _, c in full], w2)
+                steps = _min_over_steps(pruned, w2)
+            if dense is None:
+                assert steps is None
+                continue
+            found += 1
+            value, picks = steps
+            assert value == dense[0]
+            full_picks = []
+            for pick, (m, keep) in zip(picks, columns):
+                p, j = divmod(pick, keep.size)
+                full_picks.append(p * m + int(keep[j]))
+            assert full_picks == dense[1]
+        assert found > 200
 
 
 class TestOracleAgainstNaive:
@@ -173,6 +255,83 @@ class TestOracleAgainstNaive:
                 per = [naive_device_cost(dev.gain, 40, p, f, r, rate)]
                 best = min(best, naive_objective(w, per, (r,)))
         assert report.objective == pytest.approx(best, rel=1e-9)
+
+
+def dense_oracle(scn, w, grid):
+    """`brute_force_oracle`'s search over every candidate of every device's
+    full power x frequency x resolution table at every candidate time, on
+    the oracle's own shared-link choices."""
+    table = scn.devices
+    dgrids = [_DeviceGrid(scn, table, k, w, grid) for k in range(scn.n_devices)]
+    columns = []
+    for k, d in enumerate(dgrids):
+        cyc = round_cycles(scn.local_iterations, table.cycles_per_pixel[k],
+                           d.r_grid.astype(float), table.frames[k])
+        t_cmp = (cyc[None, :] / d.f_grid[:, None]).ravel()
+        e_cmp = cmos_energy(table.kappa[k], cyc[None, :], d.f_grid[:, None]).ravel()
+        loss = 1.0 - detection_accuracy(d.r_grid, scn.accuracy_model)
+        base = d.w1_rounds * e_cmp + w.w3 * np.tile(loss, d.f_grid.size)
+        columns.append((t_cmp, base))
+    best, alloc = math.inf, None
+    for uploads, link in _links(scn, table, dgrids, grid):
+        times, costs = [], []
+        for d, (t_cmp, base), (_, t_com, e_com) in zip(dgrids, columns, uploads):
+            times.append((t_com[:, None] + t_cmp).ravel())
+            costs.append((d.w1_rounds * e_com[:, None] + base).ravel())
+        hit = dense_min_over_grid(times, costs, w.w2 * scn.global_rounds)
+        if hit is None or hit[0] >= best:
+            continue
+        best = hit[0]
+        picks = []
+        for d, (t_cmp, _), (powers, _, _), pick in zip(dgrids, columns, uploads, hit[1]):
+            p, fr = divmod(pick, t_cmp.size)
+            f, r = divmod(fr, d.r_grid.size)
+            picks.append((float(powers[p]), float(d.f_grid[f]), int(d.r_grid[r])))
+        power, cpu, res = zip(*picks)
+        alloc = Allocation(power_w=np.array(power), cpu_hz=np.array(cpu),
+                           resolution_px=np.array(res), **link)
+    return objective(w, system_metrics(scn, alloc)), alloc
+
+
+def pin_bounds(scn, f=False, p=False):
+    """``scn`` with f_min raised to f_max (``f``) and p_min to p_max (``p``)
+    on every device, so that those grids repeat one value."""
+    return replace(scn, devices=[
+        replace(d, **({"f_min": d.f_max} if f else {}), **({"p_min": d.p_max} if p else {}))
+        for d in scn.devices])
+
+
+class TestOracleMatchesDenseSearch:
+    """The staircase search, on pruned columns and step times only, returns
+    the report of the search over every candidate and every time."""
+
+    EDGES = {
+        "drawn": lambda s, w: (s, w),
+        "w1=0": lambda s, w: (s, Weights(0.0, w.w2, w.w3)),
+        "w2=0": lambda s, w: (s, Weights(w.w1, 0.0, w.w3)),
+        "w3=0": lambda s, w: (s, Weights(w.w1, w.w2, 0.0)),
+        "f_min=f_max": lambda s, w: (pin_bounds(s, f=True), w),
+        "p_min=p_max": lambda s, w: (pin_bounds(s, p=True), w),
+    }
+
+    @pytest.mark.parametrize("edge", EDGES)
+    @pytest.mark.parametrize("pinned", [True, False])
+    def test_wide_box_draws(self, pinned, edge):
+        # k = 0-8 is three instances of each kind: 2-device FDMA, 2-device
+        # NOMA, 3-device FDMA
+        grid = GridSpec(8, 8, 8)
+        for k in range(9):
+            scn, w = self.EDGES[edge](wide_box_draw(k, pinned), wide_box_weights(k))
+            value, alloc = dense_oracle(scn, w, grid)
+            report = brute_force_oracle(scn, w, grid)
+            assert report.objective == value
+            got = report.allocation
+            for name in ("power_w", "cpu_hz", "resolution_px"):
+                assert getattr(got, name).tobytes() == getattr(alloc, name).tobytes()
+            if scn.scheme == "fdma":
+                assert got.bandwidth_hz.tobytes() == alloc.bandwidth_hz.tobytes()
+            else:
+                assert got.pairing == alloc.pairing
 
 
 class TestOracleContract:
