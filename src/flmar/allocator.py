@@ -1140,32 +1140,34 @@ def _continuous_solve(env: _Env, weights: Weights, resolution_px) -> _Budget:
     base = float(t_floor.max())
     loss_term = weights.w3 * float((1.0 - env.accuracy(resolution_px)).sum())
 
-    fits: list = []     # (tau, fit) of every budget that could be met
+    fits: dict = {}     # fit by budget, of every budget that could be met
 
-    def fit(tau: float) -> tuple:
-        """The value and -dV/dtau of the fit at tau, inf and inf where the
-        budget cannot be met; -dV/dtau is positive below the minimum."""
-        near = min(fits, key=lambda made: abs(made[0] - tau))[1] if fits else None
+    def fit(tau: float) -> float:
+        """-dV/dtau of the fit at tau, inf where the budget cannot be met;
+        positive below the minimum."""
+        near = fits[min(fits, key=lambda made: abs(made - tau))] if fits else None
         cfg = _budget_config(env, weights, tau, cyc, t_floor, loss_term, near)
         if cfg is None:
-            return math.inf, math.inf
-        fits.append((tau, cfg))
-        return cfg.value, -cfg.slope
+            return math.inf
+        fits[tau] = cfg
+        return -cfg.slope
 
     def margin(tau: float) -> float:
         return env.comm_margin(tau - t_floor)
 
     # One march on the grid base + h 2**k.  Its first feasible point and the
     # point before it (base for the first) bracket the smallest feasible
-    # budget tau_lo, which `_root` finds; from there the march goes on while
-    # the value falls, by its slope and by more than 1e-9 of itself, and the
-    # minimum then lies between its last two probes.  The grid depends only
-    # on n s / B and the compute floor, not on the power caps or on tau_lo,
-    # so two scenarios that differ only in constraints slack at the optimum
-    # (say a higher power cap that never binds) probe identical budgets and
-    # return bit-identical solutions.
+    # budget tau_lo, which `_root` finds; from there the march goes on to
+    # the next point while the value falls, by its slope and by more than
+    # 1e-9 of itself, and the minimum then lies between its last two probes.
+    # A value rising at tau_lo does not end it: NOMA's fitted V is not
+    # convex, and may rise there only to fall lower further on.
+    # The grid depends only on n s / B and the compute floor, not on the
+    # power caps or on tau_lo, so two scenarios that differ only in
+    # constraints slack at the optimum (say a higher power cap that never
+    # binds) probe identical budgets and return bit-identical solutions.
     h = max(env.n * env.s / env.bw + 1e-9, 0.05 * max(base, 1e-12))
-    points: list = []   # (tau, value, -dV/dtau) of the march
+    points: list = []   # (tau, -dV/dtau) of the march
     prev_x, prev_m = base, None
     for k in range(128):
         x = base + h * (2.0**k)
@@ -1175,14 +1177,13 @@ def _continuous_solve(env: _Env, weights: Weights, resolution_px) -> _Budget:
                 prev_x, prev_m = x, m
                 continue
             _, tau_lo = _root(margin, prev_x, x, prev_m, m)
-            points.append((tau_lo, *fit(tau_lo)))
-            if not points[-1][2] > 0.0:
-                break
+            points.append((tau_lo, fit(tau_lo)))
             if x == tau_lo:
                 continue
-        points.append((x, *fit(x)))
-        (_, prev_v, _), (_, v, falling) = points[-2:]
-        if not (falling > 0.0 and v < prev_v - max(1e-12, 1e-9 * abs(prev_v))):
+        points.append((x, fit(x)))
+        a, b = fits.get(points[-2][0]), fits.get(x)
+        if a is None or b is None or not (
+                b.slope < 0.0 and b.value < a.value - max(1e-12, 1e-9 * abs(a.value))):
             break
     # the root of dV/dtau between the march's last two probes.  Where V is
     # convex the tangents at the bracket's ends bound it below, lowest
@@ -1192,24 +1193,22 @@ def _continuous_solve(env: _Env, weights: Weights, resolution_px) -> _Budget:
     # Where V kinks, as where a p_min or the NOMA weak floor starts to bind,
     # the slope jumps there and the crossing, near the kink, is fitted too.
     # Where the value still fell at the march's last probe the search
-    # settles there unprobed.
+    # settles there unprobed, and where it rose already at tau_lo, at tau_lo.
     if len(points) >= 2:
-        made = {}       # fit by budget
 
         def loose(lo: float, hi: float):
             """The tangents' crossing where the bound there lies more than
             1e-12 below the ends' best value, lo where an end has no fit,
             else None."""
-            made.update(fits)
-            a, b = made.get(lo), made.get(hi)
+            a, b = fits.get(lo), fits.get(hi)
             if a is None or b is None:
                 return lo
             x = (b.value - a.value + a.slope * lo - b.slope * hi) / (a.slope - b.slope)
             low = min(a.value, b.value)
             return x if low - (a.value + a.slope * (x - lo)) > 1e-12 * abs(low) else None
 
-        (lo, _, f_lo), (hi, _, f_hi) = points[-2:]
-        lo, hi = _root(lambda tau: fit(tau)[1], lo, hi, f_lo, f_hi, xtol=2.0 * _SQRT_EPS,
+        (lo, f_lo), (hi, f_hi) = points[-2:]
+        lo, hi = _root(fit, lo, hi, f_lo, f_hi, xtol=2.0 * _SQRT_EPS,
                        enough=lambda lo, hi: loose(lo, hi) is None)
         x = loose(lo, hi) if lo < hi else None
         if x is not None and lo < x < hi:
@@ -1219,7 +1218,7 @@ def _continuous_solve(env: _Env, weights: Weights, resolution_px) -> _Budget:
             "no round-time budget satisfies the power and bandwidth limits"
         )
     # the first of the lowest values, as the search met them
-    return min((cfg for _, cfg in fits), key=lambda cfg: cfg.value)
+    return min(fits.values(), key=lambda cfg: cfg.value)
 
 
 def _sweep_core(env: _Env, weights: Weights, resolution_px, cpu_hz, t_com):

@@ -13,7 +13,8 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from typing import get_type_hints
 
 import numpy as np
 
@@ -25,23 +26,6 @@ WEIGHT_PAIRS_DEFAULT = ((0.9, 0.1), (0.5, 0.5), (0.1, 0.9))
 PMAX_SWEEP_DEFAULT = (0.1, 0.2, 0.3, 0.4, 0.5)
 W3_DEFAULT = 0.5
 SOLVERS = ("joint", "random")
-
-CSV_COLUMNS = (
-    "scheme",
-    "solver",
-    "w1",
-    "w2",
-    "w3",
-    "p_max",
-    "seed",
-    "total_energy_j",
-    "total_time_s",
-    "mean_accuracy",
-    "objective",
-    "outer_iterations",
-    "wall_ms",
-)
-
 
 @dataclass(frozen=True)
 class ExperimentGrid:
@@ -97,6 +81,11 @@ class ResultRow:
     objective: float
     outer_iterations: int
     wall_ms: float
+
+
+# the results file's columns, in order, and the type each one reads back as
+CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
+_COLUMN_TYPES = get_type_hints(ResultRow)
 
 
 @dataclass(frozen=True)
@@ -237,11 +226,8 @@ def run_grid(
 
 
 def _format_value(name: str, value) -> str:
-    if name in ("scheme", "solver"):
-        return str(value)
-    if name in ("seed", "outer_iterations"):
-        return str(int(value))
-    return format(float(value), ".9g")
+    kind = _COLUMN_TYPES[name]
+    return format(float(value), ".9g") if kind is float else str(kind(value))
 
 
 def rows_to_csv(rows) -> str:
@@ -283,22 +269,5 @@ def read_csv(path) -> list:
         parts = ln.split(",")
         if len(parts) != len(CSV_COLUMNS):
             raise ValueError(f"{path}: malformed row: {ln!r}")
-        kw = dict(zip(CSV_COLUMNS, parts))
-        rows.append(
-            ResultRow(
-                scheme=kw["scheme"],
-                solver=kw["solver"],
-                w1=float(kw["w1"]),
-                w2=float(kw["w2"]),
-                w3=float(kw["w3"]),
-                p_max=float(kw["p_max"]),
-                seed=int(kw["seed"]),
-                total_energy_j=float(kw["total_energy_j"]),
-                total_time_s=float(kw["total_time_s"]),
-                mean_accuracy=float(kw["mean_accuracy"]),
-                objective=float(kw["objective"]),
-                outer_iterations=int(kw["outer_iterations"]),
-                wall_ms=float(kw["wall_ms"]),
-            )
-        )
+        rows.append(ResultRow(**{c: _COLUMN_TYPES[c](v) for c, v in zip(CSV_COLUMNS, parts)}))
     return rows
