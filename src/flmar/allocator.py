@@ -2,20 +2,23 @@
 resolution for synchronous federated rounds.
 
 The solver fits the continuous variables to a candidate round-time budget
-tau, each fit returning its value V and the exact slope dV/dtau, and
-locates tau by a doubling march and a root search on that slope.  FDMA
-fits every device's bandwidth and upload deadline at once, by one search
-on the bandwidth price in which each device's optimum is one lane of a
-vectorised Newton search (`_FdmaFit`), with no special function in it; its
-p_max floors and p_min kinks solve (2**u - 1) / u = k by a monotone Newton
-search of their own (`_u_from_k`), so the module needs numpy alone.  NOMA
+tau, each fit returning its energy and the exact slope in tau, from which
+the weights give the value V and dV/dtau, and locates tau by a doubling
+march and a root search on that slope.  FDMA fits every device's
+bandwidth and upload deadline at once, by one search on the bandwidth
+price in which each device's optimum is one lane of a vectorised Newton
+search (`_FdmaFit`), with no special function in it; its p_max floors
+and p_min kinks solve (2**u - 1) / u = k by a monotone Newton search of
+their own (`_u_from_k`), so the module needs numpy alone.  NOMA
 splits each device's time between compute and upload on a fixed link,
 each device one lane of the same Newton search on a convex 1-D problem
 (`_time_split`), then meets those deadlines by a per-channel power fixed
 point.  CPU frequencies follow by deadline inversion.  Every fit of one
 tau search but its first starts its searches from the fit nearest in tau
 that the search has already made, NOMA's deadlines moved along their
-slopes to the new budget; those fits are never kept past the search.
+slopes to the new budget.  The march's fits carry no weight, so a solver
+context keeps them, and a later search on the same resolutions, under any
+weights, takes them up; the root search's fits are never kept past it.
 Frame resolutions then improve through exact per-device coordinate moves,
 and the outer loop repeats until the sweep returns resolutions it has
 already solved.
@@ -80,14 +83,20 @@ class SolveReport:
 
 
 class _Env:
-    """Solver context: the scenario's stored device table, its shared knobs
-    and the NOMA pairing in use.  Raises :class:`ScenarioValidationError` for
+    """Solver context: the scenario's stored device table, its shared knobs,
+    the NOMA pairing in use and the weight-free round-time marches its
+    solves have made (`_March`).  Raises :class:`ScenarioValidationError` for
     an invalid scenario."""
 
     def __init__(self, scenario: Scenario):
         errors = scenario.validate()
         if errors:
             raise ScenarioValidationError(errors)
+        self.scenario = scenario
+        # the march of each resolution set a round-time search has run on,
+        # which a later search on them takes up (`_continuous_solve`); it
+        # lives as long as this context, one solve or one run_grid group
+        self.marches: dict = {}
         self.dev = scenario.devices
         self.n = len(self.dev)
         self.iters = float(scenario.local_iterations)
@@ -819,11 +828,13 @@ class _NomaLanes:
 
 @dataclass
 class _Budget:
-    """Continuous variables fitted to one round-time budget tau, with the
-    value's slope in tau and where the scheme's searches ended
+    """Continuous variables fitted to one round-time budget tau, with no
+    weight in them: the round's energy E over all devices, compute plus
+    upload, its slope dE/dtau, and where the scheme's searches ended
     (`_FdmaLanes`, `_NomaLanes`), from which a nearby fit starts its own."""
 
-    value: float
+    tau: float
+    energy: float
     slope: float
     power: np.ndarray
     bandwidth: np.ndarray | None
@@ -1076,8 +1087,7 @@ def _noma_slope(env: _Env, tau: float, cyc, p, t, dd) -> float:
     return float((p * dt + t * dp + d_cmp).sum())
 
 
-def _budget_config(env: _Env, weights: Weights, tau: float, cyc, t_floor, loss_term,
-                   near=None):
+def _budget_config(env: _Env, tau: float, cyc, t_floor, near=None):
     """Fit powers, bandwidths and frequencies to budget tau; None if impossible.
 
     FDMA fits every device's bandwidth and upload deadline at once, by one
@@ -1091,11 +1101,11 @@ def _budget_config(env: _Env, weights: Weights, tau: float, cyc, t_floor, loss_t
     time.  Each search starts from its counterpart in ``near``, a fit to a
     nearby budget, when one is given.
 
-    The fit's slope in tau is w2 R plus w1 R times that of its energy: for
-    FDMA by the envelope theorem at the bandwidth price (`_fdma_slope`);
-    for NOMA, whose weak split prices the strong user's cost of its power
-    only at the full-speed deadline, by the chain rule through every
-    deadline's slope (`_noma_slope`).
+    The fit minimises the energy, which no weight changes, and returns its
+    slope in tau: for FDMA by the envelope theorem at the bandwidth price
+    (`_fdma_slope`); for NOMA, whose weak split prices the strong user's
+    cost of its power only at the full-speed deadline, by the chain rule
+    through every deadline's slope (`_noma_slope`).
     """
     d = tau - t_floor
     if np.any(d <= 0.0):
@@ -1117,74 +1127,113 @@ def _budget_config(env: _Env, weights: Weights, tau: float, cyc, t_floor, loss_t
         lanes = _NomaLanes(tau, d, dd)
     f = np.clip(cyc / (tau - t_com), env.dev.f_min, env.dev.f_max)
     e_cmp = cmos_energy(env.dev.kappa, cyc, f)
-    value = (
-        weights.w1 * env.rounds * float((e_cmp + e_com).sum())
-        + weights.w2 * env.rounds * tau
-        + loss_term
-    )
-    slope = env.rounds * (weights.w1 * slope + weights.w2)
-    return _Budget(value, slope, p, b, f, t_com, e_com, lanes)
+    return _Budget(tau, float((e_cmp + e_com).sum()), slope, p, b, f, t_com, e_com, lanes)
+
+
+def _priced(env: _Env, weights: Weights, loss_term: float, cfg: _Budget):
+    """The value V = w1 R E + w2 R tau + ``loss_term`` of a fit under
+    ``weights``, R the number of rounds, and its slope dV/dtau, as
+    ``(V, dV/dtau)``."""
+    return (weights.w1 * env.rounds * cfg.energy + weights.w2 * env.rounds * cfg.tau
+            + loss_term, env.rounds * (weights.w1 * cfg.slope + weights.w2))
+
+
+@dataclass
+class _March:
+    """The weight-free part of one resolution set's round-time march, as far
+    as any search on those resolutions has gone: the march's budgets, the
+    smallest feasible one tau_lo first, then the grid points above it
+    (`_march_budgets`), and the fits made to its first ones in order, None
+    where a budget cannot be met.  Each fit starts from the nearest of the
+    fits before it, or cold for tau_lo, so none of them depends on weights."""
+
+    budgets: list
+    fits: list
+
+
+def _march_budgets(env: _Env, t_floor) -> list:
+    """The budgets of the round-time march on deadlines ``tau - t_floor``,
+    empty where no grid point can be met.
+
+    The grid is base + h 2**k, k < 128, base the compute floor.  Its first
+    feasible point and the point before it (base for the first) bracket the
+    smallest feasible budget tau_lo, the root of the comm margin, which
+    comes first; the grid points from that first feasible one on follow.
+    The grid depends only on n s / B and the compute floor, not on the power
+    caps or on tau_lo, so two scenarios that differ only in constraints
+    slack at the optimum (say a higher power cap that never binds) probe
+    identical budgets and return bit-identical solutions.
+    """
+    base = float(t_floor.max())
+    h = max(env.n * env.s / env.bw + 1e-9, 0.05 * max(base, 1e-12))
+    grid = [base + h * (2.0**k) for k in range(128)]
+    prev_x, prev_m = base, None
+    for k, x in enumerate(grid):
+        m = env.comm_margin(x - t_floor)
+        if m <= 0.0:
+            _, tau_lo = _root(lambda tau: env.comm_margin(tau - t_floor), prev_x, x, prev_m, m)
+            return [tau_lo] + [y for y in grid[k:] if y != tau_lo]
+        prev_x, prev_m = x, m
+    return []
 
 
 def _continuous_solve(env: _Env, weights: Weights, resolution_px) -> _Budget:
     """Best continuous variables for fixed resolutions via a search over tau.
 
-    The search finds the root of dV/dtau, which every fit returns with its
-    value, and keeps the first of the lowest values among its fits.  Each
-    fit but the first starts its searches from the fit nearest in tau that
-    this search has made.  Those fits live only in this call, so the result
-    depends only on the resolutions.
+    The search finds the root of dV/dtau (`_priced`), which every fit
+    returns with its value, and keeps the first of the lowest values among
+    its fits.  Each fit but the first starts its searches from the fit
+    nearest in tau that this search has made.  Neither the fits nor the
+    march's budgets carry a weight, so the march's fits are kept on ``env``
+    (`_March`), and a later search on the same resolutions takes up as much
+    of them as its own march goes over: they are the fits it would make.
+    It fits afresh past them, adding to the march, and in its root search,
+    whose fits start from fits that depend on the weights and so live only
+    in this call.  So the result depends only on the resolutions and the
+    weights, whatever the searches before it.
     """
     cyc = env.round_cycles(resolution_px)
     t_floor = cyc / env.dev.f_max
-    base = float(t_floor.max())
     loss_term = weights.w3 * float((1.0 - env.accuracy(resolution_px)).sum())
+    key = tuple(np.asarray(resolution_px).tolist())
+    march = env.marches.get(key)
+    if march is None:
+        march = env.marches[key] = _March(_march_budgets(env, t_floor), [])
 
     fits: dict = {}     # fit by budget, of every budget that could be met
+    priced: dict = {}   # (V, dV/dtau) of those fits, by budget
 
-    def fit(tau: float) -> float:
-        """-dV/dtau of the fit at tau, inf where the budget cannot be met;
-        positive below the minimum."""
+    def make(tau: float):
         near = fits[min(fits, key=lambda made: abs(made - tau))] if fits else None
-        cfg = _budget_config(env, weights, tau, cyc, t_floor, loss_term, near)
+        return _budget_config(env, tau, cyc, t_floor, near)
+
+    def take(tau: float, cfg) -> float:
+        """-dV/dtau of ``cfg``, the fit at tau, inf where the budget cannot
+        be met; positive below the minimum."""
         if cfg is None:
             return math.inf
         fits[tau] = cfg
-        return -cfg.slope
+        priced[tau] = v = _priced(env, weights, loss_term, cfg)
+        return -v[1]
 
-    def margin(tau: float) -> float:
-        return env.comm_margin(tau - t_floor)
+    def fit(tau: float) -> float:
+        return take(tau, make(tau))
 
-    # One march on the grid base + h 2**k.  Its first feasible point and the
-    # point before it (base for the first) bracket the smallest feasible
-    # budget tau_lo, which `_root` finds; from there the march goes on to
-    # the next point while the value falls, by its slope and by more than
-    # 1e-9 of itself, and the minimum then lies between its last two probes.
-    # A value rising at tau_lo does not end it: NOMA's fitted V is not
-    # convex, and may rise there only to fall lower further on.
-    # The grid depends only on n s / B and the compute floor, not on the
-    # power caps or on tau_lo, so two scenarios that differ only in
-    # constraints slack at the optimum (say a higher power cap that never
-    # binds) probe identical budgets and return bit-identical solutions.
-    h = max(env.n * env.s / env.bw + 1e-9, 0.05 * max(base, 1e-12))
+    # The march fits tau_lo, then goes on through the grid points while the
+    # value falls, by its slope and by more than 1e-9 of itself, and the
+    # minimum then lies between its last two probes.  A value rising at
+    # tau_lo does not end it: NOMA's fitted V is not convex, and may rise
+    # there only to fall lower further on.
     points: list = []   # (tau, -dV/dtau) of the march
-    prev_x, prev_m = base, None
-    for k in range(128):
-        x = base + h * (2.0**k)
-        if not points:
-            m = margin(x)
-            if not m <= 0.0:
-                prev_x, prev_m = x, m
-                continue
-            _, tau_lo = _root(margin, prev_x, x, prev_m, m)
-            points.append((tau_lo, fit(tau_lo)))
-            if x == tau_lo:
-                continue
-        points.append((x, fit(x)))
-        a, b = fits.get(points[-2][0]), fits.get(x)
-        if a is None or b is None or not (
-                b.slope < 0.0 and b.value < a.value - max(1e-12, 1e-9 * abs(a.value))):
-            break
+    for i, tau in enumerate(march.budgets):
+        if i == len(march.fits):
+            march.fits.append(make(tau))
+        points.append((tau, take(tau, march.fits[i])))
+        if i:
+            a, b = priced.get(points[-2][0]), priced.get(tau)
+            if a is None or b is None or not (
+                    b[1] < 0.0 and b[0] < a[0] - max(1e-12, 1e-9 * abs(a[0]))):
+                break
     # the root of dV/dtau between the march's last two probes.  Where V is
     # convex the tangents at the bracket's ends bound it below, lowest
     # where they cross; the search ends once that bound lies within 1e-12
@@ -1200,12 +1249,12 @@ def _continuous_solve(env: _Env, weights: Weights, resolution_px) -> _Budget:
             """The tangents' crossing where the bound there lies more than
             1e-12 below the ends' best value, lo where an end has no fit,
             else None."""
-            a, b = fits.get(lo), fits.get(hi)
-            if a is None or b is None:
+            if lo not in priced or hi not in priced:
                 return lo
-            x = (b.value - a.value + a.slope * lo - b.slope * hi) / (a.slope - b.slope)
-            low = min(a.value, b.value)
-            return x if low - (a.value + a.slope * (x - lo)) > 1e-12 * abs(low) else None
+            (v_a, s_a), (v_b, s_b) = priced[lo], priced[hi]
+            x = (v_b - v_a + s_a * lo - s_b * hi) / (s_a - s_b)
+            low = min(v_a, v_b)
+            return x if low - (v_a + s_a * (x - lo)) > 1e-12 * abs(low) else None
 
         (lo, f_lo), (hi, f_hi) = points[-2:]
         lo, hi = _root(fit, lo, hi, f_lo, f_hi, xtol=2.0 * _SQRT_EPS,
@@ -1218,7 +1267,7 @@ def _continuous_solve(env: _Env, weights: Weights, resolution_px) -> _Budget:
             "no round-time budget satisfies the power and bandwidth limits"
         )
     # the first of the lowest values, as the search met them
-    return min(fits.values(), key=lambda cfg: cfg.value)
+    return fits[min(priced, key=lambda tau: priced[tau][0])]
 
 
 def _sweep_core(env: _Env, weights: Weights, resolution_px, cpu_hz, t_com):
@@ -1301,7 +1350,14 @@ def optimize(scenario: Scenario, weights: Weights) -> SolveReport:
     Deterministic: equal inputs give identical reports.  Raises
     :class:`InfeasibleScenarioError` when no round-time budget works at all.
     """
-    env = _Env(scenario)
+    return _optimize(_Env(scenario), weights)
+
+
+def _optimize(env: _Env, weights: Weights) -> SolveReport:
+    """`optimize` on the solver context ``env``.  The report is the same
+    whatever solves ``env`` has run before, since the marches it keeps
+    carry no weight; solving several weight pairs on one context saves
+    their shared fits."""
     r = env.dev.min_resolution
     solved = set()
     best = None
@@ -1312,7 +1368,7 @@ def optimize(scenario: Scenario, weights: Weights) -> SolveReport:
         cfg = _continuous_solve(env, weights, r)
         r_new, f_new = _sweep_core(env, weights, r, cfg.cpu, cfg.comm_time)
         alloc = _assemble(env, cfg.power, cfg.bandwidth, f_new, r_new)
-        metrics = system_metrics(scenario, alloc)
+        metrics = system_metrics(env.scenario, alloc)
         value = objective(weights, metrics)
         if best is None or value < best[0]:
             best = (value, alloc, metrics)
@@ -1344,13 +1400,17 @@ def random_baseline(scenario: Scenario, weights: Weights, seed: int) -> SolveRep
     same allocation, and the identical draws land on both schemes when the
     device populations match.
     """
-    env = _Env(scenario)
+    return _random_baseline(_Env(scenario), weights, seed)
+
+
+def _random_baseline(env: _Env, weights: Weights, seed: int) -> SolveReport:
+    """`random_baseline` on the solver context ``env``."""
     rng = np.random.default_rng(seed)
     p = rng.uniform(env.dev.p_min, env.dev.p_max)
     f = rng.uniform(env.dev.f_min, env.dev.f_max)
     bandwidth = np.full(env.n, env.bw / env.n) if env.scheme == "fdma" else None
     alloc = _assemble(env, p, bandwidth, f, env.dev.min_resolution)
-    metrics = system_metrics(scenario, alloc)
+    metrics = system_metrics(env.scenario, alloc)
     value = objective(weights, metrics)
     return SolveReport(
         allocation=alloc,

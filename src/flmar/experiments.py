@@ -3,9 +3,14 @@ deterministic CSV/JSON serialization.
 
 Scenario draws are keyed by ``(master_seed, seed_index)`` only, so the same
 seed index reuses the identical device population across schemes, power
-caps and solvers; sweeps are therefore paired comparisons.  Rows are sorted
-by (scheme, solver, w1, p_max, seed) before writing, which keeps the output
-byte-identical whatever the worker count.
+caps and solvers; sweeps are therefore paired comparisons.  ``run_grid``
+works in groups of the cells that share a scheme, a power cap and a seed:
+each group draws its scenario once and solves all its weight pairs, both
+solvers, on one solver context, whose weight-free round-time fits the
+later pairs take up; rows equal those of separate ``optimize`` and
+``random_baseline`` calls.  Rows are sorted by (scheme, solver, w1, p_max,
+seed) before writing, which keeps the output byte-identical whatever the
+worker count.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .accounting import Weights
-from .allocator import optimize, random_baseline
+from .allocator import _Env, _optimize, _random_baseline, optimize, random_baseline
 from .scenario import ScenarioSpec, generate_scenario
 
 WEIGHT_PAIRS_DEFAULT = ((0.9, 0.1), (0.5, 0.5), (0.1, 0.9))
@@ -145,8 +150,12 @@ def solve_row(
     else:
         report = random_baseline(scenario, weights, seed=random_seed)
     wall_ms = (time.perf_counter() - started) * 1e3 if measure else 0.0
+    return _result_row(report, scenario.scheme, solver, weights, p_max, seed, wall_ms)
+
+
+def _result_row(report, scheme, solver, weights, p_max, seed, wall_ms) -> ResultRow:
     return ResultRow(
-        scheme=scenario.scheme,
+        scheme=scheme,
         solver=solver,
         w1=weights.w1,
         w2=weights.w2,
@@ -162,34 +171,40 @@ def solve_row(
     )
 
 
-def _solve_cell(task):
-    (scheme, (w1, w2), p_max, seed_index, grid, base_spec, measure) = task
+def _solve_group(task):
+    """Every cell of one (scheme, p_max, seed) group, on one draw and one
+    solver context.
+
+    The pairs run in descending w1, ties in grid order: the energy-heavy
+    pair has the longest round-time march, so the pairs after it find most
+    of theirs already fitted.  Each row's wall_ms times its own solve, the
+    first row's the draw and the context build too.  The draw validates the
+    scenario, so the build raises nothing that the draw would not.
+    """
+    (scheme, p_max, seed_index, grid, base_spec, measure) = task
     rows, failures = [], []
-    scenario = scenario_for_cell(
+    started = time.perf_counter()
+    env = _Env(scenario_for_cell(
         base_spec, scheme, p_max, seed_index, grid.master_seed, grid.n_devices
-    )
-    weights = Weights(w1, w2, grid.w3)
-    for solver in grid.solvers:
-        try:
-            rows.append(
-                solve_row(
-                    scenario, weights, solver, p_max=p_max, seed=seed_index,
-                    random_seed=derive_seed(grid.master_seed, seed_index, 1),
-                    measure=measure,
-                )
-            )
-        except Exception as exc:  # cell failures must not sink the batch
-            failures.append(
-                CellFailure(
-                    scheme=scheme,
-                    solver=solver,
-                    w1=w1,
-                    w2=w2,
-                    p_max=p_max,
-                    seed=seed_index,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
+    ))
+    random_seed = derive_seed(grid.master_seed, seed_index, 1)
+    for w1, w2 in sorted(grid.weight_pairs, key=lambda pair: -pair[0]):
+        weights = Weights(w1, w2, grid.w3)
+        for solver in grid.solvers:
+            try:
+                if solver == "joint":
+                    report = _optimize(env, weights)
+                else:
+                    report = _random_baseline(env, weights, random_seed)
+            except Exception as exc:  # cell failures must not sink the batch
+                failures.append(CellFailure(scheme=scheme, solver=solver, w1=w1, w2=w2,
+                                            p_max=p_max, seed=seed_index,
+                                            error=f"{type(exc).__name__}: {exc}"))
+            else:
+                wall_ms = (time.perf_counter() - started) * 1e3 if measure else 0.0
+                rows.append(_result_row(report, scheme, solver, weights, p_max, seed_index,
+                                        wall_ms))
+            started = time.perf_counter()
     return rows, failures
 
 
@@ -207,17 +222,16 @@ def run_grid(
     if base_spec is None:
         base_spec = ScenarioSpec()
     tasks = [
-        (scheme, pair, p_max, seed_index, grid, base_spec, measure_wall_time)
+        (scheme, p_max, seed_index, grid, base_spec, measure_wall_time)
         for scheme in grid.schemes
-        for pair in grid.weight_pairs
         for p_max in grid.pmax_values
         for seed_index in range(grid.n_seeds)
     ]
     if workers <= 1:
-        outcomes = [_solve_cell(t) for t in tasks]
+        outcomes = [_solve_group(t) for t in tasks]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_solve_cell, tasks))
+            outcomes = list(pool.map(_solve_group, tasks))
     rows = [row for out in outcomes for row in out[0]]
     failures = [f for out in outcomes for f in out[1]]
     rows.sort(key=ROW_SORT_KEY)

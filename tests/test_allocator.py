@@ -50,6 +50,7 @@ from flmar.allocator import (
     _fdma_solve,
     _noma_comm_solve,
     _noma_split,
+    _priced,
     _root,
     _sweep_core,
     _time_split,
@@ -1141,16 +1142,15 @@ class TestFdmaFitNearTauLo:
     F = np.geomspace(1e-9, 1.0, 40)
 
     def test_fits_meet_every_deadline(self):
-        w = Weights(0.5, 0.5, 0.5)
         assert self.F[5] == pytest.approx(1.425e-8, rel=1e-3)
         for env, cyc, t_floor, tau_lo in knife_edge_cases():
-            lo = _budget_config(env, w, tau_lo, cyc, t_floor, 0.0)
+            lo = _budget_config(env, tau_lo, cyc, t_floor)
             # at tau_lo every device sits at its p_max floor and f_max
             np.testing.assert_allclose(lo.bandwidth, _fdma_floors(env, tau_lo - t_floor)[1],
                                        rtol=1e-9)
             for f in (0.0, *self.F):
                 tau = tau_lo * (1.0 + f)
-                cfg = _budget_config(env, w, tau, cyc, t_floor, 0.0)
+                cfg = _budget_config(env, tau, cyc, t_floor)
                 assert cfg is not None, (env.n, f)
                 dev = env.dev
                 assert np.all(cfg.comm_time + cyc / cfg.cpu <= tau * (1.0 + 1e-12))
@@ -1163,26 +1163,25 @@ class TestFdmaFitNearTauLo:
     @pytest.mark.parametrize("w1, w2", [(0.9, 0.1), (0.5, 0.5), (0.1, 0.9)])
     def test_fit_closest_to_tau_lo(self, w1, w2):
         # the one point of the grid below 1e-6 where the one-pass fit kept
-        # its unsplit first solve, on seed 106 for every weight pair
+        # its unsplit first solve, on seed 106 for every weight pair.  The
+        # fit takes no weights, so the three cases check one fit
         env, cyc, t_floor, tau_lo = next(knife_edge_cases())
         assert env.n == 2
-        w = Weights(w1, w2, 0.5)
         tau = tau_lo * (1.0 + self.F[5])
-        lo = _budget_config(env, w, tau_lo, cyc, t_floor, 0.0)
-        cfg = _budget_config(env, w, tau, cyc, t_floor, 0.0)
+        lo = _budget_config(env, tau_lo, cyc, t_floor)
+        cfg = _budget_config(env, tau, cyc, t_floor)
         assert cfg is not None
         assert fit_energy(env, cfg, cyc) <= fit_energy(env, lo, cyc)
         assert_matches_slsqp(env, tau, cyc, cfg)
 
     def test_fits_match_the_slsqp_reference(self):
-        w = Weights(0.5, 0.5, 0.5)
         for env, cyc, t_floor, tau_lo in knife_edge_cases():
             # every point of the grid on the 2-device scenario, a few on the
             # 40-device ones, where SLSQP takes about a second each
             grid = self.F if env.n == 2 else self.F[[5, 20, 39]]
             for f in grid:
                 tau = tau_lo * (1.0 + f)
-                cfg = _budget_config(env, w, tau, cyc, t_floor, 0.0)
+                cfg = _budget_config(env, tau, cyc, t_floor)
                 assert_matches_slsqp(env, tau, cyc, cfg)
 
 
@@ -1280,7 +1279,7 @@ class TestFitMatchesSlsqp:
         for factor in factors:
             tau = tau_lo * factor
             assert_matches_slsqp(env, tau, cyc,
-                                 _budget_config(env, W, tau, cyc, t_floor, 0.0))
+                                 _budget_config(env, tau, cyc, t_floor))
 
     def test_default(self):
         self.check(generate_scenario(ScenarioSpec(n_devices=40, scheme="fdma")), (1.05, 2.0))
@@ -1312,7 +1311,6 @@ class TestNomaSplit:
             r = env.dev.min_resolution
             cyc = env.round_cycles(r)
             t_floor = cyc / env.dev.f_max
-            loss = W.w3 * float((1.0 - env.accuracy(r)).sum())
             tau_lo = smallest_budget(env, t_floor)
             for f in np.geomspace(1e-9, 1.0, 40):
                 tau = tau_lo * (1.0 + f)
@@ -1320,7 +1318,7 @@ class TestNomaSplit:
                 # could not meet tau on 57 of these 160 budgets
                 assert env.comm_margin(_noma_split(env, tau, cyc, tau - t_floor)[0]) <= 0.0
                 solves.clear()
-                assert _budget_config(env, W, tau, cyc, t_floor, loss) is not None
+                assert _budget_config(env, tau, cyc, t_floor) is not None
                 assert len(solves) == 1
 
 
@@ -1684,10 +1682,11 @@ class TestRoundTimeSearch:
 
     @pytest.fixture(scope="class")
     def searches(self):
-        """One ``(fit_args, bracket, value, fits)`` per `_continuous_solve` call:
-        the last `_budget_config` arguments, the march's last three probes'
-        span, around the bracket the root of dV/dtau was searched on, the
-        value returned and the fits made."""
+        """One ``(pricing, bracket, value, fits)`` per `_continuous_solve`
+        call: the context, weights, cycles, compute floor and accuracy loss
+        it priced its fits with, the march's last three probes' span, around
+        the bracket the root of dV/dtau was searched on, the value returned
+        and the fits made."""
         real_fit, real_root, real_solve = _budget_config, _root, _continuous_solve
         found, fit_args, march = [], [], []
 
@@ -1697,16 +1696,19 @@ class TestRoundTimeSearch:
 
         def root(*args, **kwargs):
             if kwargs.get("xtol"):
-                march[:] = [args[2] for args in fit_args]
+                march[:] = [args[1] for args in fit_args]
             return real_root(*args, **kwargs)
 
-        def solve(*args):
+        def solve(env, w, r):
             fit_args.clear()
             march.clear()
-            cfg = real_solve(*args)
-            taus = march or [args[2] for args in fit_args]
-            found.append((fit_args[-1], (taus[max(len(taus) - 3, 0)], taus[-1]), cfg.value,
-                          len(fit_args)))
+            cfg = real_solve(env, w, r)
+            taus = march or [args[1] for args in fit_args]
+            cyc = env.round_cycles(r)
+            loss = w.w3 * float((1.0 - env.accuracy(r)).sum())
+            found.append(((env, w, cyc, cyc / env.dev.f_max, loss),
+                          (taus[max(len(taus) - 3, 0)], taus[-1]),
+                          _priced(env, w, loss, cfg)[0], len(fit_args)))
             return cfg
 
         with pytest.MonkeyPatch.context() as mp:
@@ -1725,10 +1727,10 @@ class TestRoundTimeSearch:
         # a 101-point grid over the bracket would find a second basin the
         # search missed, or a search stopped short (2,001 points pass too,
         # in about two minutes)
-        for (env, w, _, cyc, t_floor, loss, _), (a, b), value, _ in searches:
-            grid = [_budget_config(env, w, float(tau), cyc, t_floor, loss)
+        for (env, w, cyc, t_floor, loss), (a, b), value, _ in searches:
+            grid = [_budget_config(env, float(tau), cyc, t_floor)
                     for tau in np.linspace(a, b, 101)]
-            best = min(cfg.value for cfg in grid if cfg is not None)
+            best = min(_priced(env, w, loss, cfg)[0] for cfg in grid if cfg is not None)
             assert value <= best * (1.0 + 1e-12)
 
     def test_fit_count(self, searches):
@@ -1768,9 +1770,9 @@ class TestValueSlope:
             for factor in (1.05, 1.3, 2.0, 4.0):
                 tau = factor * tau_star
                 h = 1e-6 * tau
-                ahead, behind = (_budget_config(env, W, x, cyc, t_floor, loss).value
+                ahead, behind = (_priced(env, W, loss, _budget_config(env, x, cyc, t_floor))[0]
                                  for x in (tau + h, tau - h))
-                slope = _budget_config(env, W, tau, cyc, t_floor, loss).slope
+                slope = _priced(env, W, loss, _budget_config(env, tau, cyc, t_floor))[1]
                 assert slope == pytest.approx((ahead - behind) / (2.0 * h), rel=1e-5)
 
 
@@ -1790,12 +1792,13 @@ class TestValueSlope:
                 t_floor = cyc / env.dev.f_max
                 tau = smallest_budget(env, t_floor)
                 h = 1e-8 * tau
-                v0, v1, v2 = (_budget_config(env, W, tau + j * h, cyc, t_floor, 0.0)
-                              for j in range(3))
-                ahead = (4.0 * v1.value - 3.0 * v0.value - v2.value) / (2.0 * h)
-                assert np.sign(v0.slope) == np.sign(ahead)
+                (v0, s0), (v1, _), (v2, _) = (
+                    _priced(env, W, 0.0, _budget_config(env, tau + j * h, cyc, t_floor))
+                    for j in range(3))
+                ahead = (4.0 * v1 - 3.0 * v0 - v2) / (2.0 * h)
+                assert np.sign(s0) == np.sign(ahead)
                 if abs(ahead) < 1e4:
-                    assert v0.slope == pytest.approx(ahead, rel=1e-4)
+                    assert s0 == pytest.approx(ahead, rel=1e-4)
 
 
 class TestEnergyOnlySearch:
@@ -1880,7 +1883,7 @@ class TestRisingAtSmallestBudget:
         real_fit, real_solve = _budget_config, _continuous_solve
 
         def fit(*args):
-            made[-1].append((args[2], real_fit(*args)))
+            made[-1].append((args[1], real_fit(*args)))
             return made[-1][-1][1]
 
         def solve(*args):
@@ -1943,8 +1946,10 @@ class TestNearestFitStart:
         warm = 0
         for scn, w in self.cases():
             env = _Env(scn)
+            r = env.dev.min_resolution
+            loss = w.w3 * float((1.0 - env.accuracy(r)).sum())
             made.clear()
-            _continuous_solve(env, w, env.dev.min_resolution)
+            _continuous_solve(env, w, r)
             # tau_lo, the first fit, starts cold
             assert made[0][0][-1] is None
             for (*args, near), cfg in made:
@@ -1952,9 +1957,34 @@ class TestNearestFitStart:
                 assert (cfg is None) == (cold is None)
                 if near is not None and cfg is not None:
                     warm += 1
-                    assert cfg.value == pytest.approx(cold.value, rel=1e-12, abs=0.0)
+                    assert _priced(env, w, loss, cfg)[0] == pytest.approx(
+                        _priced(env, w, loss, cold)[0], rel=1e-12, abs=0.0)
         # 482 warm fits over these solves
         assert warm > 400
+
+
+class TestMarchStore:
+    """A solver context keeps each resolution set's weight-free march, which
+    a later round-time search on the same resolutions takes up: the search
+    returns the fit it returns on a fresh context, whatever searches the
+    context ran before, under whatever weights and resolutions."""
+
+    @pytest.mark.parametrize("scheme", ["fdma", "noma"])
+    def test_a_used_context_gives_the_fresh_result(self, scheme):
+        scn = generate_scenario(ScenarioSpec(n_devices=40, scheme=scheme), seed=1)
+        env = _Env(scn)
+        lowest, third = env.dev.min_resolution, env.menu[:, 2].astype(int)
+        pairs = ((0.5, 0.5), (1.0, 0.0), (0.1, 0.9), (0.9, 0.1), (0.0, 1.0))
+        for r in (lowest, third, lowest):
+            for w1, w2 in pairs:
+                w = Weights(w1, w2, 0.5)
+                used, fresh = (_continuous_solve(e, w, r) for e in (env, _Env(scn)))
+                assert used.tau == fresh.tau
+                for name in ("energy", "slope", "power", "cpu", "comm_time", "comm_energy"):
+                    np.testing.assert_array_equal(getattr(used, name), getattr(fresh, name))
+        # one march per resolution set, tau_lo and at least the next grid point fitted
+        assert len(env.marches) == 2
+        assert all(len(march.fits) >= 2 for march in env.marches.values())
 
 
 class TestSmallestBudget:
@@ -1977,8 +2007,8 @@ class TestSmallestBudget:
         fits = []
         real_fit = _budget_config
         monkeypatch.setattr(flmar.allocator, "_budget_config",
-                            lambda env, w, tau, *rest: fits.append(tau)
-                            or real_fit(env, w, tau, *rest))
+                            lambda env, tau, *rest: fits.append(tau)
+                            or real_fit(env, tau, *rest))
         probes = []
         for scn in self.scenarios():
             env = _Env(scn)
@@ -2018,8 +2048,8 @@ class TestMarchGrid:
         fits, marches = [], []
         real_fit, real_root = _budget_config, _root
         monkeypatch.setattr(flmar.allocator, "_budget_config",
-                            lambda env, w, tau, *rest: fits.append(tau)
-                            or real_fit(env, w, tau, *rest))
+                            lambda env, tau, *rest: fits.append(tau)
+                            or real_fit(env, tau, *rest))
         # the march ends where the root of dV/dtau is searched for
         monkeypatch.setattr(flmar.allocator, "_root",
                             lambda *args, **kw: (kw and marches.append(fits[1:]))

@@ -4,18 +4,22 @@ import json
 
 import pytest
 
+import flmar.allocator
 from flmar import (
+    CellFailure,
     ExperimentGrid,
     ResultRow,
     ScenarioSpec,
+    Weights,
     derive_seed,
+    optimize,
     read_csv,
     rows_to_csv,
     run_grid,
     write_csv,
     write_json,
 )
-from flmar.experiments import CSV_COLUMNS, scenario_for_cell
+from flmar.experiments import CSV_COLUMNS, ROW_SORT_KEY, scenario_for_cell, solve_row
 
 
 def tiny_grid(**kw):
@@ -123,6 +127,84 @@ class TestRunGrid:
     def test_wall_ms_measured_on_request(self):
         rows, _ = run_grid(tiny_grid(), measure_wall_time=True)
         assert any(r.wall_ms > 0.0 for r in rows)
+
+
+class TestGroupedSolves:
+    """``run_grid`` solves each (scheme, p_max, seed) group's weight pairs on
+    one draw and one solver context, whose weight-free round-time fits the
+    later pairs take up.  Its rows and failures equal those of separate
+    per-cell ``optimize`` and ``random_baseline`` calls."""
+
+    # unsorted, with both ends of w1
+    PAIRS = ((0.5, 0.5), (1.0, 0.0), (0.1, 0.9), (0.0, 1.0))
+
+    @staticmethod
+    def separate(grid, spec):
+        """The grid's rows and failures from one draw and one call per cell."""
+        rows, failures = [], []
+        for scheme in grid.schemes:
+            for w1, w2 in grid.weight_pairs:
+                for p_max in grid.pmax_values:
+                    for seed in range(grid.n_seeds):
+                        scn = scenario_for_cell(spec, scheme, p_max, seed, grid.master_seed,
+                                                grid.n_devices)
+                        for solver in grid.solvers:
+                            try:
+                                rows.append(solve_row(
+                                    scn, Weights(w1, w2, grid.w3), solver, p_max=p_max,
+                                    seed=seed, random_seed=derive_seed(grid.master_seed, seed, 1),
+                                    measure=False))
+                            except Exception as exc:
+                                failures.append(CellFailure(scheme, solver, w1, w2, p_max, seed,
+                                                            f"{type(exc).__name__}: {exc}"))
+        rows.sort(key=ROW_SORT_KEY)
+        failures.sort(key=lambda f: (f.scheme, f.solver, f.w1, f.p_max, f.seed))
+        return rows, failures
+
+    def check(self, grid, spec):
+        rows, failures = run_grid(grid, base_spec=spec, workers=2)
+        rows_1, failures_1 = self.separate(grid, spec)
+        # every float field by repr, and outer_iterations
+        assert [repr(r) for r in rows] == [repr(r) for r in rows_1]
+        assert failures == failures_1
+        return rows, failures
+
+    def test_rows_equal_separate_solves(self):
+        # w3 = 500 moves resolutions over several passes, and p_min binds at
+        # the lower power cap
+        grid = ExperimentGrid(weight_pairs=self.PAIRS, w3=500.0, pmax_values=(0.2, 0.1),
+                              n_seeds=2, n_devices=10, master_seed=3)
+        rows, _ = self.check(grid, ScenarioSpec(p_min=0.05))
+        assert len(rows) == 64
+        assert any(r.outer_iterations > 2 for r in rows)
+
+    def test_failures_equal_separate_solves(self):
+        # a path loss of 2,900 dB leaves no round-time budget: every joint
+        # cell fails, and the random baseline still solves
+        grid = ExperimentGrid(weight_pairs=self.PAIRS, pmax_values=(0.2,), n_seeds=1,
+                              n_devices=4)
+        rows, failures = self.check(grid, ScenarioSpec(pathloss_intercept_db=2900.0))
+        assert {r.solver for r in rows} == {"random"}
+        assert len(failures) == 8
+        assert all(f.error.startswith("InfeasibleScenarioError: ") for f in failures)
+
+    @pytest.mark.parametrize("scheme, grouped", [("fdma", 22), ("noma", 25)])
+    def test_a_group_makes_fewer_fits(self, monkeypatch, scheme, grouped):
+        # a default 40-device group, three pairs: the pairs after the first
+        # take its march's fits up
+        made = []
+        real_fit = flmar.allocator._budget_config
+        monkeypatch.setattr(flmar.allocator, "_budget_config",
+                            lambda *args: made.append(args) or real_fit(*args))
+        grid = ExperimentGrid(schemes=(scheme,), pmax_values=(0.2,), n_seeds=1,
+                              solvers=("joint",))
+        run_grid(grid)
+        assert len(made) == grouped
+        made.clear()
+        scn = scenario_for_cell(ScenarioSpec(), scheme, 0.2, 0, 0, 40)
+        for w1, w2 in grid.weight_pairs:
+            optimize(scn, Weights(w1, w2, grid.w3))
+        assert len(made) == grouped + 8
 
 
 class TestCsvJson:
