@@ -178,20 +178,26 @@ def _solve_group(task):
     The pairs run in descending w1, ties in grid order: the energy-heavy
     pair has the longest round-time march, so the pairs after it find most
     of theirs already fitted.  Each row's wall_ms times its own solve, the
-    first row's the draw and the context build too.  The draw validates the
-    scenario, so the build raises nothing that the draw would not.
+    first row's the draw and the context build too.  A draw that raises
+    fails every cell of its group alone, as a solve that raises fails its
+    cell alone.
     """
     (scheme, p_max, seed_index, grid, base_spec, measure) = task
     rows, failures = [], []
     started = time.perf_counter()
-    env = _Env(scenario_for_cell(
-        base_spec, scheme, p_max, seed_index, grid.master_seed, grid.n_devices
-    ))
+    try:
+        env = _Env(scenario_for_cell(
+            base_spec, scheme, p_max, seed_index, grid.master_seed, grid.n_devices
+        ))
+    except Exception as exc:  # a draw failure must not sink the batch either
+        env, draw_error = None, exc
     random_seed = derive_seed(grid.master_seed, seed_index, 1)
     for w1, w2 in sorted(grid.weight_pairs, key=lambda pair: -pair[0]):
         weights = Weights(w1, w2, grid.w3)
         for solver in grid.solvers:
             try:
+                if env is None:
+                    raise draw_error
                 if solver == "joint":
                     report = _optimize(env, weights)
                 else:

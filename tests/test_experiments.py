@@ -1,6 +1,7 @@
 """Experiment grid execution, CSV/JSON output, and seed discipline."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -187,6 +188,26 @@ class TestGroupedSolves:
         assert {r.solver for r in rows} == {"random"}
         assert len(failures) == 8
         assert all(f.error.startswith("InfeasibleScenarioError: ") for f in failures)
+
+    def test_draw_failure_fails_its_group_alone(self):
+        # p_max 0.03 lies below p_min = 0.05, so those groups' draws raise;
+        # each of their cells fails with the solve failures' error text, and
+        # the p_max 0.2 groups keep their rows
+        grid = ExperimentGrid(n_devices=12, n_seeds=1, pmax_values=(0.2, 0.03))
+        spec = ScenarioSpec(p_min=0.05)
+        rows, failures = run_grid(grid, spec)
+        valid_rows, valid_failures = run_grid(replace(grid, pmax_values=(0.2,)), spec)
+        assert valid_failures == []
+        assert [repr(r) for r in rows] == [repr(r) for r in valid_rows]
+        assert len(rows) == 12
+        cells = {(scheme, solver, w1, w2) for scheme in grid.schemes
+                 for w1, w2 in grid.weight_pairs for solver in grid.solvers}
+        assert len(failures) == len(cells) == 12
+        assert {(f.scheme, f.solver, f.w1, f.w2) for f in failures} == cells
+        for f in failures:
+            assert (f.p_max, f.seed) == (0.03, 0)
+            assert f.error == ("ScenarioValidationError: spec: p_max_range low end 0.03 "
+                               "below p_min 0.05")
 
     @pytest.mark.parametrize("scheme, grouped", [("fdma", 22), ("noma", 25)])
     def test_a_group_makes_fewer_fits(self, monkeypatch, scheme, grouped):

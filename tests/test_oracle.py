@@ -15,11 +15,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import flmar.oracle
 from flmar import (
     Allocation, GridSpec, Weights, brute_force_oracle, objective, system_metrics,
 )
 from flmar.compute import cmos_energy, detection_accuracy, round_cycles
-from flmar.oracle import _DeviceGrid, _links, _min_over_steps, _staircase, _undominated
+from flmar.oracle import (
+    _DeviceGrid, _fdma_splits, _links, _min_over_stairs, _staircase, _undominated,
+)
 
 from conftest import equal_split_alloc, make_scenario, wide_box_draw, wide_box_weights
 
@@ -108,7 +111,7 @@ class TestMinOverGrid:
             if trial % 5 == 0:
                 times[:, 0] = times[:, -1]     # force ties
             w2g = float(rng.uniform(0.0, 3.0))
-            value, picks = _min_over_steps(
+            value, picks = _min_over_stairs(
                 [_staircase(t, c) for t, c in zip(times, costs)], w2g)
             best = math.inf
             for combo in itertools.product(range(m), repeat=n):
@@ -153,7 +156,7 @@ class TestMinOverGrid:
                 columns.append((t_cmp.size, keep))
             with np.errstate(invalid="ignore"):
                 dense = dense_min_over_grid([t for t, _ in full], [c for _, c in full], w2)
-                steps = _min_over_steps(pruned, w2)
+                steps = _min_over_stairs(pruned, w2)
             if dense is None:
                 assert steps is None
                 continue
@@ -166,6 +169,34 @@ class TestMinOverGrid:
                 full_picks.append(p * m + int(keep[j]))
             assert full_picks == dense[1]
         assert found > 200
+
+    def test_merge_edges_match_the_dense_search(self):
+        # hand-built tables for the merge's tie and NaN rules, bit for bit
+        unreachable = np.array([1.0, 2.0, np.inf])      # the last power reaches nothing
+        with np.errstate(invalid="ignore"):
+            nan_costs = 0.0 * unreachable + np.array([3.0, 1.0, 0.5])     # w1 = 0
+        cases = {
+            # equal step times on different tables
+            "shared steps": ([[1.0, 2.0, 3.0], [2.0, 3.0, 4.0], [3.0, 1.0]],
+                             [[3.0, 2.0, 1.0], [5.0, 1.0, 0.0], [0.5, 2.0]]),
+            # table 0's largest time, 5, is no step of its own but one of table 1's
+            "last on a step": ([[1.0, 5.0], [5.0, 6.0], [2.0]],
+                               [[1.0, 2.0], [3.0, 1.0], [0.5]]),
+            "NaN cost": ([[1.0, 2.0, 3.0], unreachable], [[2.0, 1.0, 1.0], nan_costs]),
+            # table 1's largest time, infinite, is no step
+            "infinite last": ([[1.0, 2.0], [0.5, np.inf]], [[1.0, 0.5], [0.0, 2.0]]),
+        }
+        for name, (times, costs) in cases.items():
+            times, costs = [np.array(t) for t in times], [np.array(c) for c in costs]
+            for w2 in (0.0, 0.5, 1.0, 3.0):
+                with np.errstate(invalid="ignore"):
+                    dense = dense_min_over_grid(times, costs, w2)
+                    merged = _min_over_stairs(
+                        [_staircase(t, c) for t, c in zip(times, costs)], w2)
+                assert repr(merged) == repr(dense), (name, w2)
+                # a NaN anywhere rejects the link, and so does 0 * inf at w2 = 0
+                rejected = name == "NaN cost" or (name == "infinite last" and w2 == 0.0)
+                assert (merged is None) == rejected, (name, w2)
 
 
 class TestOracleAgainstNaive:
@@ -275,7 +306,7 @@ def dense_oracle(scn, w, grid):
     best, alloc = math.inf, None
     for uploads, link in _links(scn, table, dgrids, grid):
         times, costs = [], []
-        for d, (t_cmp, base), (_, t_com, e_com) in zip(dgrids, columns, uploads):
+        for d, (t_cmp, base), (_, t_com, e_com, _) in zip(dgrids, columns, uploads):
             times.append((t_com[:, None] + t_cmp).ravel())
             costs.append((d.w1_rounds * e_com[:, None] + base).ravel())
         hit = dense_min_over_grid(times, costs, w.w2 * scn.global_rounds)
@@ -283,7 +314,7 @@ def dense_oracle(scn, w, grid):
             continue
         best = hit[0]
         picks = []
-        for d, (t_cmp, _), (powers, _, _), pick in zip(dgrids, columns, uploads, hit[1]):
+        for d, (t_cmp, _), (powers, *_), pick in zip(dgrids, columns, uploads, hit[1]):
             p, fr = divmod(pick, t_cmp.size)
             f, r = divmod(fr, d.r_grid.size)
             picks.append((float(powers[p]), float(d.f_grid[f]), int(d.r_grid[r])))
@@ -332,6 +363,32 @@ class TestOracleMatchesDenseSearch:
                 assert got.bandwidth_hz.tobytes() == alloc.bandwidth_hz.tobytes()
             else:
                 assert got.pairing == alloc.pairing
+
+    def test_default_grid_three_devices(self):
+        # the benchmark's 20-point grid on a 3-device FDMA draw, where each
+        # share's staircase serves many splits
+        scn, w = wide_box_draw(2, False), wide_box_weights(2)
+        value, alloc = dense_oracle(scn, w, GridSpec())
+        report = brute_force_oracle(scn, w)
+        assert report.objective == value
+        for name in ("power_w", "cpu_hz", "resolution_px", "bandwidth_hz"):
+            assert getattr(report.allocation, name).tobytes() == getattr(alloc, name).tobytes()
+
+
+class TestStaircaseReuse:
+    def test_one_staircase_per_device_share(self, monkeypatch):
+        # device 1's share and the last device's rest recur over many splits
+        scn, w = wide_box_draw(2, False), wide_box_weights(2)
+        grid = GridSpec(8, 8, 8)
+        built = []
+        real = flmar.oracle._staircase
+        monkeypatch.setattr(flmar.oracle, "_staircase",
+                            lambda t, c: built.append(t.size) or real(t, c))
+        brute_force_oracle(scn, w, grid)
+        splits = list(_fdma_splits(3, scn.total_bandwidth_hz, grid))
+        shares = {(k, b) for split in splits for k, b in enumerate(split)}
+        assert len(shares) < 2 * len(splits)
+        assert len(built) == len(shares)
 
 
 class TestOracleContract:
