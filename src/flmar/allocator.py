@@ -1,27 +1,31 @@
 """Joint allocation of transmit power, bandwidth, CPU frequency and frame
 resolution for synchronous federated rounds.
 
-The solver fits the continuous variables to a candidate round-time budget
-tau, each fit returning its energy and the exact slope in tau, from which
-the weights give the value V and dV/dtau, and locates tau by a doubling
-march and a root search on that slope.  FDMA fits every device's
-bandwidth and upload deadline at once, by one search on the bandwidth
-price in which each device's optimum is one lane of a vectorised Newton
-search (`_FdmaFit`), with no special function in it; its p_max floors
-and p_min kinks solve (2**u - 1) / u = k by a monotone Newton search of
-their own (`_u_from_k`), so the module needs numpy alone.  NOMA
-splits each device's time between compute and upload on a fixed link,
-each device one lane of the same Newton search on a convex 1-D problem
+The solver fits the continuous variables to a candidate round-time
+budget tau, each fit returning its energy and the exact slope in tau,
+from which the weights give the value V and dV/dtau, and locates tau by
+a doubling march and a root search on that slope.  For FDMA that search
+runs in log-log coordinates anchored at the smallest feasible budget
+tau_lo, on ln(-dE/dtau) over ln(tau - tau_lo), where the power law the
+slope follows near tau_lo is close to a line; NOMA's search stays on tau
+until its fit is convex.  FDMA fits every device's bandwidth and upload
+deadline at once, by one search on the bandwidth price in which each
+device's optimum is one lane of a vectorised Newton search (`_FdmaFit`),
+with no special function in it; its p_max floors and p_min kinks solve
+(2**u - 1) / u = k by a monotone Newton search of their own
+(`_u_from_k`), so the module needs numpy alone.  NOMA splits each
+device's time between compute and upload on a fixed link, each device
+one lane of the same Newton search on a convex 1-D problem
 (`_time_split`), then meets those deadlines by a per-channel power fixed
 point.  CPU frequencies follow by deadline inversion.  Every fit of one
 tau search but its first starts its searches from the fit nearest in tau
 that the search has already made, NOMA's deadlines moved along their
 slopes to the new budget.  The march's fits carry no weight, so a solver
-context keeps them, and a later search on the same resolutions, under any
-weights, takes them up; the root search's fits are never kept past it.
-Frame resolutions then improve through exact per-device coordinate moves,
-and the outer loop repeats until the sweep returns resolutions it has
-already solved.
+context keeps them, and a later search on the same resolutions, under
+any weights, takes them up; the root search's fits are never kept past
+it.  Frame resolutions then improve through exact per-device coordinate
+moves, and the outer loop repeats until the sweep returns resolutions it
+has already solved.
 """
 
 from __future__ import annotations
@@ -164,7 +168,7 @@ class _Env:
         return _noma_powers(self, deadlines)[0]
 
 
-def _root(f, lo: float, hi: float, f_lo=None, f_hi=None, xtol=0.0, enough=None):
+def _root(f, lo: float, hi: float, f_lo=None, f_hi=None, resolution=None, enough=None):
     """Bracketed root search on [lo, hi] (Chandrupatla 1997).
 
     ``f`` takes and returns floats; it is positive below the root and
@@ -179,10 +183,10 @@ def _root(f, lo: float, hi: float, f_lo=None, f_hi=None, xtol=0.0, enough=None):
     ends share a sign the root lies outside the bracket, and the search
     settles at the nearer end without a probe.  It stops when f is exactly
     zero at a probe or when the bracket is no wider than its resolution:
-    ``xtol`` times its larger end, and at least one float spacing there;
-    every probe keeps that resolution from both ends, so each step shrinks
-    the bracket.  ``enough(lo, hi)``, where given, ends it sooner, once it
-    holds on the bracket.  Returns the final ``(lo, hi)``: f(lo) > 0 >
+    ``resolution(x)`` of its larger end x, where given, and at least one
+    float spacing there; every probe keeps that resolution from both ends,
+    so each step shrinks the bracket.  ``enough(lo, hi)``, where given,
+    ends it sooner, once it holds on the bracket.  Returns the final ``(lo, hi)``: f(lo) > 0 >
     f(hi), or lo == hi at a zero or a settled end.
     """
     lo, hi = float(lo), float(hi)
@@ -200,8 +204,9 @@ def _root(f, lo: float, hi: float, f_lo=None, f_hi=None, xtol=0.0, enough=None):
     width_2 = width_1 = math.inf   # widths two and one steps back
     while True:
         width = abs(b - a)
-        big = max(abs(a), abs(b))
-        spacing = max(math.ulp(big), xtol * big)
+        spacing = math.ulp(max(abs(a), abs(b)))
+        if resolution is not None:
+            spacing = max(spacing, resolution(max(a, b)))
         if fa == 0.0 or not width > spacing or (
                 enough is not None and enough(*((b, a) if fa < 0.0 else (a, b)))):
             return (b if fa < 0.0 else a), (b if fa > 0.0 else a)
@@ -1182,15 +1187,24 @@ def _continuous_solve(env: _Env, weights: Weights, resolution_px) -> _Budget:
 
     The search finds the root of dV/dtau (`_priced`), which every fit
     returns with its value, and keeps the first of the lowest values among
-    its fits.  Each fit but the first starts its searches from the fit
-    nearest in tau that this search has made.  Neither the fits nor the
-    march's budgets carry a weight, so the march's fits are kept on ``env``
-    (`_March`), and a later search on the same resolutions takes up as much
-    of them as its own march goes over: they are the fits it would make.
-    It fits afresh past them, adding to the march, and in its root search,
-    whose fits start from fits that depend on the weights and so live only
-    in this call.  So the result depends only on the resolutions and the
-    weights, whatever the searches before it.
+    its fits.  For FDMA at weights w1, w2 > 0 it searches on y = ln(tau -
+    tau_lo), tau_lo the smallest feasible budget, for the root of h =
+    ln(-dE/dtau) - ln(w2/w1): where that root lies just above tau_lo,
+    dE/dtau grows like a power of tau - tau_lo, close to a line in (y, h),
+    which the root search's interpolants follow where on tau they only
+    halve the bracket.  NOMA's priced fit is not convex, and the same search
+    on it ends past criterion 2's oracle bound on a pinned wide-box draw, so
+    it searches on tau until its fit is exact (ROADMAP item 11).
+
+    Each fit but the first starts its searches from the fit nearest in tau
+    that this search has made.  Neither the fits nor the march's budgets
+    carry a weight, so the march's fits are kept on ``env`` (`_March`), and
+    a later search on the same resolutions takes up as much of them as its
+    own march goes over: they are the fits it would make.  It fits afresh
+    past them, adding to the march, and in its root search, whose fits
+    start from fits that depend on the weights and so live only in this
+    call.  So the result depends only on the resolutions and the weights,
+    whatever the searches before it.
     """
     cyc = env.round_cycles(resolution_px)
     t_floor = cyc / env.dev.f_max
@@ -1207,30 +1221,29 @@ def _continuous_solve(env: _Env, weights: Weights, resolution_px) -> _Budget:
         near = fits[min(fits, key=lambda made: abs(made - tau))] if fits else None
         return _budget_config(env, tau, cyc, t_floor, near)
 
-    def take(tau: float, cfg) -> float:
-        """-dV/dtau of ``cfg``, the fit at tau, inf where the budget cannot
-        be met; positive below the minimum."""
-        if cfg is None:
-            return math.inf
-        fits[tau] = cfg
-        priced[tau] = v = _priced(env, weights, loss_term, cfg)
-        return -v[1]
+    def take(tau: float, cfg) -> None:
+        """Keep ``cfg``, the fit at tau, and its (V, dV/dtau), unless the
+        budget cannot be met."""
+        if cfg is not None:
+            fits[tau] = cfg
+            priced[tau] = _priced(env, weights, loss_term, cfg)
 
-    def fit(tau: float) -> float:
-        return take(tau, make(tau))
+    def fit(tau: float) -> None:
+        take(tau, make(tau))
 
     # The march fits tau_lo, then goes on through the grid points while the
     # value falls, by its slope and by more than 1e-9 of itself, and the
     # minimum then lies between its last two probes.  A value rising at
     # tau_lo does not end it: NOMA's fitted V is not convex, and may rise
     # there only to fall lower further on.
-    points: list = []   # (tau, -dV/dtau) of the march
+    marched: list = []
     for i, tau in enumerate(march.budgets):
         if i == len(march.fits):
             march.fits.append(make(tau))
-        points.append((tau, take(tau, march.fits[i])))
+        take(tau, march.fits[i])
+        marched.append(tau)
         if i:
-            a, b = priced.get(points[-2][0]), priced.get(tau)
+            a, b = priced.get(marched[-2]), priced.get(tau)
             if a is None or b is None or not (
                     b[1] < 0.0 and b[0] < a[0] - max(1e-12, 1e-9 * abs(a[0]))):
                 break
@@ -1243,7 +1256,7 @@ def _continuous_solve(env: _Env, weights: Weights, resolution_px) -> _Budget:
     # the slope jumps there and the crossing, near the kink, is fitted too.
     # Where the value still fell at the march's last probe the search
     # settles there unprobed, and where it rose already at tau_lo, at tau_lo.
-    if len(points) >= 2:
+    if len(marched) >= 2:
 
         def loose(lo: float, hi: float):
             """The tangents' crossing where the bound there lies more than
@@ -1256,9 +1269,54 @@ def _continuous_solve(env: _Env, weights: Weights, resolution_px) -> _Budget:
             low = min(v_a, v_b)
             return x if low - (v_a + s_a * (x - lo)) > 1e-12 * abs(low) else None
 
-        (lo, f_lo), (hi, f_hi) = points[-2:]
-        lo, hi = _root(fit, lo, hi, f_lo, f_hi, xtol=2.0 * _SQRT_EPS,
-                       enough=lambda lo, hi: loose(lo, hi) is None)
+        # FDMA searches on y = ln(tau - tau_lo) for the root of h =
+        # ln(-dE/dtau) - ln(w2/w1), which has the sign of -dV/dtau, -inf
+        # where dE/dtau >= 0.  A lower end at tau_lo stands at y = ln(2
+        # sqrt(eps) tau_lo), and the resolution on y keeps the 2 sqrt(eps)
+        # tau width on tau.  At w1 = 0 there is no root to search for and
+        # at w2 = 0 no finite h, so these, like NOMA, search on tau for the
+        # root of -dV/dtau.
+        lo, hi = marched[-2:]
+        if env.scheme == "fdma" and weights.w1 > 0.0 and weights.w2 > 0.0:
+            tau_lo, target = marched[0], math.log(weights.w2 / weights.w1)
+            a = math.log(lo - tau_lo if lo > tau_lo else 2.0 * _SQRT_EPS * tau_lo)
+            b = math.log(hi - tau_lo)
+            taus = {a: lo, b: hi}
+
+            def at(y: float) -> float:
+                return taus.setdefault(y, tau_lo + math.exp(y))
+
+            def sign(tau: float) -> float:
+                cfg = fits.get(tau)
+                if cfg is None:
+                    return math.inf
+                return math.log(-cfg.slope) - target if cfg.slope < 0.0 else -math.inf
+
+            def resolution(y: float) -> float:
+                """The width on y of a bracket whose upper end y lies 2
+                sqrt(eps) tau above its lower end."""
+                q = 2.0 * _SQRT_EPS * (tau_lo * math.exp(-y) + 1.0)
+                return -math.log1p(-q) if q < 1.0 else math.inf
+        else:
+            a, b = lo, hi
+
+            def at(tau: float) -> float:
+                return tau
+
+            def sign(tau: float) -> float:
+                return -priced[tau][1] if tau in priced else math.inf
+
+            def resolution(tau: float) -> float:
+                return 2.0 * _SQRT_EPS * tau
+
+        def probe(y: float) -> float:
+            tau = at(y)
+            fit(tau)
+            return sign(tau)
+
+        a, b = _root(probe, a, b, sign(lo), sign(hi), resolution=resolution,
+                     enough=lambda a, b: loose(at(a), at(b)) is None)
+        lo, hi = at(a), at(b)
         x = loose(lo, hi) if lo < hi else None
         if x is not None and lo < x < hi:
             fit(x)

@@ -166,7 +166,7 @@ class TestRoot:
         xtol = 2.0 * _SQRT_EPS
         for r, lo, hi in ((0.7, 0.5, 1.5), (58.021, 39.37, 71.37), (3e4, 1e3, 1e5)):
             f = self.counted(make(r))
-            a, b = _root(f, lo, hi, xtol=xtol)
+            a, b = _root(f, lo, hi, resolution=lambda x: xtol * x)
             assert a <= r <= b
             assert b - a <= xtol * b
             # halving 1e5 to 3e-8 of it takes 25 probes
@@ -1695,7 +1695,7 @@ class TestRoundTimeSearch:
             return real_fit(*args)
 
         def root(*args, **kwargs):
-            if kwargs.get("xtol"):
+            if kwargs.get("resolution"):
                 march[:] = [args[1] for args in fit_args]
             return real_root(*args, **kwargs)
 
@@ -1740,6 +1740,70 @@ class TestRoundTimeSearch:
         fits = [count for *_, count in searches]
         assert len(fits) == 24
         assert np.median(fits) <= 10
+
+
+class TestKinkedRootNearSmallestBudget:
+    """Wide-box FDMA draws, at the weights the benchmark draws for them,
+    whose root of dV/dtau lies just above tau_lo.  There dE/dtau grows like
+    a power of tau - tau_lo, which the root search's interpolants could not
+    follow on tau: it halved its bracket toward tau_lo 8-10 times.  On
+    y = ln(tau - tau_lo), where it searches for the root of h =
+    ln(-dE/dtau) - ln(w2/w1), that power law is close to a line."""
+
+    # (k, pinned), then the fits of one solve (17, 14 and 14 on tau) and the
+    # objective the search on tau found
+    CASES = [((3, False), 9, 1513.037111554761),
+             ((0, True), 10, 605.7783961471748),
+             ((0, False), 9, 605.5186842349137)]
+
+    @pytest.fixture(scope="class")
+    def solves(self):
+        """Per case, its report, its fits and one ``(env, weights,
+        resolutions, fit)`` per `_continuous_solve` call."""
+        real_fit, real_solve = _budget_config, _continuous_solve
+        made, searches, found = [], [], []
+
+        def solve(env, w, r):
+            cfg = real_solve(env, w, r)
+            searches.append((env, w, r, cfg))
+            return cfg
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(flmar.allocator, "_budget_config",
+                       lambda *args: made.append(args) or real_fit(*args))
+            mp.setattr(flmar.allocator, "_continuous_solve", solve)
+            for (k, pinned), *_ in self.CASES:
+                made.clear()
+                searches.clear()
+                report = optimize(wide_box_draw(k, pinned), wide_box_weights(k))
+                found.append((report, len(made), list(searches)))
+        return found
+
+    def test_no_budget_on_a_grid_beats_the_search(self, solves):
+        # a linear grid over the march's last three probes cannot see a root
+        # 0.1 % above tau_lo, so budgets 2**-j of the way from tau_lo to the
+        # march's last probe, j = 1-40, join it
+        for _, _, searches in solves:
+            for env, w, r, cfg in searches:
+                cyc = env.round_cycles(r)
+                t_floor = cyc / env.dev.f_max
+                loss = w.w3 * float((1.0 - env.accuracy(r)).sum())
+                march = env.marches[tuple(np.asarray(r).tolist())]
+                tau_lo, b = march.budgets[0], march.budgets[len(march.fits) - 1]
+                a = march.budgets[max(len(march.fits) - 3, 0)]
+                assert cfg.tau < tau_lo * 1.002
+                taus = np.concatenate([np.linspace(a, b, 101),
+                                       tau_lo + (b - tau_lo) * 2.0 ** -np.arange(1, 41)])
+                grid = [_budget_config(env, float(tau), cyc, t_floor) for tau in taus]
+                best = min(_priced(env, w, loss, g)[0] for g in grid if g is not None)
+                assert _priced(env, w, loss, cfg)[0] <= best * (1.0 + 1e-12)
+
+    def test_fit_count(self, solves):
+        assert [fits for _, fits, _ in solves] == [fits for _, fits, _ in self.CASES]
+
+    def test_objective_as_on_tau(self, solves):
+        for (report, _, _), (_, _, value) in zip(solves, self.CASES):
+            assert report.objective == pytest.approx(value, rel=1e-12)
 
 
 class TestValueSlope:
@@ -1825,6 +1889,24 @@ class TestEnergyOnlySearch:
         assert len(made) <= brent_fits
         assert report.objective == pytest.approx(brent_value, rel=1e-9)
 
+    def test_kinked_wide_box_draw(self, monkeypatch):
+        # wide-box draw 3 without p_min, whose root at its own weights lies
+        # just above tau_lo (`TestKinkedRootNearSmallestBudget`): w2 = 0
+        # gives the log coordinates no finite target, so the search runs on
+        # tau, and makes the march's 28 fits alone
+        made = []
+        real_fit = _budget_config
+        monkeypatch.setattr(flmar.allocator, "_budget_config",
+                            lambda *args: made.append(real_fit(*args)) or made[-1])
+        w = Weights(1.0, 0.0, wide_box_weights(3).w3)
+        report = optimize(wide_box_draw(3, pinned=False), w)
+        assert report.outer_iterations == 1
+        assert all(cfg.slope < 0.0 for cfg in made)
+        assert len(made) == 28
+        assert report.objective == 7.878122806116676
+        assert report.metrics.round_time_s == 238681467.53446117
+        assert report.metrics.total_energy_j == 4.580646764450464
+
 
 class TestKinkedMinimum:
     """Wide-box draw 10 with p_min (2-device NOMA) at the weights the
@@ -1874,11 +1956,12 @@ class TestRisingAtSmallestBudget:
     """At w1 = 0 the value is w2 R tau plus the accuracy loss, so dV/dtau > 0
     from tau_lo on.  Each round-time search then fits tau_lo and the next
     grid point only, and keeps tau_lo's fit, on default 40-device
-    scenarios of both schemes."""
+    scenarios of both schemes and on one wide-box FDMA draw."""
 
-    @pytest.mark.parametrize("scheme, expected", [("fdma", 721.3313810102784),
-                                                  ("noma", 730.8868250355681)])
-    def test_one_fit_past_tau_lo(self, scheme, expected, monkeypatch):
+    @staticmethod
+    def solve(monkeypatch, scn, w):
+        """The report of one solve, checking each of its round-time
+        searches."""
         made, kept = [], []     # per round-time search: its fits by budget, its result
         real_fit, real_solve = _budget_config, _continuous_solve
 
@@ -1893,11 +1976,26 @@ class TestRisingAtSmallestBudget:
 
         monkeypatch.setattr(flmar.allocator, "_budget_config", fit)
         monkeypatch.setattr(flmar.allocator, "_continuous_solve", solve)
-        scn = generate_scenario(ScenarioSpec(n_devices=40, scheme=scheme))
-        assert optimize(scn, Weights(0.0, 1.0, 0.5)).objective == expected
+        report = optimize(scn, w)
         assert made
         for ((tau_lo, first), (tau, _)), cfg in zip(made, kept):
             assert tau > tau_lo and cfg is first
+        return report
+
+    @pytest.mark.parametrize("scheme, expected", [("fdma", 721.3313810102784),
+                                                  ("noma", 730.8868250355681)])
+    def test_one_fit_past_tau_lo(self, scheme, expected, monkeypatch):
+        scn = generate_scenario(ScenarioSpec(n_devices=40, scheme=scheme))
+        assert self.solve(monkeypatch, scn, Weights(0.0, 1.0, 0.5)).objective == expected
+
+    def test_kinked_wide_box_draw(self, monkeypatch):
+        # wide-box draw 3 without p_min (`TestKinkedRootNearSmallestBudget`):
+        # at w1 = 0 there is no root to search for, on tau or on its log
+        report = self.solve(monkeypatch, wide_box_draw(3, pinned=False),
+                            Weights(0.0, 1.0, wide_box_weights(3).w3))
+        assert report.objective == 1743.2578266401972
+        assert report.metrics.round_time_s == 17.39960350598531
+        assert report.metrics.total_energy_j == 848.6603166826575
 
 
 class TestWideBoxNomaOracleBound:

@@ -209,7 +209,7 @@ class TestGroupedSolves:
             assert f.error == ("ScenarioValidationError: spec: p_max_range low end 0.03 "
                                "below p_min 0.05")
 
-    @pytest.mark.parametrize("scheme, grouped", [("fdma", 22), ("noma", 25)])
+    @pytest.mark.parametrize("scheme, grouped", [("fdma", 19), ("noma", 25)])
     def test_a_group_makes_fewer_fits(self, monkeypatch, scheme, grouped):
         # a default 40-device group, three pairs: the pairs after the first
         # take its march's fits up
