@@ -21,7 +21,6 @@ from .channel import (
     comm_energy,
     comm_time,
     fdma_rate,
-    gain_sorted_pairs,
     noma_channel_rates,
 )
 from .compute import (
@@ -124,10 +123,8 @@ class Scenario:
         """The gain-sorted NOMA pairing of device ids on equal channels:
         k-th strongest with k-th weakest, ties to the lower id.  Made once,
         so every solve of the scenario shares it."""
-        table = self.devices
-        return ChannelPairing(
-            channels=tuple(gain_sorted_pairs(zip(table.ids, table.gain.tolist()))),
-            channel_bandwidth_hz=self.total_bandwidth_hz / self.n_channels,
+        return ChannelPairing.by_gain(
+            self.devices.ids, self.devices.gain, self.total_bandwidth_hz / self.n_channels
         )
 
     def device_index(self) -> dict:
@@ -207,23 +204,22 @@ class Allocation:
             if self.pairing is None:
                 errors.append("allocation: NOMA needs a pairing")
             else:
-                ids = self.pairing.user_ids
-                if sorted(ids) != sorted(table.ids):
+                if sorted(self.pairing.user_ids) != sorted(table.ids):
                     errors.append("allocation: pairing must cover every device exactly once")
                 else:
-                    expected = scenario.total_bandwidth_hz / len(self.pairing.channels)
+                    expected = scenario.total_bandwidth_hz / len(self.pairing.strong)
                     if abs(self.pairing.channel_bandwidth_hz - expected) > rel_tol * expected:
                         errors.append(
                             f"allocation: channel width {self.pairing.channel_bandwidth_hz} "
                             f"inconsistent with total bandwidth (expected {expected})"
                         )
-                    strong, weak = table.pair_positions(self.pairing.channels)
-                    for c in np.flatnonzero(table.gain[strong] < table.gain[weak]).tolist():
-                        s_id, w_id = self.pairing.channels[c]
-                        errors.append(
-                            f"allocation: pair ({s_id}, {w_id}) lists the weaker "
-                            f"user first"
-                        )
+                    strong, weak = table.pair_positions(self.pairing)
+                    flipped = table.gain[strong] < table.gain[weak]
+                    errors.extend(
+                        f"allocation: pair ({s_id}, {w_id}) lists the weaker user first"
+                        for s_id, w_id in zip(self.pairing.strong[flipped].tolist(),
+                                              self.pairing.weak[flipped].tolist())
+                    )
         return errors
 
 
@@ -259,7 +255,7 @@ def uplink_rates(scenario: Scenario, allocation: Allocation) -> np.ndarray:
         )
     if allocation.pairing is None:
         raise ValueError("NOMA allocation is missing a pairing")
-    strong, weak = table.pair_positions(allocation.pairing.channels)
+    strong, weak = table.pair_positions(allocation.pairing)
     rate_s, rate_w = noma_channel_rates(
         allocation.pairing.channel_bandwidth_hz,
         (gains[strong], allocation.power_w[strong]),

@@ -145,7 +145,7 @@ class _Env:
                 bk[0] * np.expm1(u_band[0] * _LN2) / u_band[0])
 
     def use_pairing(self, pairing: ChannelPairing) -> None:
-        self.strong, self.weak = self.dev.pair_positions(pairing.channels)
+        self.strong, self.weak = self.dev.pair_positions(pairing)
         self.channel_bw = pairing.channel_bandwidth_hz
         self.pairing = pairing
 

@@ -10,7 +10,7 @@ coordination.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
 
@@ -133,43 +133,80 @@ def sic_decode_order(users) -> list:
     return [uid for uid, gain in sorted(users, key=lambda ug: (-ug[1], ug[0]))]
 
 
-def gain_sorted_pairs(users) -> list:
-    """The NOMA pairing rule: the k-th strongest user with the k-th weakest.
-
-    ``users`` is an iterable of ``(id, gain)`` with an even count.  Returns
-    ``(strong_id, weak_id)`` tuples, strongest pair first; equal gains go
-    to the lower id first, as in :func:`sic_decode_order`.
-    """
-    order = sic_decode_order(users)
-    return [(order[k], order[-1 - k]) for k in range(len(order) // 2)]
-
-
-@dataclass(frozen=True)
 class ChannelPairing:
     """Assignment of users to NOMA channels, two users per channel.
 
     ``channels[k] = (strong_id, weak_id)`` with gain(strong) >= gain(weak).
     Every user id appears exactly once.  All channels share the same width.
+
+    The ids are stored as two read-only int arrays, ``strong`` and
+    ``weak``, one entry per channel; ``channels`` builds the tuple of
+    ``(strong_id, weak_id)`` pairs from them on each access, and equality,
+    hash and repr are those of that tuple with the width.
     """
 
-    channels: tuple
-    channel_bandwidth_hz: float
+    __slots__ = ("strong", "weak", "channel_bandwidth_hz")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "channels", tuple((int(s), int(w)) for s, w in self.channels)
-        )
-        if self.channel_bandwidth_hz <= 0.0:
+    def __init__(self, channels, channel_bandwidth_hz: float):
+        pairs = [(int(s), int(w)) for s, w in channels]
+        if channel_bandwidth_hz <= 0.0:
             raise ValueError("channel_bandwidth_hz must be positive")
-        if not self.channels:
+        if not pairs:
             raise ValueError("pairing needs at least one channel")
-        ids = [u for pair in self.channels for u in pair]
+        strong, weak = zip(*pairs)
+        self._set(strong, weak, channel_bandwidth_hz)
+        ids = strong + weak
         if len(set(ids)) != len(ids):
             raise ValueError("a user id appears on more than one channel")
 
+    @classmethod
+    def by_gain(cls, ids, gains, channel_bandwidth_hz: float) -> ChannelPairing:
+        """The NOMA pairing rule on users ``ids`` with ``gains``, an even
+        count: the k-th strongest user with the k-th weakest, strongest pair
+        first; equal gains go to the lower id first, as in
+        :func:`sic_decode_order`.  The caller has checked the users."""
+        ids = np.array(ids)
+        order = ids[np.lexsort((ids, -np.asarray(gains, dtype=float)))]
+        half = len(order) // 2
+        pairing = object.__new__(cls)
+        pairing._set(order[:half], order[::-1][:half], channel_bandwidth_hz)
+        return pairing
+
+    def _set(self, strong, weak, channel_bandwidth_hz) -> None:
+        for name, ids in (("strong", strong), ("weak", weak)):
+            ids = np.array(ids)         # a copy, so no view keeps a larger base
+            ids.flags.writeable = False
+            object.__setattr__(self, name, ids)
+        object.__setattr__(self, "channel_bandwidth_hz", channel_bandwidth_hz)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    @property
+    def channels(self) -> tuple:
+        return tuple(zip(self.strong.tolist(), self.weak.tolist()))
+
     @property
     def user_ids(self) -> list:
-        return [u for pair in self.channels for u in pair]
+        return np.column_stack((self.strong, self.weak)).ravel().tolist()
+
+    def _key(self) -> tuple:
+        return self.channels, self.channel_bandwidth_hz
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __reduce__(self):
+        return type(self), self._key()
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(channels={self.channels!r}, "
+                f"channel_bandwidth_hz={self.channel_bandwidth_hz!r})")
 
 
 def pair_users(gains, n_channels: int, total_bandwidth_hz: float) -> ChannelPairing:
@@ -180,7 +217,7 @@ def pair_users(gains, n_channels: int, total_bandwidth_hz: float) -> ChannelPair
     on; this maximises the gain disparity the interference cancellation
     relies on.  Ties in gain are broken by ascending user id.
     """
-    gains = list(np.asarray(gains, dtype=float))
+    gains = np.asarray(gains, dtype=float)
     if n_channels < 1:
         raise ValueError("n_channels must be at least 1")
     if len(gains) != 2 * n_channels:
@@ -188,13 +225,12 @@ def pair_users(gains, n_channels: int, total_bandwidth_hz: float) -> ChannelPair
             f"need exactly {2 * n_channels} users for {n_channels} channels, "
             f"got {len(gains)}"
         )
-    if any(g <= 0.0 for g in gains):
+    if np.any(gains <= 0.0):
         raise ValueError("gains must be positive")
     if total_bandwidth_hz <= 0.0:
         raise ValueError("total_bandwidth_hz must be positive")
-    return ChannelPairing(
-        channels=tuple(gain_sorted_pairs(enumerate(gains))),
-        channel_bandwidth_hz=total_bandwidth_hz / n_channels,
+    return ChannelPairing.by_gain(
+        np.arange(len(gains)), gains, total_bandwidth_hz / n_channels
     )
 
 

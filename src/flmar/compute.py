@@ -198,16 +198,39 @@ class DeviceTable(Sequence):
     @cached_property
     def distinct_menus(self) -> tuple:
         """The distinct menus in order of first use, and each device's
-        position among them as an int array."""
-        index = {}
-        which = [index.setdefault(menu, len(index)) for menu in self.resolutions]
-        return tuple(index), np.array(which, dtype=np.intp)
+        position among them as a read-only int array; one menu shared by
+        every device (a drawn table's) is indexed by a broadcast 0."""
+        menus = self.resolutions
+        if menus and menus.count(menus[0]) == len(menus):
+            which = np.ndarray((len(menus),), np.intp, np.zeros(1, np.intp), strides=(0,))
+            menus = menus[:1]
+        else:
+            index = {}
+            which = np.array([index.setdefault(menu, len(index)) for menu in menus],
+                             dtype=np.intp)
+            menus = tuple(index)
+        which.flags.writeable = False
+        return menus, which
 
-    def pair_positions(self, channels) -> tuple:
-        """Positions of the strong and of the weak user of each channel."""
-        index = {uid: k for k, uid in enumerate(self.ids)}
-        both = np.array([index[uid] for pair in channels for uid in pair], dtype=int)
-        return both[0::2], both[1::2]
+    def pair_positions(self, pairing) -> tuple:
+        """Positions of the strong and of the weak user of each channel of
+        a :class:`~flmar.channel.ChannelPairing`, looked up by id in one
+        array step: a range of ids gives them by arithmetic (for the ids
+        0..n-1 of a drawn table, positions are the ids), other ids by a
+        sorted search.  An id not in the table raises ``KeyError``."""
+        both = np.concatenate((pairing.strong, pairing.weak))
+        ids = self.ids
+        if type(ids) is range:
+            pos = (both - ids.start) // ids.step
+            found = (0 <= pos) & (pos < len(ids)) & (ids.start + pos * ids.step == both)
+        else:
+            ids = np.array(ids)
+            order = np.argsort(ids, kind="stable")
+            pos = order[np.minimum(np.searchsorted(ids, both, sorter=order), len(ids) - 1)]
+            found = ids[pos] == both
+        if not found.all():
+            raise KeyError(both[np.argmin(found)].item())
+        return pos[:len(pairing.strong)], pos[len(pairing.strong):]
 
     def validate(self) -> list:
         """Every device's constraint violations, devices in position order and

@@ -252,7 +252,7 @@ def _links(scenario: Scenario, table: DeviceTable, dgrids: list, grid: GridSpec)
     # one channel, two users, in the gain-sorted pairing
     pairing = scenario.noma_pairing
     bc = pairing.channel_bandwidth_hz
-    s_pos, w_pos = (int(pos[0]) for pos in table.pair_positions(pairing.channels))
+    s_pos, w_pos = (int(pos[0]) for pos in table.pair_positions(pairing))
     strong, weak = dgrids[s_pos], dgrids[w_pos]
     t_w, e_w = _upload(scenario, weak, bc)
     for j, p_w in enumerate(weak.p_grid):

@@ -4,6 +4,16 @@ Channel gains follow an urban-macro path-loss law with optional Rayleigh
 fading.  Every per-device draw uses its own counter-based generator keyed by
 ``(seed, device_index)``, so a device's parameters do not depend on how many
 other devices exist or in which order they are generated.
+
+Device k's stream is ``Generator(Philox(SeedSequence((seed, k))))``.  The
+draw computes all of its Philox keys, ``SeedSequence((seed, k))
+.generate_state(2, np.uint64)``, at once, by numpy's SeedSequence hash
+(NEP 19) written over uint32 words held in uint64 arrays and masked to 32
+bits after each product: the seed's words are Python ints shared by every
+device, and k is one array lane (a Python int per device in a small draw,
+where the array's fixed cost would dominate).  One Philox generator is then
+re-keyed through its ``state`` setter for each device in turn, which gives
+the stream a fresh ``Philox(key=...)`` would.
 """
 
 from __future__ import annotations
@@ -92,7 +102,80 @@ class ScenarioSpec:
         return errors
 
 
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFF_FFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# from this many devices on, the keys are hashed as one array of indices:
+# the array pass costs about as much as 8 hashes of Python-int indices
+_ARRAY_KEYS_FROM = 8
+
+
+def _seed_words(seed) -> list:
+    """The seed's uint32 entropy words, least significant first, as
+    SeedSequence assembles them; a seed it rejects raises its own error."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        np.random.SeedSequence((seed, 0))
+        raise TypeError(f"seed must be a non-negative int, got {seed!r}")
+    seed = int(seed)
+    words = [seed & _MASK32]
+    while seed := seed >> 32:
+        words.append(seed & _MASK32)
+    return words
+
+
+def _hasher(const: int, mult: int):
+    """numpy's ``hashmix``: xor the running constant in, step the constant,
+    multiply by it and fold the high half down.  Every product of two 32-bit
+    values fits 64 bits, so masking to 32 bits gives numpy's uint32 result
+    for an int and for a uint64 array alike."""
+    def hashmix(value):
+        nonlocal const
+        const, value = const * mult & _MASK32, value ^ const
+        value = value * const & _MASK32
+        return value ^ value >> 16
+    return hashmix
+
+
+def _mix(x, y):
+    # an array difference wraps modulo 2**64, a multiple of 2**32
+    value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return value ^ value >> 16
+
+
+def _philox_key(words: list, k) -> tuple:
+    """``SeedSequence((seed, k)).generate_state(2, np.uint64)`` as two
+    64-bit halves, for the seed's ``words``.  ``k`` is a device index, an
+    int, or a uint64 array of them; each half is then an array too."""
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    entropy = [*words, k]
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if dst != src:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    # a seed of 2**96 or more leaves entropy words past the pool
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    state = list(map(_hasher(_INIT_B, _MULT_B), pool))
+    return state[0] | state[1] << 32, state[2] | state[3] << 32
+
+
+def _philox_keys(seed, n: int):
+    """The Philox key of each of devices 0..n-1, a pair of ints each."""
+    words = _seed_words(seed)
+    if n < _ARRAY_KEYS_FROM:
+        return [_philox_key(words, k) for k in range(n)]
+    low, high = _philox_key(words, np.arange(n, dtype=np.uint64))
+    return zip(low.tolist(), high.tolist())
+
+
 def _device_gain(spec: ScenarioSpec, distance_km: float, fading: float) -> float:
+    # per device, not over arrays: numpy's array log10 and power differ from
+    # the scalar ones in the last bit on some hosts (SIMD loops)
     pl_db = spec.pathloss_intercept_db + spec.pathloss_exponent_db * np.log10(distance_km)
     return float(10.0 ** (-pl_db / 10.0) * fading)
 
@@ -110,8 +193,14 @@ def generate_scenario(spec: ScenarioSpec, seed: int | None = None) -> Scenario:
         seed = spec.master_seed
     n = spec.n_devices
     gain, p_max, f_max, frames = (np.empty(n) for _ in range(4))
-    for k in range(n):
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, k))))
+    # one generator, set before each device to a fresh Philox's state with
+    # that device's key
+    bit_generator = np.random.Philox(key=0)
+    rng = np.random.Generator(bit_generator)
+    state = bit_generator.state
+    for k, key in enumerate(_philox_keys(seed, n)):
+        state["state"]["key"] = key
+        bit_generator.state = state
         d_km = rng.uniform(*spec.distance_range_km)
         fading = rng.exponential(1.0) if spec.rayleigh_fading else 1.0
         p_max[k] = rng.uniform(*spec.p_max_range)

@@ -210,6 +210,20 @@ class TestAllocationValidate:
         assert any("weaker" in e for e in bad.validate(scn))
 
 
+    def test_flipped_pair_is_reported_by_device_id(self):
+        from flmar import ChannelPairing
+        scn = make_scenario([4e-9, 1e-9, 3e-9, 2e-9], scheme="noma")
+        scn = replace(scn, devices=[replace(d, id=uid)
+                                    for d, uid in zip(scn.devices, (7, 3, 9, 1))])
+        alloc = equal_split_alloc(scn)
+        flipped = ChannelPairing(channels=((7, 3), (1, 9)),
+                                 channel_bandwidth_hz=scn.total_bandwidth_hz / 2)
+        bad = Allocation(power_w=alloc.power_w, cpu_hz=alloc.cpu_hz,
+                         resolution_px=alloc.resolution_px,
+                         bandwidth_hz=None, pairing=flipped)
+        assert bad.validate(scn) == ["allocation: pair (1, 9) lists the weaker user first"]
+
+
 class TestScenarioValidate:
     def test_collects_multiple_errors(self):
         scn = make_scenario([1e-7, 1e-8])

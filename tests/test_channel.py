@@ -1,6 +1,8 @@
 """Uplink rate models: FDMA, two-user NOMA with SIC, and pairing."""
 
 import math
+import pickle
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -181,6 +183,28 @@ class TestPairUsers:
     def test_rejects_nonpositive_gain(self):
         with pytest.raises(ValueError):
             pair_users([1.0, 0.0], 1, 1e6)
+
+    def test_pairing_keeps_the_tuple_form(self):
+        # ids stored as two read-only arrays; equality, hash and repr are
+        # those of the (strong, weak) tuple with the width
+        pairing = pair_users([9.0, 7.0, 5.0, 3.0, 1.0, 0.5], 3, 6e6)
+        channels = ((0, 5), (1, 4), (2, 3))
+        built = ChannelPairing(channels=channels, channel_bandwidth_hz=2e6)
+        assert pairing == built and hash(pairing) == hash(built) == hash((channels, 2e6))
+        assert repr(pairing) == repr(built) == (
+            "ChannelPairing(channels=((0, 5), (1, 4), (2, 3)), "
+            "channel_bandwidth_hz=2000000.0)"
+        )
+        assert all(type(u) is int for pair in pairing.channels for u in pair)
+        assert pairing.strong.tolist() == [0, 1, 2] and pairing.weak.tolist() == [5, 4, 3]
+        assert pairing != ChannelPairing(channels=channels, channel_bandwidth_hz=3e6)
+        assert pairing != ChannelPairing(channels=((0, 5), (2, 4), (1, 3)),
+                                         channel_bandwidth_hz=2e6)
+        assert pickle.loads(pickle.dumps(pairing)) == pairing
+        with pytest.raises(ValueError):
+            pairing.strong[0] = 1
+        with pytest.raises(FrozenInstanceError):
+            pairing.channel_bandwidth_hz = 1e6
 
     def test_pairing_structural_validation(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,9 @@
 """Scenario generation, validation, and the JSON config round trip."""
 
+import gc
 import hashlib
 import json
+import tracemalloc
 from dataclasses import FrozenInstanceError, asdict, replace
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 
 from flmar import (
     AccuracyModel,
+    ChannelPairing,
     DeviceProfile,
     Scenario,
     ScenarioFormatError,
@@ -22,10 +25,12 @@ from flmar import (
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
+    sic_decode_order,
 )
 from flmar.allocator import _Env
+from flmar.compute import DEFAULT_RESOLUTIONS
 from flmar.experiments import scenario_for_cell
-from flmar.scenario import SCHEMA_VERSION
+from flmar.scenario import SCHEMA_VERSION, _device_gain, _philox_key, _seed_words
 
 # gain at 0.1 km with fading off: 10^(-(128.1 + 37.6*log10(0.1))/10)
 GAIN_100M_REF = 8.912509381337441e-10
@@ -190,6 +195,69 @@ class TestGoldenDraws:
         assert column_digests(generate_scenario(spec)) == GOLDEN_RANGED_640[fading]
 
 
+# seeds of 1, 2, 3, 4 and 5 uint32 words; past 3 words the key's entropy
+# overflows SeedSequence's pool of 4
+HASH_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**62 + 7, 2**64 - 1, 2**96, 2**130)
+
+
+def reference_draw(spec, seed):
+    """The draw columns as the per-device loop made them: one
+    Generator(Philox(SeedSequence((seed, k)))) per device."""
+    n = spec.n_devices
+    gain, p_max, f_max, frames = (np.empty(n) for _ in range(4))
+    for k in range(n):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, k))))
+        d_km = rng.uniform(*spec.distance_range_km)
+        fading = rng.exponential(1.0) if spec.rayleigh_fading else 1.0
+        p_max[k] = rng.uniform(*spec.p_max_range)
+        f_max[k] = rng.uniform(*spec.f_max_range)
+        frames[k] = rng.integers(spec.frames_range[0], spec.frames_range[1] + 1)
+        gain[k] = _device_gain(spec, d_km, fading)
+    return gain, p_max, f_max, frames
+
+
+class TestPhiloxKeys:
+    @pytest.mark.parametrize("seed", HASH_SEEDS)
+    def test_keys_match_seed_sequence(self, seed):
+        k = np.arange(1000, dtype=np.uint64)
+        want = np.array([np.random.SeedSequence((seed, i)).generate_state(2, np.uint64)
+                         for i in range(1000)])
+        words = _seed_words(seed)
+        low, high = _philox_key(words, k)
+        np.testing.assert_array_equal(np.column_stack((low, high)), want)
+        # an index held as a Python int hashes the same
+        for i in (0, 1, 7, 999):
+            assert _philox_key(words, i) == tuple(want[i].tolist())
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 40])
+    @pytest.mark.parametrize("seed", [5, 2**40 + 3, 2**70 + 5, 2**96, 2**140 + 9])
+    def test_draws_match_the_per_device_loop(self, n, seed):
+        for spec in (ScenarioSpec(n_devices=n),
+                     ScenarioSpec(n_devices=n, p_max_range=(0.1, 0.5),
+                                  f_max_range=(0.5e9, 3e9), rayleigh_fading=False)):
+            table = generate_scenario(spec, seed=seed).devices
+            for name, want in zip(("gain", "p_max", "f_max", "frames"),
+                                  reference_draw(spec, seed)):
+                assert getattr(table, name).tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("seed", [np.int64(7), np.uint32(2**32 - 1), np.uint64(2**64 - 1),
+                                      True])
+    def test_integer_seeds_draw_like_their_value(self, seed):
+        spec = small_spec(n_devices=9)
+        table = generate_scenario(spec, seed=seed).devices
+        assert table.gain.tobytes() == reference_draw(spec, seed)[0].tobytes()
+        assert table == generate_scenario(spec, seed=int(seed)).devices
+
+    @pytest.mark.parametrize("seed", [-1, np.int64(-3), 1.5, np.float64(2.0), None])
+    def test_bad_seeds_raise_as_seed_sequence_does(self, seed):
+        spec = small_spec(n_devices=2)
+        with pytest.raises(Exception) as want:
+            reference_draw(spec, seed)
+        with pytest.raises(type(want.value)) as got:
+            generate_scenario(replace(spec, master_seed=seed))
+        assert str(got.value) == str(want.value)
+
+
 def fresh_rows(scn):
     """The scenario's devices as DeviceProfile objects built field by field."""
     return [DeviceProfile(**asdict(d)) for d in scn.devices]
@@ -285,9 +353,62 @@ class TestDeviceRows:
         assert table != built[::-1] and table[:3] != built[1:4]
         relabelled = Scenario(devices=[replace(d, id=d.id + 1) for d in rows]).devices
         assert table != relabelled
-        channels = scn.noma_pairing.channels
-        for got, want in zip(table.pair_positions(channels), built.pair_positions(channels)):
+        pairing = scn.noma_pairing
+        for got, want in zip(table.pair_positions(pairing), built.pair_positions(pairing)):
             np.testing.assert_array_equal(got, want)
+
+
+class TestNomaPairing:
+    def test_drawn_640_device_pairing_retains_little(self):
+        # two arrays of 320 ids; the tuple of int tuples kept about 29 KB
+        scn = generate_scenario(small_spec(n_devices=640, scheme="noma"))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            pairing = scn.noma_pairing
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(pairing.strong) == 320 and retained < 8_000
+
+    def test_loaded_shuffled_ids_pair_as_before(self, tmp_path):
+        # ids neither a range nor in order, two equal gains: the pairing is
+        # the gain-sorted rule on (id, gain) and positions map back to ids
+        rng = np.random.default_rng(4)
+        base = generate_scenario(small_spec(n_devices=12, scheme="noma"))
+        ids = rng.permutation(1000)[:12].tolist()
+        rows = [replace(d, id=uid) for d, uid in zip(base.devices, ids)]
+        rows[5] = replace(rows[5], gain=rows[8].gain)
+        path = tmp_path / "scenario.json"
+        save_scenario(replace(base, devices=rows), path)
+        scn = load_scenario(path)
+        order = sic_decode_order(zip(ids, scn.devices.gain.tolist()))
+        assert scn.noma_pairing.channels == tuple((order[k], order[-1 - k]) for k in range(6))
+        strong, weak = scn.devices.pair_positions(scn.noma_pairing)
+        table_ids = np.array(scn.devices.ids)
+        np.testing.assert_array_equal(table_ids[strong], scn.noma_pairing.strong)
+        np.testing.assert_array_equal(table_ids[weak], scn.noma_pairing.weak)
+
+    def test_pair_positions_of_ranges_and_missing_ids(self):
+        table = generate_scenario(small_spec(n_devices=8, scheme="noma")).devices
+        pairing = ChannelPairing(channels=((6, 1), (3, 4)), channel_bandwidth_hz=1e6)
+        strong, weak = table.pair_positions(pairing)
+        assert strong.tolist() == [6, 3] and weak.tolist() == [1, 4]
+        backwards = table[::-1]
+        assert type(backwards.ids) is range
+        assert [p.tolist() for p in backwards.pair_positions(pairing)] == [[1, 4], [6, 3]]
+        # id 1 is missing from both a range and a tuple of ids
+        for short in (table[2:], replace(table[2:], ids=tuple(range(2, 8)))):
+            with pytest.raises(KeyError):
+                short.pair_positions(pairing)
+
+    def test_one_shared_menu_is_indexed_by_a_broadcast(self):
+        menus, which = generate_scenario(small_spec(n_devices=640)).devices.distinct_menus
+        assert menus == (DEFAULT_RESOLUTIONS,)
+        assert which.strides == (0,) and not which.flags.writeable
+        assert which.tolist() == [0] * 640
 
 
 class TestSerialization:
