@@ -25,13 +25,12 @@ Three cuts make this cheap and change no result, not even by a rounding:
 
 * The staircase.  min{a_d : t_d <= theta} changes only at a device's
   steps: the candidates, in a stable sort by time, strictly cheaper than
-  every one before them.  Between two consecutive step times of all the
-  devices every sum term is constant and w2 G theta grows, and each float
+  every one before them.  Between two consecutive step times of a link's
+  tables every sum term is constant and w2 G theta grows, and each float
   add is monotone in its first operand, so J at a time that is no step is
   at least J at the latest step time below it.  The first minimiser over
-  every candidate time is therefore a step time, with the same picks, and
-  only the union of the devices' step times is evaluated, by one stable
-  merge of them.
+  every candidate time is therefore one of the link's own step times,
+  with the same picks; any other round time can at most tie, later.
 * Column pruning.  A candidate's time fl(t_com + t_cmp) and cost
   fl(w1 G e_com + c) are monotone in its (frequency, resolution) column's
   compute time t_cmp and upload-free cost c.  A column that an earlier
@@ -39,17 +38,42 @@ Three cuts make this cheap and change no result, not even by a rounding:
   in the sort by a candidate no dearer, and is never a step; each device
   drops such columns once, before any table is built.  On the wide
   parameter box that leaves a mean of 29 of 200 columns, at most 116.
-* Staircase reuse.  An FDMA device's table depends on the split only
-  through its own share, so each device's staircase is built once per
-  distinct share in a call: at the default grid a 3-device call builds
-  84 to 89 staircases where its 190 splits name 570.  NOMA's strong
-  table changes with every weak power, so nothing there repeats.
+* The envelope cut.  Each distinct staircase of a call is built once and
+  kept: every FDMA (device, share), and NOMA's weak and strong stair per
+  weak power.  Each device's staircases fold into one lower envelope
+  L_d(theta), the cheapest cost any of them reaches within theta, and
+
+      B(theta) = fl(fl(w2 G theta + L_0(theta)) + ... + L_{n-1}(theta)),
+
+  summed in the device order J is, is at most every link's J(theta): each
+  term of J is no less than the matching term of B, and a float add is
+  monotone in both operands.  From one envelope step to the next only
+  w2 G theta moves, so B there is no less than at the step.  Every step
+  time of every staircase is a candidate round time, priced for all links
+  at once: first the lowest-bound envelope steps, for an incumbent, then
+  every candidate whose bound the incumbent does not beat, in ascending
+  order of bound, until the next bound exceeds the best value.  A skipped
+  round time has J above the best value on every link, so it can neither
+  win nor tie.  The winner is the least (value, link, theta) priced, so
+  ties go to the earliest link of equal value, then to its smallest
+  round time, as a search of each link in turn would break them; each
+  priced J is the float sum that a search of its link alone makes.  At
+  the default grid a 3-device call on the wide parameter box prices a
+  median of about 230 round times, of a median of 23,000 distinct step
+  times.
+
+A link is rejected, as a search over every candidate time would reject it
+on the NaN it meets at the link's largest time, when one of its staircases
+ends on a NaN cost (0 * inf at w1 = 0) or when w2 G times its largest time
+is NaN (w2 = 0 with a power that reaches nothing).  Rejected links are
+dropped before any envelope is built, so no NaN reaches a bound.  Tables,
+envelope folds, candidate scans and pricing run in bounded blocks, so a
+call's memory is the staircases it keeps plus a fixed margin.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -81,7 +105,10 @@ class GridSpec:
 
     def __post_init__(self):
         for name in ("power_points", "freq_points", "bandwidth_points"):
-            if getattr(self, name) < 2:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 2:
                 raise ValueError(f"{name} must be at least 2")
 
 
@@ -89,7 +116,9 @@ def _undominated(t_cmp: np.ndarray, cost: np.ndarray) -> np.ndarray:
     """Mask of the columns that no earlier column matches or beats in both
     compute time and upload-free cost."""
     beats = (t_cmp[:, None] <= t_cmp[None, :]) & (cost[:, None] <= cost[None, :])
-    return ~np.triu(beats, 1).any(axis=0)
+    index = np.arange(t_cmp.size)
+    beats &= index[:, None] < index[None, :]
+    return ~beats.any(axis=0)
 
 
 class _Stair(NamedTuple):
@@ -101,24 +130,33 @@ class _Stair(NamedTuple):
     last: float             # the table's largest time
 
 
-def _staircase(times: np.ndarray, costs: np.ndarray) -> _Stair:
-    """Steps of the prefix minimum of ``costs`` over a stable sort by ``times``.
+def _staircases(times: np.ndarray, costs: np.ndarray) -> list:
+    """Steps of the prefix minimum of each row of ``costs`` over a stable
+    sort of the row by ``times``, one ``_Stair`` per row.
 
     A step is a candidate strictly cheaper than every one before it, so ties
     go to the faster candidate, then to the smaller index.  A NaN cost (0 *
     inf at w1 = 0) starts a step too, since the full table's prefix minimum
     is NaN from there on.
     """
-    order = np.argsort(times, kind="stable")
-    running = np.minimum.accumulate(costs[order])
-    step = np.empty(order.size, dtype=bool)
-    step[0] = True
-    np.not_equal(running[1:], running[:-1], out=step[1:])
-    picks = order[step]        # a call keeps many stairs, so picks take the narrowest type
-    return _Stair(
-        times[picks], np.concatenate(([np.inf], running[step])),
-        picks.astype(np.min_scalar_type(order.size)), float(times[order[-1]]),
-    )
+    rows, width = times.shape
+    order = np.argsort(times, axis=1, kind="stable")
+    flat = order + np.arange(0, rows * width, width)[:, None]     # into the raveled rows
+    running = costs.take(flat)
+    np.minimum.accumulate(running, axis=1, out=running)
+    step = np.empty(order.shape, dtype=bool)
+    step[:, 0] = True
+    np.not_equal(running[:, 1:], running[:, :-1], out=step[:, 1:])
+    ends = np.cumsum(step.sum(axis=1))
+    starts = np.append(0, ends[:-1])
+    step_times = times.take(flat[step])
+    step_costs = np.insert(running[step], starts, np.inf)
+    picks = order[step].astype(np.min_scalar_type(width))    # a call keeps many stairs
+    lasts = times.take(flat[:, -1])
+    return [
+        _Stair(step_times[i:j], step_costs[i + r:j + r + 1], picks[i:j], float(last))
+        for r, (i, j, last) in enumerate(zip(starts, ends, lasts))
+    ]
 
 
 class _Upload(NamedTuple):
@@ -130,35 +168,179 @@ class _Upload(NamedTuple):
     stair: _Stair
 
 
-def _min_over_stairs(stairs: list, w2_rounds: float):
-    """Exact minimum of sum(costs) + w2_rounds * max(times) over one
-    candidate per table, from the tables' staircases.
+_CHUNK = 1 << 12      # most candidates or step times a table build, fold or scan holds
+_BLOCK = 1 << 13      # most stair or link x round-time values one pricing step holds
+_SEED = 32            # lowest-bound envelope steps priced for the incumbent
+_FINITE = np.finfo(float).max     # bounds above this, inf, are never priced
 
-    Returns ``(value, picks)`` with the tables' candidate indices, or None
-    when no pick has a finite value.  One stable sort merges every table's
-    step times; a table's fit count is the running count of its own steps,
-    read at the last of each run of equal times, where every step at that
-    time fits.  Ties go to the smallest round time, then per table to the
-    step's candidate.  Each table's largest time is merged beside the steps:
-    there J is NaN when w2 = 0 and that time is infinite, and a NaN anywhere
-    rejects the link as a search over every candidate time would.
+
+def _distinct(values: np.ndarray):
+    """(distinct, inverse): the distinct values, ascending, and the index of
+    each value among them.  Like ``np.unique``, but by the stable sort the
+    search uses anyway: numpy's default sort brings its own SIMD code, about
+    1.5 MB of resident pages, into a process that sorts nothing else so."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    new = np.empty(values.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    inverse = np.empty(values.size, dtype=int)
+    inverse[order] = np.cumsum(new) - 1
+    return ordered[new], inverse
+
+
+def _groups(stairs: list):
+    """``stairs`` in order, in runs of at most ``_CHUNK`` step times each, or
+    of one stair that alone holds more."""
+    group, size = [], 0
+    for s in stairs:
+        if group and size + s.times.size > _CHUNK:
+            yield group
+            group, size = [], 0
+        group.append(s)
+        size += s.times.size
+    if group:
+        yield group
+
+
+def _envelope(stairs: list):
+    """(times, costs): the steps of the lower envelope of ``stairs``, the
+    cheapest cost any of them reaches within a round time, with costs[0] =
+    inf.  The stairs carry no NaN.  Folded in bounded runs, so no step
+    array of the whole device is ever built."""
+    times, costs = np.empty(0), np.empty(0)
+    for group in _groups(stairs):
+        t = np.concatenate([times] + [s.times for s in group])
+        order = np.argsort(t, kind="stable")
+        c = np.concatenate([costs] + [s.costs[1:] for s in group])[order]
+        np.minimum.accumulate(c, out=c)
+        step = np.append(True, c[1:] < c[:-1])
+        times, costs = t[order[step]], c[step]
+    return times, np.concatenate(([np.inf], costs))
+
+
+def _floors(stairs: list, rows: np.ndarray):
+    """(steps, floors): every step time of the devices' lower envelopes, over
+    the stairs each column of ``rows`` names, ascending and distinct; and
+    each device's envelope cost below the first step, then from each step
+    on, up to the next."""
+    envelopes = [_envelope([stairs[i] for i in _distinct(column)[0]]) for column in rows.T]
+    steps = _distinct(np.concatenate([t for t, _ in envelopes]))[0]
+    return steps, [np.concatenate(([np.inf], c[np.searchsorted(t, steps, "right")]))
+                   for t, c in envelopes]
+
+
+def _bound(thetas: np.ndarray, steps: np.ndarray, floors: list, w2_rounds: float):
+    """w2_rounds * theta plus each device's envelope cost, added in device
+    order, at each of ``thetas``: no link's J is lower there."""
+    at = np.searchsorted(steps, thetas, "right")
+    total = w2_rounds * thetas
+    for floor in floors:
+        total = total + floor[at]
+    return total
+
+
+def _round_times(stairs: list, rows: np.ndarray, w2_rounds: float, block: int, limit):
+    """Blocks of candidate round times to price, ascending within a block.
+
+    First the lowest-bound envelope steps, for an incumbent.  Then every
+    other step time of ``stairs`` whose bound ``limit()``, the incumbent's
+    value, does not beat, in ascending order of bound, until the next bound
+    exceeds it.
     """
-    n = len(stairs)
-    times = np.concatenate([s.times for s in stairs] + [[s.last for s in stairs]])
-    order = np.argsort(times, kind="stable")
-    thetas = times[order]
-    owner = np.repeat(np.arange(n + 1), [s.times.size for s in stairs] + [n])[order]
-    ends = np.flatnonzero(np.append(thetas[1:] != thetas[:-1], True))
-    total = w2_rounds * thetas[ends]
-    fits = []
-    for k, s in enumerate(stairs):
-        n_fit = np.cumsum(owner == k)[ends]
-        fits.append(n_fit)
-        total = total + s.costs[n_fit]
-    best = int(np.argmin(total))
-    if not np.isfinite(total[best]):
+    steps, floors = _floors(stairs, rows)
+    steps_bound = _bound(steps, steps, floors, w2_rounds)
+    lowest = np.argsort(steps_bound, kind="stable")[:min(block, _SEED)]
+    seed = steps[np.sort(lowest, kind="stable")]
+    yield seed
+    # first the step times in a run of constant envelope costs whose first
+    # bound the incumbent does not beat, then those whose own bound it does
+    # not beat
+    alive = np.flatnonzero(steps_bound <= limit())
+    edges = np.column_stack((steps[alive], np.append(steps[1:], np.inf)[alive])).ravel()
+    rest = []
+    for group in _groups(stairs):
+        thetas = np.concatenate([s.times for s in group])
+        thetas = thetas[np.searchsorted(edges, thetas, "right") % 2 == 1]
+        rest.append(thetas[_bound(thetas, steps, floors, w2_rounds) <= limit()])
+    rest = _distinct(np.concatenate(rest))[0]
+    rest = rest[~np.isin(rest, seed, assume_unique=True)]
+    rest_bound = _bound(rest, steps, floors, w2_rounds)
+    del steps, floors, steps_bound, edges     # the blocks need only ``rest`` and its bounds
+    order = np.argsort(rest_bound, kind="stable")
+    for start in range(0, order.size, block):
+        take = order[start:start + block]
+        take = take[rest_bound[take] <= limit()]
+        if not take.size:
+            return
+        yield rest[np.sort(take, kind="stable")]
+
+
+def _price(stairs: list, links: np.ndarray, thetas: np.ndarray, w2_rounds: float):
+    """(value, link, column): the lowest J over every link and each of
+    ``thetas``, ascending, where J is w2_rounds * theta plus each device's
+    stair cost, added in device order.  Ties go to the earlier link, then
+    to the earlier column.  Links are summed in runs of at most ``_BLOCK``
+    values."""
+    costs = np.empty((len(stairs), thetas.size))
+    for s, row in zip(stairs, costs):
+        s.costs.take(s.times.searchsorted(thetas, "right"), out=row)
+    w2_times = w2_rounds * thetas
+    best = None
+    run = max(1, _BLOCK // thetas.size)
+    for first in range(0, len(links), run):
+        rows = links[first:first + run]
+        values = costs[rows[:, 0]]
+        values += w2_times
+        for column in rows.T[1:]:
+            values += costs[column]
+        at = int(np.argmin(values))
+        if best is None or values.flat[at] < best[0]:
+            link, col = divmod(at, thetas.size)
+            best = (float(values.flat[at]), first + link, col)
+    return best
+
+
+def _min_over_stairs(stairs: list, links, w2_rounds: float):
+    """Exact minimum of sum(costs) + w2_rounds * max(times) over the links,
+    each one candidate per device from its row's staircases.
+
+    ``links`` holds one row per link of indices into ``stairs``, one per
+    device.  Returns ``(value, link, picks)`` with the devices' candidate
+    indices, or None when no link has a finite value.  Ties go to the
+    earliest link, then to the smallest round time, then per device to the
+    step's candidate.  A link is rejected when one of its staircases ends
+    on a NaN cost, or when w2_rounds times its largest time is NaN, as a
+    search over every candidate time would find a NaN there.
+
+    Only step times are candidates, and each is priced for every link at
+    once, in ascending order of a bound no link's J goes below there: the
+    lowest-bound envelope steps first, for an incumbent, then each
+    candidate whose bound the incumbent does not beat.
+    """
+    links = np.asarray(links)
+    ends = np.array([s.costs[-1] for s in stairs])[links]
+    lasts = np.array([s.last for s in stairs])[links]
+    live = np.flatnonzero(~np.isnan(ends).any(axis=1) & ~np.isnan(w2_rounds * lasts.max(axis=1)))
+    if not live.size:
         return None
-    return float(total[best]), [int(s.picks[f[best] - 1]) for s, f in zip(stairs, fits)]
+    used, rows = _distinct(links[live].ravel())
+    rows = rows.reshape(live.size, -1)
+    kept = [stairs[i] for i in used]
+    best = None
+    for thetas in _round_times(kept, rows, w2_rounds, max(1, _BLOCK // len(kept)),
+                               lambda: best[0] if best else _FINITE):
+        value, link, col = _price(kept, rows, thetas, w2_rounds)
+        hit = (value, int(live[link]), float(thetas[col]))
+        if hit[0] < np.inf and (best is None or hit < best):
+            best = hit
+    if best is None:
+        return None
+    value, link, theta = best
+    picks = []
+    for s in (stairs[i] for i in links[link]):
+        picks.append(int(s.picks[np.searchsorted(s.times, theta, "right") - 1]))
+    return value, link, picks
 
 
 class _DeviceGrid:
@@ -192,12 +374,19 @@ class _DeviceGrid:
         self.t_cmp = t_cmp[self.columns]
         self.base_cost = base_cost[self.columns]
 
-    def tabulate(self, powers: np.ndarray, t_com: np.ndarray, e_com: np.ndarray) -> _Upload:
-        """The upload with the staircase of its table over power x kept column."""
-        return _Upload(powers, t_com, e_com, _staircase(
-            (t_com[:, None] + self.t_cmp[None, :]).ravel(),
-            (self.w1_rounds * e_com[:, None] + self.base_cost[None, :]).ravel(),
-        ))
+    def tabulate(self, powers: list, t_com: np.ndarray, e_com: np.ndarray) -> list:
+        """One upload per row of ``t_com`` and ``e_com``, each at its row of
+        ``powers``, with the staircase of its table over power x kept
+        column.  Rows are tabulated together, as many as fit in a bounded
+        array at a time."""
+        width = t_com.shape[1] * self.t_cmp.size
+        rows = max(1, _CHUNK // width)
+        stairs = []
+        for i in range(0, t_com.shape[0], rows):
+            t, e = t_com[i:i + rows, :, None], e_com[i:i + rows, :, None]
+            stairs += _staircases((t + self.t_cmp).reshape(-1, width),
+                                  (self.w1_rounds * e + self.base_cost).reshape(-1, width))
+        return [_Upload(*upload) for upload in zip(powers, t_com, e_com, stairs)]
 
     def decode(self, pick: int, powers: np.ndarray):
         """Candidate index -> (power_w, cpu_hz, resolution)."""
@@ -206,9 +395,10 @@ class _DeviceGrid:
         return float(powers[p]), float(self.f_grid[f]), int(self.r_grid[r])
 
 
-def _upload(scenario: Scenario, dgrid: _DeviceGrid, bandwidth: float, interference=0.0):
+def _upload(scenario: Scenario, dgrid: _DeviceGrid, bandwidth, interference=0.0):
     """Upload (time, energy) at each of the device's grid powers, on
-    ``bandwidth`` Hz against noise plus ``interference`` watts."""
+    ``bandwidth`` Hz against noise plus ``interference`` watts; a column of
+    bandwidths or interferences gives one row per entry."""
     noise = scenario.noise_psd * bandwidth + interference
     t_com = scenario.model_size_bits / shannon_rate(bandwidth, dgrid.gain * dgrid.p_grid / noise)
     return t_com, dgrid.p_grid * t_com
@@ -232,35 +422,35 @@ def _fdma_splits(n: int, total: float, grid: GridSpec):
 
 
 def _links(scenario: Scenario, table: DeviceTable, dgrids: list, grid: GridSpec):
-    """Shared-link choices, each as per-device ``_Upload``s plus the
-    Allocation fields that fix the link.  An FDMA upload is built once per
-    device and share, and kept only while a later split names it."""
+    """The call's distinct uploads, each with its staircase, and its
+    shared-link choices: an array of one upload index per device for each
+    link, and a function from a link to its Allocation fields.  An FDMA
+    upload is built once per device and share, however many splits name
+    it."""
     if scenario.scheme == "fdma":
-        splits = list(_fdma_splits(scenario.n_devices, scenario.total_bandwidth_hz, grid))
-        left = Counter((k, b) for split in splits for k, b in enumerate(split))
-        built = {}
-        for split in splits:
-            uploads = []
-            for k, (d, b) in enumerate(zip(dgrids, split)):
-                left[k, b] -= 1
-                upload = built.pop((k, b), None) or d.tabulate(d.p_grid, *_upload(scenario, d, b))
-                if left[k, b]:
-                    built[k, b] = upload
-                uploads.append(upload)
-            yield uploads, {"bandwidth_hz": split}
-        return
+        splits = np.array(list(
+            _fdma_splits(scenario.n_devices, scenario.total_bandwidth_hz, grid)))
+        uploads, links = [], np.empty(splits.shape, dtype=int)
+        for k, d in enumerate(dgrids):
+            shares, links[:, k] = _distinct(splits[:, k])
+            links[:, k] += len(uploads)
+            uploads += d.tabulate([d.p_grid] * shares.size, *_upload(scenario, d, shares[:, None]))
+        return uploads, links, lambda link: {"bandwidth_hz": splits[link].copy()}
     # one channel, two users, in the gain-sorted pairing
     pairing = scenario.noma_pairing
     bc = pairing.channel_bandwidth_hz
     s_pos, w_pos = (int(pos[0]) for pos in table.pair_positions(pairing))
     strong, weak = dgrids[s_pos], dgrids[w_pos]
+    n = weak.p_grid.size
     t_w, e_w = _upload(scenario, weak, bc)
-    for j, p_w in enumerate(weak.p_grid):
-        uploads = [None, None]
-        uploads[w_pos] = weak.tabulate(weak.p_grid[j:j + 1], t_w[j:j + 1], e_w[j:j + 1])
-        uploads[s_pos] = strong.tabulate(
-            strong.p_grid, *_upload(scenario, strong, bc, weak.gain * p_w))
-        yield uploads, {"pairing": pairing}
+    uploads = (
+        weak.tabulate([weak.p_grid[j:j + 1] for j in range(n)], t_w[:, None], e_w[:, None])
+        + strong.tabulate([strong.p_grid] * n,
+                          *_upload(scenario, strong, bc, (weak.gain * weak.p_grid)[:, None]))
+    )
+    links = np.empty((n, 2), dtype=int)
+    links[:, w_pos], links[:, s_pos] = np.arange(n), np.arange(n, 2 * n)
+    return uploads, links, lambda link: {"pairing": pairing}
 
 
 def brute_force_oracle(
@@ -284,22 +474,19 @@ def brute_force_oracle(
         )
     table = scenario.devices
     dgrids = [_DeviceGrid(scenario, table, k, weights, grid) for k in range(n)]
-    w2_rounds = weights.w2 * scenario.global_rounds
-    best_val, alloc = np.inf, None
-    for uploads, link in _links(scenario, table, dgrids, grid):
-        hit = _min_over_stairs([u.stair for u in uploads], w2_rounds)
-        if hit is None or hit[0] >= best_val:
-            continue
-        best_val = hit[0]
-        power, cpu, res = zip(
-            *(d.decode(pick, u.powers) for d, u, pick in zip(dgrids, uploads, hit[1]))
-        )
-        alloc = Allocation(
-            power_w=np.array(power), cpu_hz=np.array(cpu),
-            resolution_px=np.array(res), **link,
-        )
-    if alloc is None:
+    uploads, links, fields = _links(scenario, table, dgrids, grid)
+    hit = _min_over_stairs(
+        [u.stair for u in uploads], links, weights.w2 * scenario.global_rounds)
+    if hit is None:
         raise ValueError("no feasible grid point: every candidate violates a limit")
+    _, link, picks = hit
+    power, cpu, res = zip(*(
+        d.decode(pick, uploads[i].powers) for d, i, pick in zip(dgrids, links[link], picks)
+    ))
+    alloc = Allocation(
+        power_w=np.array(power), cpu_hz=np.array(cpu),
+        resolution_px=np.array(res), **fields(link),
+    )
     metrics = system_metrics(scenario, alloc)
     value = objective(weights, metrics)
     return SolveReport(

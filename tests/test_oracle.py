@@ -10,6 +10,7 @@ the two implementations share nothing beyond the problem statement.
 
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -21,7 +22,7 @@ from flmar import (
 )
 from flmar.compute import cmos_energy, detection_accuracy, round_cycles
 from flmar.oracle import (
-    _DeviceGrid, _fdma_splits, _links, _min_over_stairs, _staircase, _undominated,
+    _DeviceGrid, _fdma_splits, _links, _min_over_stairs, _staircases, _undominated,
 )
 
 from conftest import equal_split_alloc, make_scenario, wide_box_draw, wide_box_weights
@@ -70,6 +71,17 @@ def device_candidates(dev, power_points, freq_points):
     return list(itertools.product(powers, freqs, dev.resolutions))
 
 
+def staircase(times, costs):
+    """One table's staircase."""
+    return _staircases(times[None, :], costs[None, :])[0]
+
+
+def min_over_stairs(stairs, w2_rounds):
+    """The search over one link made of ``stairs``, as ``(value, picks)``."""
+    hit = _min_over_stairs(stairs, [list(range(len(stairs)))], w2_rounds)
+    return hit and (hit[0], hit[2])
+
+
 def dense_min_over_grid(times, costs, w2_rounds):
     """The search over every candidate of every table and every candidate
     time that the staircases replace: the running minimum of each table's
@@ -111,8 +123,8 @@ class TestMinOverGrid:
             if trial % 5 == 0:
                 times[:, 0] = times[:, -1]     # force ties
             w2g = float(rng.uniform(0.0, 3.0))
-            value, picks = _min_over_stairs(
-                [_staircase(t, c) for t, c in zip(times, costs)], w2g)
+            value, picks = min_over_stairs(
+                [staircase(t, c) for t, c in zip(times, costs)], w2g)
             best = math.inf
             for combo in itertools.product(range(m), repeat=n):
                 t = max(times[d, k] for d, k in enumerate(combo))
@@ -150,13 +162,13 @@ class TestMinOverGrid:
                     table = ((t_com[:, None] + t_cmp).ravel(),
                              (w1 * e_com[:, None] + base).ravel())
                     keep = np.flatnonzero(_undominated(t_cmp, base))
-                    pruned.append(_staircase((t_com[:, None] + t_cmp[keep]).ravel(),
-                                             (w1 * e_com[:, None] + base[keep]).ravel()))
+                    pruned.append(staircase((t_com[:, None] + t_cmp[keep]).ravel(),
+                                            (w1 * e_com[:, None] + base[keep]).ravel()))
                 full.append(table)
                 columns.append((t_cmp.size, keep))
             with np.errstate(invalid="ignore"):
                 dense = dense_min_over_grid([t for t, _ in full], [c for _, c in full], w2)
-                steps = _min_over_stairs(pruned, w2)
+                steps = min_over_stairs(pruned, w2)
             if dense is None:
                 assert steps is None
                 continue
@@ -171,7 +183,7 @@ class TestMinOverGrid:
         assert found > 200
 
     def test_merge_edges_match_the_dense_search(self):
-        # hand-built tables for the merge's tie and NaN rules, bit for bit
+        # hand-built tables for the search's tie and NaN rules, bit for bit
         unreachable = np.array([1.0, 2.0, np.inf])      # the last power reaches nothing
         with np.errstate(invalid="ignore"):
             nan_costs = 0.0 * unreachable + np.array([3.0, 1.0, 0.5])     # w1 = 0
@@ -191,12 +203,56 @@ class TestMinOverGrid:
             for w2 in (0.0, 0.5, 1.0, 3.0):
                 with np.errstate(invalid="ignore"):
                     dense = dense_min_over_grid(times, costs, w2)
-                    merged = _min_over_stairs(
-                        [_staircase(t, c) for t, c in zip(times, costs)], w2)
+                    merged = min_over_stairs(
+                        [staircase(t, c) for t, c in zip(times, costs)], w2)
                 assert repr(merged) == repr(dense), (name, w2)
                 # a NaN anywhere rejects the link, and so does 0 * inf at w2 = 0
                 rejected = name == "NaN cost" or (name == "infinite last" and w2 == 0.0)
                 assert (merged is None) == rejected, (name, w2)
+
+    @pytest.mark.parametrize("blocks", ["one", "many"])
+    def test_links_match_the_search_per_link(self, monkeypatch, blocks):
+        # many links over shared tables, on a coarse lattice so that values
+        # tie across links and round times, now and then with a power that
+        # reaches nothing at w1 = 0 (NaN costs) or at w2 = 0: the least
+        # (value, link) of the dense search per link, with its picks.  With
+        # one round time per pricing block and per seed and a few step
+        # times per envelope fold and scan, every candidate that the
+        # incumbent leaves is priced in its own block.
+        if blocks == "many":
+            for name, size in (("_BLOCK", 1), ("_SEED", 1), ("_CHUNK", 4)):
+                monkeypatch.setattr(flmar.oracle, name, size)
+        rng = np.random.default_rng(31)
+        found = 0
+        for trial in range(200):
+            n = int(rng.integers(1, 4))
+            w1 = 0.0 if trial % 7 == 0 else 1.0
+            w2 = 0.0 if trial % 11 == 0 else float(rng.integers(0, 5)) * 0.5
+            tables, owners = [], []
+            for d in range(n):
+                for _ in range(int(rng.integers(1, 5))):
+                    m = int(rng.integers(1, 9))
+                    t_com = rng.integers(1, 6, size=m) * 0.5
+                    e_com = rng.integers(0, 4, size=m) * 0.5
+                    if trial % 13 == 0 and rng.integers(2):
+                        t_com[-1] = e_com[-1] = np.inf
+                    with np.errstate(invalid="ignore"):
+                        tables.append((t_com + rng.integers(0, 3, size=m) * 0.5,
+                                       w1 * e_com + rng.integers(0, 4, size=m) * 0.25))
+                    owners.append(d)
+            owners = np.array(owners)
+            links = np.array([[rng.choice(np.flatnonzero(owners == d)) for d in range(n)]
+                              for _ in range(int(rng.integers(1, 13)))])
+            expected = None
+            with np.errstate(invalid="ignore"):
+                for link, row in enumerate(links):
+                    hit = dense_min_over_grid(*zip(*(tables[i] for i in row)), w2)
+                    if hit is not None and (expected is None or hit[0] < expected[0]):
+                        expected = (hit[0], link, hit[1])
+                got = _min_over_stairs([staircase(*t) for t in tables], links, w2)
+            assert repr(got) == repr(expected), trial
+            found += expected is not None
+        assert found > 150
 
 
 class TestOracleAgainstNaive:
@@ -303,10 +359,12 @@ def dense_oracle(scn, w, grid):
         loss = 1.0 - detection_accuracy(d.r_grid, scn.accuracy_model)
         base = d.w1_rounds * e_cmp + w.w3 * np.tile(loss, d.f_grid.size)
         columns.append((t_cmp, base))
+    uploads, links, fields = _links(scn, table, dgrids, grid)
     best, alloc = math.inf, None
-    for uploads, link in _links(scn, table, dgrids, grid):
+    for link, row in enumerate(links):
         times, costs = [], []
-        for d, (t_cmp, base), (_, t_com, e_com, _) in zip(dgrids, columns, uploads):
+        for d, (t_cmp, base), i in zip(dgrids, columns, row):
+            _, t_com, e_com, _ = uploads[i]
             times.append((t_com[:, None] + t_cmp).ravel())
             costs.append((d.w1_rounds * e_com[:, None] + base).ravel())
         hit = dense_min_over_grid(times, costs, w.w2 * scn.global_rounds)
@@ -314,13 +372,13 @@ def dense_oracle(scn, w, grid):
             continue
         best = hit[0]
         picks = []
-        for d, (t_cmp, _), (powers, *_), pick in zip(dgrids, columns, uploads, hit[1]):
+        for d, (t_cmp, _), i, pick in zip(dgrids, columns, row, hit[1]):
             p, fr = divmod(pick, t_cmp.size)
             f, r = divmod(fr, d.r_grid.size)
-            picks.append((float(powers[p]), float(d.f_grid[f]), int(d.r_grid[r])))
+            picks.append((float(uploads[i].powers[p]), float(d.f_grid[f]), int(d.r_grid[r])))
         power, cpu, res = zip(*picks)
         alloc = Allocation(power_w=np.array(power), cpu_hz=np.array(cpu),
-                           resolution_px=np.array(res), **link)
+                           resolution_px=np.array(res), **fields(link))
     return objective(w, system_metrics(scn, alloc)), alloc
 
 
@@ -353,26 +411,34 @@ class TestOracleMatchesDenseSearch:
         grid = GridSpec(8, 8, 8)
         for k in range(9):
             scn, w = self.EDGES[edge](wide_box_draw(k, pinned), wide_box_weights(k))
-            value, alloc = dense_oracle(scn, w, grid)
-            report = brute_force_oracle(scn, w, grid)
-            assert report.objective == value
-            got = report.allocation
-            for name in ("power_w", "cpu_hz", "resolution_px"):
-                assert getattr(got, name).tobytes() == getattr(alloc, name).tobytes()
-            if scn.scheme == "fdma":
-                assert got.bandwidth_hz.tobytes() == alloc.bandwidth_hz.tobytes()
-            else:
-                assert got.pairing == alloc.pairing
+            self.check(scn, w, grid)
 
     def test_default_grid_three_devices(self):
         # the benchmark's 20-point grid on a 3-device FDMA draw, where each
         # share's staircase serves many splits
-        scn, w = wide_box_draw(2, False), wide_box_weights(2)
-        value, alloc = dense_oracle(scn, w, GridSpec())
-        report = brute_force_oracle(scn, w)
+        self.check(wide_box_draw(2, False), wide_box_weights(2), GridSpec())
+
+    @pytest.mark.parametrize("edge", ["w1=0", "w2=0"])
+    @pytest.mark.parametrize("k, pinned", [(0, False), (1, False), (2, False), (32, True)])
+    def test_default_grid_edges(self, k, pinned, edge):
+        # the 20-point grid, at the weights where a link's J can be NaN, on a
+        # 2-device FDMA, a NOMA and a 3-device draw, and on the draw among
+        # k < 96 whose candidates span the most pricing blocks (43, with
+        # 3,862 round times priced at the drawn weights)
+        self.check(*self.EDGES[edge](wide_box_draw(k, pinned), wide_box_weights(k)), GridSpec())
+
+    @staticmethod
+    def check(scn, w, grid):
+        value, alloc = dense_oracle(scn, w, grid)
+        report = brute_force_oracle(scn, w, grid)
         assert report.objective == value
-        for name in ("power_w", "cpu_hz", "resolution_px", "bandwidth_hz"):
-            assert getattr(report.allocation, name).tobytes() == getattr(alloc, name).tobytes()
+        got = report.allocation
+        for name in ("power_w", "cpu_hz", "resolution_px"):
+            assert getattr(got, name).tobytes() == getattr(alloc, name).tobytes()
+        if scn.scheme == "fdma":
+            assert got.bandwidth_hz.tobytes() == alloc.bandwidth_hz.tobytes()
+        else:
+            assert got.pairing == alloc.pairing
 
 
 class TestStaircaseReuse:
@@ -380,15 +446,44 @@ class TestStaircaseReuse:
         # device 1's share and the last device's rest recur over many splits
         scn, w = wide_box_draw(2, False), wide_box_weights(2)
         grid = GridSpec(8, 8, 8)
-        built = []
-        real = flmar.oracle._staircase
-        monkeypatch.setattr(flmar.oracle, "_staircase",
-                            lambda t, c: built.append(t.size) or real(t, c))
+        built = []       # one entry per staircase: the tables build a row each
+        real = flmar.oracle._DeviceGrid.tabulate
+        monkeypatch.setattr(flmar.oracle._DeviceGrid, "tabulate",
+                            lambda d, p, t, e: built.extend(t) or real(d, p, t, e))
         brute_force_oracle(scn, w, grid)
         splits = list(_fdma_splits(3, scn.total_bandwidth_hz, grid))
         shares = {(k, b) for split in splits for k, b in enumerate(split)}
         assert len(shares) < 2 * len(splits)
         assert len(built) == len(shares)
+
+
+class TestEnvelopeCut:
+    def test_prices_few_round_times(self, monkeypatch):
+        # the benchmark's grid on a 3-device FDMA draw: 190 splits, whose
+        # tables have about 20,600 distinct step times between them
+        priced = []
+        real = flmar.oracle._price
+        monkeypatch.setattr(flmar.oracle, "_price",
+                            lambda s, links, t, w: priced.append(t.size) or real(s, links, t, w))
+        brute_force_oracle(wide_box_draw(2, False), wide_box_weights(2))
+        assert 0 < sum(priced) <= 1000
+
+    def test_call_memory_is_bounded(self):
+        # a call keeps every staircase it builds; tables, envelope folds,
+        # candidate scans and pricing run in bounded blocks on top.  Peaks
+        # measured at the default grid on k = 0-11: 2-device FDMA 0.49 MB
+        # mean (0.67 max), NOMA 0.37 (0.54), 3-device FDMA 1.11 (1.39)
+        brute_force_oracle(wide_box_draw(2, False), wide_box_weights(2))     # imports, caches
+        for pinned in (True, False):
+            for k in range(12):
+                scn, w = wide_box_draw(k, pinned), wide_box_weights(k)
+                tracemalloc.start()
+                try:
+                    brute_force_oracle(scn, w)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak <= 1.5e6, (k, pinned, peak)
 
 
 class TestOracleContract:
@@ -438,3 +533,21 @@ class TestOracleContract:
     def test_grid_spec_needs_two_points(self):
         with pytest.raises(ValueError):
             GridSpec(power_points=1)
+
+    def test_grid_spec_rejects_float_power_points(self):
+        with pytest.raises(ValueError, match="power_points"):
+            GridSpec(power_points=20.0)
+
+    def test_grid_spec_rejects_fractional_bandwidth_points(self):
+        with pytest.raises(ValueError, match="bandwidth_points"):
+            GridSpec(bandwidth_points=2.5)
+
+    def test_grid_spec_rejects_bool_points(self):
+        with pytest.raises(ValueError, match="freq_points"):
+            GridSpec(freq_points=True)
+
+    def test_grid_spec_takes_numpy_integers(self):
+        scn, w = make_scenario([2e-9, 5e-10]), Weights(0.5, 0.5, 0.5)
+        grid = GridSpec(np.int64(5), np.int32(4), np.int16(3))
+        assert repr(brute_force_oracle(scn, w, grid)) == repr(
+            brute_force_oracle(scn, w, GridSpec(5, 4, 3)))
