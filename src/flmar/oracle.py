@@ -73,7 +73,6 @@ call's memory is the staircases it keeps plus a fixed margin.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -114,11 +113,26 @@ class GridSpec:
 
 def _undominated(t_cmp: np.ndarray, cost: np.ndarray) -> np.ndarray:
     """Mask of the columns that no earlier column matches or beats in both
-    compute time and upload-free cost."""
-    beats = (t_cmp[:, None] <= t_cmp[None, :]) & (cost[:, None] <= cost[None, :])
-    index = np.arange(t_cmp.size)
-    beats &= index[:, None] < index[None, :]
-    return ~beats.any(axis=0)
+    compute time and upload-free cost.
+
+    Beating is transitive and always comes from an earlier column, so a
+    beaten column is beaten by an earlier one that none beats, and such
+    columns survive any probe.  The columns are therefore checked first
+    against a cheap probe, the (time, cost) front, and only those it
+    leaves are compared in pairs: on the wide box a median of 21 of 200,
+    at most 71.
+    """
+    def beaten(i, j):      # which of columns j some column of i earlier than it beats
+        return ((t_cmp[i, None] <= t_cmp[j]) & (cost[i, None] <= cost[j])
+                & (i[:, None] < j)).any(axis=0)
+
+    order = np.argsort(t_cmp, kind="stable")
+    ordered = cost[order]
+    front = order[ordered == np.minimum.accumulate(ordered)]
+    left = np.flatnonzero(~beaten(front, np.arange(t_cmp.size)))
+    keep = np.zeros(t_cmp.size, dtype=bool)
+    keep[left[~beaten(left, left)]] = True
+    return keep
 
 
 class _Stair(NamedTuple):
@@ -404,8 +418,8 @@ def _upload(scenario: Scenario, dgrid: _DeviceGrid, bandwidth, interference=0.0)
     return t_com, dgrid.p_grid * t_com
 
 
-def _fdma_splits(n: int, total: float, grid: GridSpec):
-    """Bandwidth splits to enumerate, each summing to ``total``.
+def _fdma_splits(n: int, total: float, grid: GridSpec) -> np.ndarray:
+    """Bandwidth splits to enumerate, one row each, each summing to ``total``.
 
     Every device but the last takes an interior fraction of
     linspace(0, 1, bandwidth_points + 2); the last takes the rest, so one
@@ -413,12 +427,14 @@ def _fdma_splits(n: int, total: float, grid: GridSpec):
     up to rounding, so half a step tells an empty share from a real one.
     """
     fractions = np.linspace(0.0, 1.0, grid.bandwidth_points + 2)
-    for head in itertools.product(fractions[1:-1], repeat=n - 1):
-        rest = 1.0
-        for x in head:
-            rest -= x
-        if rest > fractions[1] / 2:
-            yield np.array([*head, rest]) * total
+    inner = fractions[1:-1]
+    heads = np.empty((inner.size ** (n - 1), n - 1))
+    for d in range(n - 1):      # in lexicographic order, the first fraction slowest
+        heads[:, d] = np.tile(np.repeat(inner, inner.size ** (n - 2 - d)), inner.size ** d)
+    rest = np.ones(len(heads))
+    for column in heads.T:
+        rest -= column
+    return np.column_stack((heads, rest))[rest > fractions[1] / 2] * total
 
 
 def _links(scenario: Scenario, table: DeviceTable, dgrids: list, grid: GridSpec):
@@ -428,8 +444,7 @@ def _links(scenario: Scenario, table: DeviceTable, dgrids: list, grid: GridSpec)
     upload is built once per device and share, however many splits name
     it."""
     if scenario.scheme == "fdma":
-        splits = np.array(list(
-            _fdma_splits(scenario.n_devices, scenario.total_bandwidth_hz, grid)))
+        splits = _fdma_splits(scenario.n_devices, scenario.total_bandwidth_hz, grid)
         uploads, links = [], np.empty(splits.shape, dtype=int)
         for k, d in enumerate(dgrids):
             shares, links[:, k] = _distinct(splits[:, k])

@@ -441,6 +441,40 @@ class TestOracleMatchesDenseSearch:
             assert got.pairing == alloc.pairing
 
 
+class TestGridConstruction:
+    def test_undominated_matches_the_pairwise_rule(self):
+        # every (earlier, later) column pair compared, on a coarse lattice
+        # with duplicated columns so that many tie, now and then with a NaN
+        # cost, which beats nothing and is beaten by nothing
+        rng = np.random.default_rng(41)
+        for trial in range(400):
+            m = int(rng.integers(1, 60))
+            t_cmp = rng.integers(1, 8, size=m) * 0.5
+            cost = rng.integers(0, 8, size=m) * 0.25
+            if trial % 9 == 0:
+                cost[rng.integers(0, m)] = np.nan
+            expected = [not any(t_cmp[i] <= t_cmp[j] and cost[i] <= cost[j] for i in range(j))
+                        for j in range(m)]
+            assert _undominated(t_cmp, cost).tolist() == expected, trial
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_fdma_splits_match_the_loop(self, n):
+        # each split as one fraction per device but the last, the rest
+        # taken one subtraction at a time, bit for bit
+        for points in (2, 3, 7, 20, 41):
+            for total in (1.0, 3e6, 7.3e6):
+                fractions = np.linspace(0.0, 1.0, points + 2)
+                expected = []
+                for head in itertools.product(fractions[1:-1], repeat=n - 1):
+                    rest = 1.0
+                    for x in head:
+                        rest -= x
+                    if rest > fractions[1] / 2:
+                        expected.append(np.array([*head, rest]) * total)
+                got = _fdma_splits(n, total, GridSpec(bandwidth_points=points))
+                assert got.tobytes() == np.array(expected).tobytes(), (points, total)
+
+
 class TestStaircaseReuse:
     def test_one_staircase_per_device_share(self, monkeypatch):
         # device 1's share and the last device's rest recur over many splits
