@@ -230,7 +230,8 @@ def _cmd_oracle(args) -> int:
     scenario = _generated_scenario(args)
     reference = brute_force_oracle(scenario, weights, grid)
     solved = optimize(scenario, weights)
-    gap = (solved.objective - reference.objective) / abs(reference.objective)
+    diff = solved.objective - reference.objective
+    gap = diff / abs(reference.objective) if diff else 0.0
     summary = {
         "scheme": args.scheme,
         "n_devices": args.n_devices,

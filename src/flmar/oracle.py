@@ -6,11 +6,14 @@ closed-form machinery in :mod:`flmar.allocator`.  Supports at most three
 devices; cost grows combinatorially beyond that.
 
 The search runs over shared-link choices: an FDMA bandwidth split, or the
-NOMA weak user's power.  Within one choice each device's upload depends on
-its own power alone (the weak rate does not depend on the strong power,
-and the strong user is priced against the chosen weak power's
-interference), so every device gets one candidate table over power x
-frequency x resolution.  The tables combine under the round-time coupling
+NOMA weak user's power.  An FDMA split gives each device u >= 1 of S =
+``bandwidth_points`` + 1 whole units of the band, linspace(0, 1, S + 1)[u]
+of it, the units summing to S; splits run in lexicographic order of their
+unit counts.  Within one choice each device's upload depends on its own
+power alone (the weak rate does not depend on the strong power, and the
+strong user is priced against the chosen weak power's interference), so
+every device gets one candidate table over power x frequency x
+resolution.  The tables combine under the round-time coupling
 J = sum_d a_d + w2 G max_d t_d.  The optimal round time equals some
 candidate's t, so minimising
 
@@ -38,8 +41,8 @@ Three cuts make this cheap and change no result, not even by a rounding:
   in the sort by a candidate no dearer, and is never a step; each device
   drops such columns once, before any table is built.  On the wide
   parameter box that leaves a mean of 29 of 200 columns, at most 116.
-* The envelope cut.  Each distinct staircase of a call is built once and
-  kept: every FDMA (device, share), and NOMA's weak and strong stair per
+* The envelope cut.  Each staircase of a call is built once and kept:
+  every FDMA (device, unit count), and NOMA's weak and strong stair per
   weak power.  Each device's staircases fold into one lower envelope
   L_d(theta), the cheapest cost any of them reaches within theta, and
 
@@ -74,6 +77,7 @@ call's memory is the staircases it keeps plus a fixed margin.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -418,39 +422,24 @@ def _upload(scenario: Scenario, dgrid: _DeviceGrid, bandwidth, interference=0.0)
     return t_com, dgrid.p_grid * t_com
 
 
-def _fdma_splits(n: int, total: float, grid: GridSpec) -> np.ndarray:
-    """Bandwidth splits to enumerate, one row each, each summing to ``total``.
-
-    Every device but the last takes an interior fraction of
-    linspace(0, 1, bandwidth_points + 2); the last takes the rest, so one
-    device gets all of ``total``.  The rest is a whole number of grid steps
-    up to rounding, so half a step tells an empty share from a real one.
-    """
-    fractions = np.linspace(0.0, 1.0, grid.bandwidth_points + 2)
-    inner = fractions[1:-1]
-    heads = np.empty((inner.size ** (n - 1), n - 1))
-    for d in range(n - 1):      # in lexicographic order, the first fraction slowest
-        heads[:, d] = np.tile(np.repeat(inner, inner.size ** (n - 2 - d)), inner.size ** d)
-    rest = np.ones(len(heads))
-    for column in heads.T:
-        rest -= column
-    return np.column_stack((heads, rest))[rest > fractions[1] / 2] * total
-
-
 def _links(scenario: Scenario, table: DeviceTable, dgrids: list, grid: GridSpec):
-    """The call's distinct uploads, each with its staircase, and its
-    shared-link choices: an array of one upload index per device for each
-    link, and a function from a link to its Allocation fields.  An FDMA
-    upload is built once per device and share, however many splits name
-    it."""
+    """The call's uploads, each with its staircase, and its shared-link
+    choices: an array of one upload index per device for each link, and a
+    function from a link to its Allocation fields.  An FDMA device k's
+    upload is built once per unit count u it can take, 1 to S - n + 1, as
+    upload u - 1 + k (S - n + 1).  The splits are read off their cut points,
+    whose lexicographic order is theirs.
+    """
     if scenario.scheme == "fdma":
-        splits = _fdma_splits(scenario.n_devices, scenario.total_bandwidth_hz, grid)
-        uploads, links = [], np.empty(splits.shape, dtype=int)
-        for k, d in enumerate(dgrids):
-            shares, links[:, k] = _distinct(splits[:, k])
-            links[:, k] += len(uploads)
+        n, s = scenario.n_devices, grid.bandwidth_points + 1
+        cuts = np.array(list(combinations(range(1, s), n - 1)), dtype=int)
+        splits = np.diff(cuts, axis=1, prepend=0, append=s)
+        shares = np.linspace(0.0, 1.0, s + 1)[1:s - n + 2] * scenario.total_bandwidth_hz
+        uploads = []
+        for d in dgrids:
             uploads += d.tabulate([d.p_grid] * shares.size, *_upload(scenario, d, shares[:, None]))
-        return uploads, links, lambda link: {"bandwidth_hz": splits[link].copy()}
+        links = splits - 1 + shares.size * np.arange(n)
+        return uploads, links, lambda link: {"bandwidth_hz": shares[splits[link] - 1]}
     # one channel, two users, in the gain-sorted pairing
     pairing = scenario.noma_pairing
     bc = pairing.channel_bandwidth_hz
@@ -475,8 +464,8 @@ def brute_force_oracle(
 
     Deterministic: the same scenario, weights and grid always return the
     identical report.  Ties go to the earliest link choice (FDMA splits in
-    order of their leading fractions, NOMA weak powers ascending), then to
-    the smallest round time, then per device to the faster of two
+    lexicographic order of their unit counts, NOMA weak powers ascending),
+    then to the smallest round time, then per device to the faster of two
     equal-cost candidates.
     """
     errors = scenario.validate()

@@ -122,6 +122,14 @@ class TestOracle:
         # solver must land close to the coarse-grid reference
         assert data["relative_gap"] < 0.05
 
+    def test_zero_weights_report_no_gap(self, tmp_path):
+        # both objectives are 0, so the gap is 0 rather than 0 / 0
+        out = tmp_path / "oracle.json"
+        assert run_cli("oracle", "--weights", "0,0,0", "--out", str(out)) == 0
+        data = json.loads(out.read_text())
+        assert data["oracle_objective"] == data["solver_objective"] == 0.0
+        assert data["relative_gap"] == 0.0
+
     def test_too_many_devices_is_config_error(self):
         assert run_cli("oracle", "--n-devices", "5") == 1
 

@@ -1,11 +1,13 @@
 """Exhaustive grid reference: checked against a from-scratch enumerator.
 
 The naive enumerator below mirrors the documented grid contract (power and
-frequency are linspace over device bounds with zero power dropped; every FDMA
-device but the last takes an interior fraction of linspace(0, 1, points+2) of
-the bandwidth and the last takes the rest) but
+frequency are linspace over device bounds with zero power dropped; an FDMA
+split gives each device u >= 1 of S = points + 1 whole units of the
+bandwidth, linspace(0, 1, S + 1)[u] of it, the units summing to S) but
 computes every objective with plain ``math`` formulas, no library calls, so
-the two implementations share nothing beyond the problem statement.
+the two implementations share nothing beyond the problem statement.  It
+takes the last device's share as the rest of the band, 1 - x, which agrees
+with the unit share within its 1e-9 tolerance.
 """
 
 import itertools
@@ -22,7 +24,7 @@ from flmar import (
 )
 from flmar.compute import cmos_energy, detection_accuracy, round_cycles
 from flmar.oracle import (
-    _DeviceGrid, _fdma_splits, _links, _min_over_stairs, _staircases, _undominated,
+    _DeviceGrid, _links, _min_over_stairs, _staircases, _undominated, _upload,
 )
 
 from conftest import equal_split_alloc, make_scenario, wide_box_draw, wide_box_weights
@@ -458,37 +460,46 @@ class TestGridConstruction:
             assert _undominated(t_cmp, cost).tolist() == expected, trial
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_fdma_splits_match_the_loop(self, n):
-        # each split as one fraction per device but the last, the rest
-        # taken one subtraction at a time, bit for bit
+    def test_fdma_splits_are_unit_compositions(self, n):
+        # every split of S = points + 1 units, at least one per device, in
+        # lexicographic order; unit u is linspace(0, 1, S + 1)[u] of the
+        # band, for the last device too, bit for bit, and each link names
+        # its devices' uploads at their shares
         for points in (2, 3, 7, 20, 41):
+            s = points + 1
+            expected = [u for u in itertools.product(range(1, s + 1), repeat=n) if sum(u) == s]
+            assert len(expected) == math.comb(s - 1, n - 1)
             for total in (1.0, 3e6, 7.3e6):
-                fractions = np.linspace(0.0, 1.0, points + 2)
-                expected = []
-                for head in itertools.product(fractions[1:-1], repeat=n - 1):
-                    rest = 1.0
-                    for x in head:
-                        rest -= x
-                    if rest > fractions[1] / 2:
-                        expected.append(np.array([*head, rest]) * total)
-                got = _fdma_splits(n, total, GridSpec(bandwidth_points=points))
-                assert got.tobytes() == np.array(expected).tobytes(), (points, total)
+                scn = make_scenario([1e-9, 5e-10, 2e-10][:n], bandwidth=total)
+                grid = GridSpec(2, 2, points)
+                dgrids = [_DeviceGrid(scn, scn.devices, k, Weights(0.5, 0.5, 0.5), grid)
+                          for k in range(n)]
+                uploads, links, fields = _links(scn, scn.devices, dgrids, grid)
+                assert len(links) == len(expected), (points, total)
+                for link, (units, row) in enumerate(zip(expected, links)):
+                    bandwidth = fields(link)["bandwidth_hz"]
+                    share = np.linspace(0, 1, s + 1)[list(units)] * total
+                    assert bandwidth.tobytes() == share.tobytes(), (points, total, units)
+                    for d, i, b in zip(dgrids, row, bandwidth):
+                        np.testing.assert_allclose(uploads[i].t_com, _upload(scn, d, b)[0],
+                                                   rtol=1e-12)
 
 
 class TestStaircaseReuse:
     def test_one_staircase_per_device_share(self, monkeypatch):
-        # device 1's share and the last device's rest recur over many splits
-        scn, w = wide_box_draw(2, False), wide_box_weights(2)
-        grid = GridSpec(8, 8, 8)
+        # each device's upload is tabulated once at every unit count it can
+        # take, n (S - n + 1) staircases, however many splits name them
         built = []       # one entry per staircase: the tables build a row each
         real = flmar.oracle._DeviceGrid.tabulate
         monkeypatch.setattr(flmar.oracle._DeviceGrid, "tabulate",
                             lambda d, p, t, e: built.extend(t) or real(d, p, t, e))
-        brute_force_oracle(scn, w, grid)
-        splits = list(_fdma_splits(3, scn.total_bandwidth_hz, grid))
-        shares = {(k, b) for split in splits for k, b in enumerate(split)}
-        assert len(shares) < 2 * len(splits)
-        assert len(built) == len(shares)
+        for k, grid, count in ((2, GridSpec(), 57), (0, GridSpec(), 40),
+                               (2, GridSpec(8, 8, 8), 21)):
+            built.clear()
+            scn = wide_box_draw(k, False)
+            brute_force_oracle(scn, wide_box_weights(k), grid)
+            n, s = scn.n_devices, grid.bandwidth_points + 1
+            assert len(built) == n * (s - n + 1) == count, k
 
 
 class TestEnvelopeCut:
@@ -506,7 +517,7 @@ class TestEnvelopeCut:
         # a call keeps every staircase it builds; tables, envelope folds,
         # candidate scans and pricing run in bounded blocks on top.  Peaks
         # measured at the default grid on k = 0-11: 2-device FDMA 0.49 MB
-        # mean (0.67 max), NOMA 0.37 (0.54), 3-device FDMA 1.11 (1.39)
+        # mean (0.67 max), NOMA 0.37 (0.54), 3-device FDMA 1.00 max
         brute_force_oracle(wide_box_draw(2, False), wide_box_weights(2))     # imports, caches
         for pinned in (True, False):
             for k in range(12):
