@@ -137,7 +137,9 @@ class Allocation:
     """Per-device decision variables, indexed like ``scenario.devices``.
 
     FDMA allocations carry ``bandwidth_hz``; NOMA allocations carry a
-    ``pairing`` (all channels share one width).
+    ``pairing`` (all channels share one width).  The allocations of
+    `optimize`, `random_baseline` and `brute_force_oracle` reports hold
+    read-only arrays of their own, which their metrics share.
     """
 
     power_w: np.ndarray
@@ -223,23 +225,63 @@ class Allocation:
         return errors
 
 
-@dataclass
-class SystemMetrics:
-    """Costs of one configuration: per-device arrays plus campaign totals."""
+# the fields, in order, of the dataclass that stored every array, which
+# `SystemMetrics.__repr__` keeps
+_REPR_FIELDS = ("comp_time_s", "comp_energy_j", "comm_time_s", "comm_energy_j",
+                "round_time_s", "total_time_s", "total_energy_j", "accuracy",
+                "accuracy_loss")
 
-    comp_time_s: np.ndarray
-    comp_energy_j: np.ndarray
-    comm_time_s: np.ndarray
-    comm_energy_j: np.ndarray
+
+@dataclass(frozen=True, eq=False, repr=False)
+class SystemMetrics:
+    """Costs of one configuration: campaign totals, and per-device arrays.
+
+    The totals are stored as floats: ``round_time_s``, ``total_time_s``,
+    ``total_energy_j``, ``accuracy_loss`` and ``mean_accuracy``.  The
+    per-device arrays ``comp_time_s``, ``comp_energy_j``, ``comm_time_s``,
+    ``comm_energy_j`` and ``accuracy`` are computed on their first read,
+    from the scenario and the allocation the metrics were made from, by the
+    same kernels as the totals, so they equal the arrays those were summed
+    from bit for bit.  They are read-only.  Made by :func:`system_metrics`,
+    which holds an allocation's arrays themselves where they are read-only
+    and own their data, as the solver's and the oracle's are, and a copy of
+    any other, so that changing a caller's allocation later changes neither
+    the totals nor the arrays.
+    """
+
     round_time_s: float
     total_time_s: float
     total_energy_j: float
-    accuracy: np.ndarray
     accuracy_loss: float
+    mean_accuracy: float
+    source: tuple       # (scenario, allocation) the arrays are computed from
 
-    @property
-    def mean_accuracy(self) -> float:
-        return float(self.accuracy.mean())
+    @cached_property
+    def _costs(self) -> tuple:
+        costs = _device_costs(*self.source)
+        for a in costs:
+            a.flags.writeable = False
+        return costs
+
+    comp_time_s = property(lambda self: self._costs[0])
+    comp_energy_j = property(lambda self: self._costs[1])
+    comm_time_s = property(lambda self: self._costs[2])
+    comm_energy_j = property(lambda self: self._costs[3])
+    accuracy = property(lambda self: self._costs[4])
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in _REPR_FIELDS)
+        return f"{type(self).__qualname__}({fields})"
+
+
+def read_only(a):
+    """``a`` itself where it is a read-only array that owns its data, else a
+    read-only copy; ``None`` stays ``None``."""
+    if a is None or (not a.flags.writeable and a.base is None):
+        return a
+    a = a.copy()
+    a.flags.writeable = False
+    return a
 
 
 def uplink_rates(scenario: Scenario, allocation: Allocation) -> np.ndarray:
@@ -276,6 +318,29 @@ def system_metrics(scenario: Scenario, allocation: Allocation) -> SystemMetrics:
     Raises :class:`~flmar.channel.InfeasibleLinkError` when a device's
     uplink rate is zero (for instance zero power or zero FDMA bandwidth).
     """
+    held = Allocation(
+        power_w=read_only(allocation.power_w),
+        cpu_hz=read_only(allocation.cpu_hz),
+        resolution_px=read_only(allocation.resolution_px),
+        bandwidth_hz=read_only(allocation.bandwidth_hz),
+        pairing=allocation.pairing,
+    )
+    t_cmp, e_cmp, t_com, e_com, acc = _device_costs(scenario, held)
+    round_time = float((t_cmp + t_com).max())
+    rounds = scenario.global_rounds
+    return SystemMetrics(
+        round_time_s=round_time,
+        total_time_s=rounds * round_time,
+        total_energy_j=rounds * float((e_cmp + e_com).sum()),
+        accuracy_loss=float((1.0 - acc).sum()),
+        mean_accuracy=float(acc.mean()),
+        source=(scenario, held),
+    )
+
+
+def _device_costs(scenario: Scenario, allocation: Allocation) -> tuple:
+    """Per-device compute time and energy, upload time and energy, and
+    accuracy, as float arrays."""
     table = scenario.devices
     cyc = cycles_per_frame(allocation.resolution_px, table.cycles_per_pixel)
     iters = scenario.local_iterations
@@ -285,22 +350,8 @@ def system_metrics(scenario: Scenario, allocation: Allocation) -> SystemMetrics:
     t_com = comm_time(scenario.model_size_bits, rates)
     e_com = comm_energy(allocation.power_w, t_com)
     acc = detection_accuracy(allocation.resolution_px, scenario.accuracy_model)
-    t_cmp, e_cmp, t_com, e_com, acc = (
-        np.atleast_1d(np.asarray(x, dtype=float))
-        for x in (t_cmp, e_cmp, t_com, e_com, acc)
-    )
-    round_time = float((t_cmp + t_com).max())
-    rounds = scenario.global_rounds
-    return SystemMetrics(
-        comp_time_s=t_cmp,
-        comp_energy_j=e_cmp,
-        comm_time_s=t_com,
-        comm_energy_j=e_com,
-        round_time_s=round_time,
-        total_time_s=rounds * round_time,
-        total_energy_j=rounds * float((e_cmp + e_com).sum()),
-        accuracy=acc,
-        accuracy_loss=float((1.0 - acc).sum()),
+    return tuple(
+        np.atleast_1d(np.asarray(x, dtype=float)) for x in (t_cmp, e_cmp, t_com, e_com, acc)
     )
 
 

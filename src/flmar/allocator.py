@@ -42,6 +42,7 @@ from .accounting import (
     SystemMetrics,
     Weights,
     objective,
+    read_only,
     system_metrics,
 )
 from .channel import ChannelPairing, power_for_rate, shannon_rate
@@ -311,9 +312,10 @@ def _lane_newton(f, z, lo, hi, args, tol):
     ``tol``, on the points those steps reach.  While every moving lane's
     Newton step, before the clamp, shrinks by a tenth or more at each probe
     the steps converge; once one does not, the lanes still moving go on by
-    `_bracketed_newton`, whose safeguards end it without a step cap.  Returns the end points and the slope of each in
-    that parameter, as dz / d ln lambda = -(dr/d ln lambda) / r', at each
-    lane's last probe.
+    `_bracketed_newton`, from the points just evaluated, whose safeguards
+    end it without a step cap.  Returns the end points and the slope of
+    each in that parameter, as dz / d ln lambda = -(dr/d ln lambda) / r',
+    at each lane's last probe.
     """
     z = np.fmin(np.fmax(z, lo), hi)
     last = math.inf
@@ -335,14 +337,15 @@ def _lane_newton(f, z, lo, hi, args, tol):
     dz = -dlam / dr
     dz[~np.isfinite(dz)] = 0.0
     z_next[k], dz[k] = _bracketed_newton(f, z[k], lo[k], hi[k], tuple(a[k] for a in args),
-                                         tol)
+                                         tol, (r[k], dr[k], dlam[k]))
     return z_next, dz
 
 
-def _bracketed_newton(f, z, lo, hi, args, tol):
-    """`_lane_newton`'s safeguarded search.  After the first, each probe
-    lies one spacing of its ends inside the bracket, which the signs of r
-    shrink.  A step goes to z - r / r' where the last probe halved the
+def _bracketed_newton(f, z, lo, hi, args, tol, at_z):
+    """`_lane_newton`'s safeguarded search, from points ``z`` whose
+    evaluation ``at_z`` = f(z, *args) the caller has made.  Each later
+    probe lies one spacing of its ends inside the bracket, which the signs
+    of r shrink.  A step goes to z - r / r' where the last probe halved the
     bracket or the step is at most half as long as the last one; otherwise
     to the midpoint.  Every probe lies strictly inside the bracket, so each
     shrinks it, and either the bracket halves at least every other step or
@@ -356,8 +359,8 @@ def _bracketed_newton(f, z, lo, hi, args, tol):
     k = np.arange(z.size)
     spacing = np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
     width_1 = step_1 = np.full(z.size, np.inf)       # one step back
-    while k.size:
-        r, dr, dlam = f(z, *args)
+    r, dr, dlam = at_z
+    while True:
         step = r / dr
         size = np.abs(step)
         above = r < 0.0
@@ -379,7 +382,10 @@ def _bracketed_newton(f, z, lo, hi, args, tol):
             k, z_next, lo, hi, spacing, width_1, step_1 = (
                 v[go] for v in (k, z_next, lo, hi, spacing, width_1, step_1))
             args = tuple(a[go] for a in args)
+        if not k.size:
+            break
         z = z_next
+        r, dr, dlam = f(z, *args)
     dz[~np.isfinite(dz)] = 0.0
     return z_end, dz
 
@@ -1336,9 +1342,12 @@ def _sweep_core(env: _Env, weights: Weights, resolution_px, cpu_hz, t_com):
     candidate's CPU frequency fills the current round time tau exactly
     (clipped to the device's range), and the candidate scores its energy,
     the round time max(others, its own total) and its accuracy loss, where
-    ``others`` is the largest total of the other devices.  The rest of the
-    objective is the same for every candidate, so the best one lowers the
-    true objective of the resulting state the most, ties going to the
+    ``others`` is the largest total of the other devices.  A candidate
+    whose frequency is not clipped fills tau, and its total is tau itself,
+    in its score and once committed; t_com + cyc / f would round a few
+    spacings above tau.  A clipped one keeps t_com + cyc / f.  The rest of
+    the objective is the same for every candidate, so the best one lowers
+    the true objective of the resulting state the most, ties going to the
     smaller resolution; every applied move is non-increasing.
 
     The pass runs in segments, each scoring every remaining device's whole
@@ -1348,8 +1357,11 @@ def _sweep_core(env: _Env, weights: Weights, resolution_px, cpu_hz, t_com):
     the segment commits each device up to the first whose ``others``, with
     the totals chosen before it, differs from the one assumed; that device
     starts the next segment.  A commit that changes tau changes the next
-    device's ``others``, so it also ends the segment.  The first device of a
-    segment always commits, so a pass ends within n segments.
+    device's ``others``, so it also ends the segment; a filled candidate
+    leaves tau as it is, so that happens only where a clipped one, such as
+    a candidate at f_max that runs past tau, really raises the round time,
+    or where the device alone held it.  The first device of a segment
+    always commits, so a pass ends within n segments.
     """
     dev = env.dev
     w1g = weights.w1 * env.rounds
@@ -1369,8 +1381,10 @@ def _sweep_core(env: _Env, weights: Weights, resolution_px, cpu_hz, t_com):
 
         cyc = env.menu_cycles[s:]
         tc = t_com[s:, None]
-        f_c = np.clip(cyc / (tau - tc), dev.f_min[s:, None], dev.f_max[s:, None])
-        total = tc + cyc / f_c
+        f_fill = cyc / (tau - tc)
+        f_c = np.clip(f_fill, dev.f_min[s:, None], dev.f_max[s:, None])
+        # an unclipped candidate fills tau and ends at tau itself
+        total = np.where(f_c == f_fill, tau, tc + cyc / f_c)
         score = (
             w1g * cmos_energy(dev.kappa[s:, None], cyc, f_c)
             + w2g * np.maximum(others[:, None], total)
@@ -1389,11 +1403,13 @@ def _sweep_core(env: _Env, weights: Weights, resolution_px, cpu_hz, t_com):
 
 
 def _assemble(env: _Env, power, bandwidth, cpu_hz, resolution_px) -> Allocation:
+    # read-only arrays of the report's own, which its metrics hold as they are
     return Allocation(
-        power_w=np.clip(power, env.dev.p_min, env.dev.p_max),
-        cpu_hz=np.clip(cpu_hz, env.dev.f_min, env.dev.f_max),
-        resolution_px=np.asarray(resolution_px, dtype=int),
-        bandwidth_hz=None if bandwidth is None else np.asarray(bandwidth, dtype=float),
+        power_w=read_only(np.clip(power, env.dev.p_min, env.dev.p_max)),
+        cpu_hz=read_only(np.clip(cpu_hz, env.dev.f_min, env.dev.f_max)),
+        resolution_px=read_only(np.asarray(resolution_px, dtype=int)),
+        bandwidth_hz=(None if bandwidth is None
+                      else read_only(np.asarray(bandwidth, dtype=float))),
         pairing=env.pairing if env.scheme == "noma" else None,
     )
 

@@ -88,6 +88,7 @@ from .accounting import (
     Scenario,
     Weights,
     objective,
+    read_only,
     system_metrics,
 )
 from .allocator import SolveReport
@@ -439,7 +440,7 @@ def _links(scenario: Scenario, table: DeviceTable, dgrids: list, grid: GridSpec)
         for d in dgrids:
             uploads += d.tabulate([d.p_grid] * shares.size, *_upload(scenario, d, shares[:, None]))
         links = splits - 1 + shares.size * np.arange(n)
-        return uploads, links, lambda link: {"bandwidth_hz": shares[splits[link] - 1]}
+        return uploads, links, lambda link: {"bandwidth_hz": read_only(shares[splits[link] - 1])}
     # one channel, two users, in the gain-sorted pairing
     pairing = scenario.noma_pairing
     bc = pairing.channel_bandwidth_hz
@@ -487,9 +488,11 @@ def brute_force_oracle(
     power, cpu, res = zip(*(
         d.decode(pick, uploads[i].powers) for d, i, pick in zip(dgrids, links[link], picks)
     ))
+    # read-only arrays of the report's own, which its metrics hold as they are
     alloc = Allocation(
-        power_w=np.array(power), cpu_hz=np.array(cpu),
-        resolution_px=np.array(res), **fields(link),
+        power_w=read_only(np.array(power)), cpu_hz=read_only(np.array(cpu)),
+        resolution_px=read_only(np.array(res)),
+        **fields(link),
     )
     metrics = system_metrics(scenario, alloc)
     value = objective(weights, metrics)

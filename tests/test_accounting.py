@@ -1,7 +1,9 @@
 """Round-level bookkeeping: per-device costs, system totals, the objective."""
 
+import gc
 import math
-from dataclasses import replace
+import tracemalloc
+from dataclasses import make_dataclass, replace
 
 import numpy as np
 import pytest
@@ -9,15 +11,29 @@ import pytest
 from flmar import (
     Allocation,
     InfeasibleLinkError,
+    LinkParams,
+    ScenarioSpec,
     Weights,
+    brute_force_oracle,
+    comm_energy,
+    comm_time,
+    comp_energy,
+    comp_time,
+    cycles_per_frame,
+    detection_accuracy,
+    fdma_rate,
+    generate_scenario,
     noma_channel_rates,
     objective,
+    optimize,
     pair_users,
+    random_baseline,
     system_metrics,
     uplink_rates,
 )
+from flmar.experiments import scenario_for_cell
 
-from conftest import make_scenario, equal_split_alloc
+from conftest import make_scenario, equal_split_alloc, wide_box_draw, wide_box_weights
 
 # 50-digit references for the two-device FDMA case below:
 # device 0: g=1e-7, p=0.1, b=1e6, r=400, f=1e9, 30 frames
@@ -101,6 +117,134 @@ class TestSystemMetrics:
             m.comp_time_s + m.comm_time_s, [T_ROUND_0, T_ROUND_1], rtol=1e-12)
         np.testing.assert_allclose(
             m.comp_energy_j + m.comm_energy_j, [E_ROUND_0, E_ROUND_1], rtol=1e-12)
+
+
+def eager_costs(scn, alloc):
+    """Every per-device array and total of ``alloc``, computed at once from
+    the compute and channel kernels."""
+    table = scn.devices
+    cyc = cycles_per_frame(alloc.resolution_px, table.cycles_per_pixel)
+    t_cmp = comp_time(scn.local_iterations, cyc, table.frames, alloc.cpu_hz)
+    e_cmp = comp_energy(table.kappa, scn.local_iterations, cyc, table.frames, alloc.cpu_hz)
+    if scn.scheme == "fdma":
+        rates = fdma_rate(alloc.bandwidth_hz, alloc.power_w,
+                          LinkParams(gain=table.gain, noise_psd=scn.noise_psd))
+    else:
+        strong, weak = table.pair_positions(alloc.pairing)
+        rates = np.empty(scn.n_devices)
+        rates[strong], rates[weak] = noma_channel_rates(
+            alloc.pairing.channel_bandwidth_hz, (table.gain[strong], alloc.power_w[strong]),
+            (table.gain[weak], alloc.power_w[weak]), scn.noise_psd)
+    t_com = comm_time(scn.model_size_bits, rates)
+    e_com = comm_energy(alloc.power_w, t_com)
+    acc = detection_accuracy(alloc.resolution_px, scn.accuracy_model)
+    arrays = [np.atleast_1d(np.asarray(x, dtype=float)) for x in (t_cmp, e_cmp, t_com, e_com, acc)]
+    t_cmp, e_cmp, t_com, e_com, acc = arrays
+    round_time = float((t_cmp + t_com).max())
+    totals = (round_time, scn.global_rounds * round_time,
+              scn.global_rounds * float((e_cmp + e_com).sum()), float((1.0 - acc).sum()),
+              float(acc.mean()))
+    return arrays, totals
+
+
+ARRAYS = ("comp_time_s", "comp_energy_j", "comm_time_s", "comm_energy_j", "accuracy")
+TOTALS = ("round_time_s", "total_time_s", "total_energy_j", "accuracy_loss", "mean_accuracy")
+
+
+def assert_matches_eager(scn, alloc, metrics):
+    arrays, totals = eager_costs(scn, alloc)
+    assert [getattr(metrics, name) for name in TOTALS] == list(totals)
+    for name, want in zip(ARRAYS, arrays):
+        got = getattr(metrics, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
+def report_cases():
+    """(name, scenario, weights) for default 40-device, pinned and wide-box
+    draws and 640-device scenarios."""
+    for scheme in ("fdma", "noma"):
+        yield (f"default40-{scheme}",
+               generate_scenario(ScenarioSpec(n_devices=40, scheme=scheme, master_seed=1)),
+               Weights(0.5, 0.5, 0.5))
+        yield (f"scale640-{scheme}", scenario_for_cell(ScenarioSpec(), scheme, 0.2, 1, 0, 640),
+               Weights(0.5, 0.5, 500.0))
+    for k in (0, 1, 2, 5):
+        for pinned in (True, False):
+            yield f"wide{k}-{'pinned' if pinned else 'free'}", wide_box_draw(k, pinned), \
+                wide_box_weights(k)
+
+
+class TestMetricsOnRead:
+    """Totals are stored at the call and the per-device arrays computed on
+    first read, equal bit for bit to computing both at once."""
+
+    @pytest.mark.parametrize("case", list(report_cases()), ids=lambda case: case[0])
+    def test_reports_match_an_eager_computation(self, case):
+        _, scn, w = case
+        reports = [optimize(scn, w), random_baseline(scn, w, seed=3)]
+        if scn.n_devices <= 3:
+            reports.append(brute_force_oracle(scn, w))
+        for report in reports:
+            alloc = report.allocation
+            assert_matches_eager(scn, alloc, report.metrics)
+            assert objective(w, report.metrics) == report.objective
+            # the report's arrays are read-only and its metrics hold them
+            held = report.metrics.source[1]
+            for name in ("power_w", "cpu_hz", "resolution_px", "bandwidth_hz"):
+                a = getattr(alloc, name)
+                assert getattr(held, name) is a
+                assert a is None or not a.flags.writeable
+            for name in ARRAYS:
+                assert not getattr(report.metrics, name).flags.writeable
+
+    @pytest.mark.parametrize("scheme", ["fdma", "noma"])
+    def test_mutating_the_callers_allocation_changes_nothing(self, scheme):
+        scn = make_scenario([4e-9, 1e-9, 3e-9, 2e-9], scheme=scheme)
+        alloc = equal_split_alloc(scn)
+        unread = system_metrics(scn, alloc)
+        read = system_metrics(scn, alloc)
+        want = eager_costs(scn, alloc)
+        arrays = [getattr(read, name).copy() for name in ARRAYS]
+        alloc.power_w[:] = 0.05
+        alloc.cpu_hz *= 2.0
+        alloc.resolution_px[0] = 100
+        if scheme == "fdma":
+            alloc.bandwidth_hz[:2] = (1e6, 3e6)
+        alloc.power_w = np.full(4, 0.01)
+        for metrics in (unread, read):
+            assert [getattr(metrics, name) for name in TOTALS] == list(want[1])
+            for name, before in zip(ARRAYS, want[0]):
+                assert getattr(metrics, name).tobytes() == before.tobytes(), name
+        for name, before in zip(ARRAYS, arrays):
+            assert getattr(read, name).tobytes() == before.tobytes(), name
+
+    def test_repr_keeps_the_stored_fields_format(self):
+        # the fields, their order and their format of the dataclass that
+        # stored every array, so reports still compare by repr
+        scn, alloc = two_device_fdma()
+        m = system_metrics(scn, alloc)
+        names = ("comp_time_s", "comp_energy_j", "comm_time_s", "comm_energy_j",
+                 "round_time_s", "total_time_s", "total_energy_j", "accuracy", "accuracy_loss")
+        stored = make_dataclass("SystemMetrics", names)
+        assert repr(m) == repr(stored(**{name: getattr(m, name) for name in names}))
+
+    @pytest.mark.parametrize("scheme", ["fdma", "noma"])
+    def test_640_device_report_retains_little(self, scheme):
+        # the allocation's arrays, held once; the metrics' five per-device
+        # arrays kept 25.6 KB more before they were computed on read
+        scn = scenario_for_cell(ScenarioSpec(), scheme, 0.2, 0, 0, 640)
+        w = Weights(0.5, 0.5, 0.5)
+        optimize(scn, w)                # the scenario's own caches
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            report = optimize(scn, w)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert report.allocation.power_w.size == 640 and retained <= 24_000, retained
 
 
 class TestObjective:

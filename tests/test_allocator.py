@@ -34,6 +34,7 @@ from flmar import (
 from flmar import Scenario, ScenarioSpec, generate_scenario, pair_users
 from flmar.channel import shannon_rate
 from flmar.compute import cmos_energy, round_cycles
+from flmar.experiments import scenario_for_cell
 import flmar.allocator
 from flmar.allocator import (
     InfeasibleScenarioError,
@@ -1265,6 +1266,39 @@ class TestFreeLaneRoot:
             assert b[0] == pytest.approx(ref_b, rel=1e-9)
 
 
+class TestLaneNewtonFallback:
+    def test_no_evaluation_repeats_the_one_before(self, monkeypatch):
+        # a lane search that falls to the bracketed search hands it the points
+        # it has just evaluated, with their values; evaluating them again
+        # repeated a full-width evaluation at 640 devices
+        lane_newton, bracketed = flmar.allocator._lane_newton, flmar.allocator._bracketed_newton
+        fallbacks, repeats = [], []
+
+        def spied(f, z, lo, hi, args, tol):
+            last = [set()]
+
+            def probe(z, *a):
+                lanes = {row.tobytes() for row in
+                         np.column_stack([z, *(np.reshape(x, (z.size, -1)) for x in a)])}
+                if lanes <= last[0]:
+                    repeats.append(z.size)
+                last[0] = lanes
+                return f(z, *a)
+            return lane_newton(probe, z, lo, hi, args, tol)
+
+        def fallback(f, z, *rest):
+            fallbacks.append(z.size)
+            return bracketed(f, z, *rest)
+
+        monkeypatch.setattr(flmar.allocator, "_lane_newton", spied)
+        monkeypatch.setattr(flmar.allocator, "_bracketed_newton", fallback)
+        for m in range(4):
+            optimize(generate_scenario(ScenarioSpec(n_devices=40, master_seed=m)), W)
+        optimize(scenario_for_cell(ScenarioSpec(), "fdma", 0.2, 0, 0, 640), W)
+        assert len(fallbacks) >= 10 and max(fallbacks) > 600
+        assert repeats == []
+
+
 class TestFitMatchesSlsqp:
     """The fit at a fixed budget equals the SLSQP reference to 1e-9, on
     default 40-device scenarios, with p_min on a third of their devices,
@@ -1433,7 +1467,8 @@ class TestSweepResolutions:
 
 def reference_sweep(env, weights, resolution_px, cpu_hz, t_com, e_com):
     """The per-device resolution sweep the array pass replaced: one device at
-    a time, scoring the whole objective of each candidate state."""
+    a time, scoring the whole objective of each candidate state.  A candidate
+    whose frequency fills tau unclipped ends at tau itself."""
     dev = env.dev
     w1g = weights.w1 * env.rounds
     w2g = weights.w2 * env.rounds
@@ -1450,14 +1485,16 @@ def reference_sweep(env, weights, resolution_px, cpu_hz, t_com, e_com):
     for n in range(env.n):
         cand = np.array(dev.resolutions[n], dtype=float)
         cyc_c = round_cycles(env.iters, dev.cycles_per_pixel[n], cand, dev.frames[n])
-        f_c = np.clip(cyc_c / (tau - t_com[n]), dev.f_min[n], dev.f_max[n])
+        f_fill = cyc_c / (tau - t_com[n])
+        f_c = np.clip(f_fill, dev.f_min[n], dev.f_max[n])
         t_c = cyc_c / f_c
+        total_c = np.where(f_c == f_fill, tau, t_com[n] + t_c)
         e_c = cmos_energy(dev.kappa[n], cyc_c, f_c)
         hold = t_tot[n]
         t_tot[n] = -math.inf
         others = float(t_tot.max())
         t_tot[n] = hold
-        round_c = np.maximum(others, t_com[n] + t_c)
+        round_c = np.maximum(others, total_c)
         loss_c = 1.0 - env.accuracy(cand)
         j_c = (
             w1g * (e_sum - e_cmp[n] + e_c)
@@ -1471,7 +1508,7 @@ def reference_sweep(env, weights, resolution_px, cpu_hz, t_com, e_com):
         e_cmp[n] = e_c[k]
         loss_sum += float(loss_c[k]) - float(loss[n])
         loss[n] = loss_c[k]
-        t_tot[n] = t_com[n] + t_c[k]
+        t_tot[n] = total_c[k]
         tau = float(t_tot.max())
     return r_out, f_out
 
@@ -1578,6 +1615,38 @@ class TestSweepMatchesReference:
         cfg = _continuous_solve(env, w, r)
         r_new, _ = self.check(env, w, r, cfg.cpu, cfg.comm_time, cfg.comm_energy)
         assert np.any(r_new > r)
+
+
+class TestSweepSegments:
+    @pytest.mark.parametrize("w3", [0.5, 500.0])
+    @pytest.mark.parametrize("scheme", ["fdma", "noma"])
+    def test_640_device_passes_commit_in_at_most_two_segments(self, monkeypatch, scheme, w3):
+        # a candidate that fills tau ends at tau, so a segment ends only where
+        # the round time really rises; when such totals rounded a few
+        # spacings above tau these passes scored 14-68 segments.  Each
+        # segment prices its candidates' compute energy once.
+        core = flmar.allocator._sweep_core
+        segments = []
+
+        def counted(*args):
+            segments[-1] += 1
+            return cmos_energy(*args)
+
+        def sweep(*args):
+            segments.append(0)
+            monkeypatch.setattr(flmar.allocator, "cmos_energy", counted)
+            try:
+                return core(*args)
+            finally:
+                monkeypatch.setattr(flmar.allocator, "cmos_energy", cmos_energy)
+
+        monkeypatch.setattr(flmar.allocator, "_sweep_core", sweep)
+        for seed in range(4):
+            segments.clear()
+            report = optimize(scenario_for_cell(ScenarioSpec(), scheme, 0.2, seed, 0, 640),
+                              Weights(0.5, 0.5, w3))
+            assert len(segments) == report.outer_iterations
+            assert 1 <= max(segments) <= 2, (seed, segments)
 
 
 class TestOptimize:
